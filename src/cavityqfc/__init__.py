@@ -71,7 +71,6 @@ from .photon_stats import (
     g2_out,
     gaussian_spectrum,
     lorentzian_spectrum,
-    mc_backend_name,
     noise_rate_for_intensity_ratio,
     predict_nocavity_g2,
     simulate_coincidences,

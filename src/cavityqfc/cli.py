@@ -374,7 +374,6 @@ def _generate_coincidence(args, params, preset, rng):
         "eta_signal": fmt(model.signal_efficiency),
         "nu": fmt(model.noise_rate_per_bin), "bins": model.bins,
         "resolution_ns": fmt(histogram.resolution_ns),
-        "backend": photon_stats.mc_backend_name(),
     }
     return [("delay_ns", histogram.delay_bins_ns), ("counts", histogram.counts)], provenance
 
@@ -420,7 +419,6 @@ def cmd_g2(args, params) -> str:
             "accidental_level": histogram.accidental_level,
             "nonclassical": record.nonclassical,
             "low_statistics": histogram.low_statistics,
-            "backend": photon_stats.mc_backend_name(),
             "seed": args.seed,
         }
         if args.format == "csv":

@@ -27,7 +27,7 @@ __all__ = [
     "read_scan_csv",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _UNIT_SUFFIXES = {"mW": "mW", "nm": "nm", "GHz": "GHz", "ns": "ns"}
 

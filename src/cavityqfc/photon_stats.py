@@ -8,15 +8,20 @@ uncorrelated Poissonian noise at intensity ratio ``zeta`` degrades it to
 
 and removing the cavity divides ``zeta`` by the conversion-enhancement
 factor.  A Monte Carlo coincidence simulator validates the chain: each
-time bin draws a pair number from a two-mode thermal distribution
+time bin holds a pair number from a two-mode thermal distribution
 ``P(n) = mu^n / (1+mu)^(n+1)`` (cross-correlation ``2 + 1/mu`` in the
 low-efficiency limit), detectors click with per-photon efficiencies, and
 independent Poisson noise contaminates the signal arm.
 
-The per-bin inner loops run on a compiled kernel when available and on a
-NumPy fallback otherwise (see ``cavityqfc._mc``); both consume identical
-uniform-variate streams, so histograms are reproducible bit for bit for a
-given ``(seed, shard plan)`` regardless of backend or worker count.
+The simulator sums the pair number out in closed form, giving the
+probabilities of the four per-bin outcomes (no click, herald only, signal
+only, both).  It places the clicking bins by geometric skip-ahead, draws
+one uniform per clicking bin to pick its outcome, and builds the delay
+histogram from the sorted herald and signal click indices.  The result is
+an exact sample of the per-bin model, at a cost that grows with the number
+of clicks rather than the number of bins.  Each seed gives one
+realization, reproducible for a given ``(seed, shard plan)`` whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _mc
 from .conversion import ConversionResponse
 from .errors import CoverageError
 from .fitting import ScanSeries
@@ -46,16 +50,11 @@ __all__ = [
     "broadband_conversion_efficiency",
     "simulate_coincidences",
     "g2_from_histogram",
-    "mc_backend_name",
 ]
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18  # clicking bins placed per skip-ahead draw
+_HERALD_BLOCK = 1 << 16  # heralds whose pairs are expanded at once
 _LOW_STATISTICS_BINS = 10_000
-
-
-def mc_backend_name() -> str:
-    """Which Monte Carlo backend is active: ``"cython"`` or ``"numpy"``."""
-    return _mc.BACKEND_NAME
 
 
 @dataclass(frozen=True)
@@ -248,24 +247,104 @@ def broadband_conversion_efficiency(
     return float(np.trapezoid(photon_spectrum.values * efficiency, photon_spectrum.abscissa))
 
 
-def _click_tables(model: SourceModel):
-    """Pair-number CDF and per-n click probabilities for the kernels."""
+def _click_probabilities(model: SourceModel) -> tuple[float, float, float]:
+    """Per-bin probabilities ``(q, p10, p01)`` with the pair number summed out.
+
+    ``q = 1 - p00`` is the chance that a bin clicks at all, ``p10`` that
+    only the herald clicks and ``p01`` that only the signal clicks; both
+    clicking takes the rest, ``q - p10 - p01``.  With ``p00 = keep/(1+c)``,
+    ``p10 = keep/(1+b) - p00`` and ``p01 = 1/(1+a) - p00``; each is written
+    below without that difference of near-equal terms, so the
+    low-efficiency regime keeps full relative precision.
+    """
     mu = model.mean_pairs_per_bin
-    ratio = mu / (1.0 + mu)
-    # truncate where the remaining tail is far below one draw in 1e7
-    n_max = max(8, int(np.ceil(np.log(1e-18) / np.log(ratio))))
-    n = np.arange(n_max + 1, dtype=float)
-    pair_cdf = 1.0 - ratio ** (n[:-1] + 1.0)  # P(N <= j), j = 0..n_max-1
-    p_herald = 1.0 - (1.0 - model.herald_efficiency) ** n
-    p_signal = 1.0 - (1.0 - model.signal_efficiency) ** n * np.exp(
-        -model.noise_rate_per_bin
-    )
-    return pair_cdf, p_herald, p_signal
+    eta_h, eta_s = model.herald_efficiency, model.signal_efficiency
+    nu = model.noise_rate_per_bin
+    a = mu * eta_h
+    b = mu * eta_s
+    c = mu * (eta_h + eta_s - eta_h * eta_s)
+    keep = np.exp(-nu)
+    q = (c - np.expm1(-nu)) / (1.0 + c)
+    p10 = keep * a * (1.0 - eta_s) / ((1.0 + b) * (1.0 + c))
+    p01 = (b * (1.0 - eta_h) - np.expm1(-nu) * (1.0 + a)) / ((1.0 + a) * (1.0 + c))
+    return float(q), float(p10), float(p01)
 
 
 def _shard_bounds(bins: int, n_shards: int) -> list[tuple[int, int]]:
     edges = np.linspace(0, bins, n_shards + 1).astype(int)
     return [(int(edges[i]), int(edges[i + 1])) for i in range(n_shards)]
+
+
+def _shard_clicks(rng, start: int, stop: int, q: float, p10: float, p01: float):
+    """Sorted herald and signal click indices for bins ``[start, stop)``.
+
+    Clicking bins are placed by geometric skip-ahead; one uniform on
+    ``[0, q)`` per clicking bin then picks herald-only, signal-only or both.
+    Returns lists of index chunks, so that the caller concatenates only once.
+    """
+    heralds = [np.empty(0, dtype=np.int64)]
+    signals = [np.empty(0, dtype=np.int64)]
+    if q <= 0.0:
+        return heralds, signals
+    last = start - 1
+    while last < stop - 1:
+        expected = q * (stop - 1 - last)
+        size = int(min(_CHUNK, expected + 6.0 * np.sqrt(expected) + 16.0))
+        # gaps beyond the shard end the walk; clipping them keeps cumsum in range
+        gaps = np.minimum(rng.geometric(q, size), stop - start + 1)
+        clicks = last + np.cumsum(gaps)
+        clicks = clicks[: np.searchsorted(clicks, stop)]
+        last = int(clicks[-1]) if clicks.size == size else stop - 1
+        u = rng.random(clicks.size) * q
+        heralds.append(clicks[(u < p10) | (u >= p10 + p01)])
+        signals.append(clicks[u >= p10])
+    return heralds, signals
+
+
+def _sample_clicks(model: SourceModel, n_shards: int, workers: int):
+    """Sorted herald and signal click indices over all ``model.bins`` bins."""
+    probabilities = _click_probabilities(model)
+    streams = np.random.SeedSequence(model.seed).spawn(n_shards)
+    bounds = _shard_bounds(int(model.bins), n_shards)
+
+    def sample(shard: int):
+        start, stop = bounds[shard]
+        return _shard_clicks(np.random.default_rng(streams[shard]), start, stop, *probabilities)
+
+    if workers > 1 and n_shards > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shards = list(pool.map(sample, range(n_shards)))
+    else:
+        shards = [sample(shard) for shard in range(n_shards)]
+    # shards cover consecutive bin ranges, so concatenation keeps the order
+    # and pairs across a shard border are counted
+    return (
+        np.concatenate([chunk for heralds, _ in shards for chunk in heralds]),
+        np.concatenate([chunk for _, signals in shards for chunk in signals]),
+    )
+
+
+def _delay_histogram(herald: np.ndarray, signal: np.ndarray, k: int) -> np.ndarray:
+    """Coincidence counts vs herald-to-signal delay in ``[-k, +k]`` bins.
+
+    Both index arrays are sorted; each herald's window in ``signal`` comes
+    from ``searchsorted`` and its pairs are expanded and counted per block
+    of heralds, so memory stays bounded by the block, not the click count.
+    """
+    counts = np.zeros(2 * k + 1, dtype=np.int64)
+    for lo in range(0, herald.size, _HERALD_BLOCK):
+        h = herald[lo : lo + _HERALD_BLOCK]
+        first = np.searchsorted(signal, h - k, side="left")
+        n_pairs = np.searchsorted(signal, h + k, side="right") - first
+        total = int(n_pairs.sum())
+        if total == 0:
+            continue
+        # index of every (herald, signal) pair: window start plus rank in window
+        ends = np.cumsum(n_pairs)
+        j = np.arange(total) + np.repeat(first - (ends - n_pairs), n_pairs)
+        delays = signal[j] - np.repeat(h - k, n_pairs)
+        counts += np.bincount(delays, minlength=2 * k + 1)
+    return counts
 
 
 def simulate_coincidences(
@@ -281,41 +360,17 @@ def simulate_coincidences(
     by an independent random stream spawned from ``(seed, shard index)``.
     Click generation may run on ``workers`` threads; the merged histogram
     is identical to the single-worker result for the same shard plan
-    because each block's clicks depend only on its own stream.
+    because each block's clicks depend only on its own stream.  Work and
+    memory grow with the number of clicks, not with ``bins``.
     """
     if delay_span_bins < 1:
         raise ValueError("delay_span_bins must be positive")
     if n_shards < 1 or workers < 1:
         raise ValueError("n_shards and workers must be positive")
     bins = int(model.bins)
-    pair_cdf, p_herald, p_signal = _click_tables(model)
-    herald = np.empty(bins, dtype=np.uint8)
-    signal = np.empty(bins, dtype=np.uint8)
-    streams = np.random.SeedSequence(model.seed).spawn(n_shards)
-    bounds = _shard_bounds(bins, n_shards)
-
-    def fill(shard: int) -> None:
-        rng = np.random.default_rng(streams[shard])
-        start, stop = bounds[shard]
-        for lo in range(start, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
-            m = hi - lo
-            u_pairs = rng.random(m)
-            u_herald = rng.random(m)
-            u_signal = rng.random(m)
-            herald[lo:hi], signal[lo:hi] = _mc.thermal_clicks(
-                u_pairs, u_herald, u_signal, pair_cdf, p_herald, p_signal
-            )
-
-    if workers > 1 and n_shards > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_shards)))
-    else:
-        for shard in range(n_shards):
-            fill(shard)
-
-    counts = _mc.delay_histogram(herald, signal, int(delay_span_bins))
     k = int(delay_span_bins)
+    herald, signal = _sample_clicks(model, n_shards, workers)
+    counts = _delay_histogram(herald, signal, k)
     delays = np.arange(-k, k + 1, dtype=float) * resolution_ns
     off_peak = np.concatenate([counts[:k], counts[k + 1 :]])
     return CoincidenceHistogram(

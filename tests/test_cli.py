@@ -159,7 +159,6 @@ class TestG2Command:
 
         expected = thermal_source_g2(0.55, 0.1, 0.1)
         assert abs(payload["g2"] - expected) < 3 * payload["stderr"]
-        assert payload["backend"] in ("cython", "numpy")
 
 
 class TestCoincidenceRoundTrip:

@@ -1,0 +1,179 @@
+"""Exact checks of the sparse coincidence sampler and its delay histogram.
+
+The histogram is compared with brute-force pair counting, and the sampler's
+outcome frequencies with an independent per-photon-number reference that
+draws the thermal pair number and tests each detector separately, so the
+closed-form click probabilities are not validated against themselves.
+"""
+
+import numpy as np
+import pytest
+from scipy.stats import chi2_contingency
+
+from cavityqfc import SourceModel, simulate_coincidences
+from cavityqfc.photon_stats import (
+    _click_probabilities,
+    _delay_histogram,
+    _sample_clicks,
+    _shard_clicks,
+)
+
+ACCEPTANCE = (0.55, 0.1, 0.1, 0.01)
+LOW_EFFICIENCY = (0.01, 0.5, 0.002, 0.001)
+
+
+def brute_force_histogram(herald, signal, k):
+    counts = np.zeros(2 * k + 1, dtype=np.int64)
+    for i in herald:
+        for j in signal:
+            if abs(j - i) <= k:
+                counts[j - i + k] += 1
+    return counts
+
+
+def indices(mask):
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+class TestDelayHistogram:
+    def test_against_brute_force(self):
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            k = int(rng.integers(1, 41))
+            herald = indices(rng.random(n) < rng.random())
+            signal = indices(rng.random(n) < rng.random())
+            assert np.array_equal(
+                _delay_histogram(herald, signal, k), brute_force_histogram(herald, signal, k)
+            )
+
+    def test_all_ones_edges(self):
+        ones = np.arange(5, dtype=np.int64)
+        expected = np.array([2, 3, 4, 5, 4, 3, 2], dtype=np.int64)
+        assert np.array_equal(_delay_histogram(ones, ones, 3), expected)
+
+    def test_delay_span_beyond_length(self):
+        ones = np.arange(4, dtype=np.int64)
+        wide = _delay_histogram(ones, ones, 10)
+        assert wide.sum() == 16  # every herald-signal pair counted once
+        assert np.array_equal(wide, brute_force_histogram(ones, ones, 10))
+
+    def test_blocks_of_heralds_join_exactly(self, monkeypatch):
+        from cavityqfc import photon_stats
+
+        rng = np.random.default_rng(11)
+        herald = indices(rng.random(5_000) < 0.2)
+        signal = indices(rng.random(5_000) < 0.2)
+        whole = _delay_histogram(herald, signal, 12)
+        monkeypatch.setattr(photon_stats, "_HERALD_BLOCK", 7)
+        assert np.array_equal(_delay_histogram(herald, signal, 12), whole)
+
+    def test_empty_inputs(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert np.array_equal(_delay_histogram(empty, np.arange(3), 2), np.zeros(5))
+        assert np.array_equal(_delay_histogram(np.arange(3), empty, 2), np.zeros(5))
+
+
+def reference_clicks(model, rng, chunk=1_000_000):
+    """Per-photon-number sampler: thermal pair number, then one test per arm."""
+    mu = model.mean_pairs_per_bin
+    ratio = mu / (1.0 + mu)
+    n_max = max(8, int(np.ceil(np.log(1e-18) / np.log(ratio))))
+    n = np.arange(n_max + 1, dtype=float)
+    pair_cdf = 1.0 - ratio ** (n[:-1] + 1.0)
+    p_herald = 1.0 - (1.0 - model.herald_efficiency) ** n
+    p_signal = 1.0 - (1.0 - model.signal_efficiency) ** n * np.exp(-model.noise_rate_per_bin)
+    outcomes = np.zeros(4, dtype=np.int64)  # 00, 10, 01, 11
+    for lo in range(0, model.bins, chunk):
+        m = min(chunk, model.bins - lo)
+        pairs = np.searchsorted(pair_cdf, rng.random(m), side="right")
+        herald = rng.random(m) < p_herald[pairs]
+        signal = rng.random(m) < p_signal[pairs]
+        outcomes += np.bincount(herald + 2 * signal, minlength=4)
+    return outcomes
+
+
+def sparse_outcomes(model):
+    herald, signal = _sample_clicks(model, n_shards=1, workers=1)
+    both = np.intersect1d(herald, signal, assume_unique=True).size
+    herald_only = herald.size - both
+    signal_only = signal.size - both
+    return np.array([model.bins - herald_only - signal_only - both, herald_only, signal_only, both])
+
+
+class TestAgainstReferenceSampler:
+    @pytest.mark.parametrize(
+        "params, bins",
+        [(ACCEPTANCE, 2_000_000), (LOW_EFFICIENCY, 8_000_000)],
+        ids=["acceptance", "low_efficiency"],
+    )
+    def test_outcome_frequencies_agree(self, params, bins):
+        model = SourceModel(*params, bins=bins, seed=404)
+        reference = reference_clicks(model, np.random.default_rng(405))
+        sparse = sparse_outcomes(model)
+        assert reference[3] > 50 and sparse[3] > 50  # both-click cell is populated
+        p_value = chi2_contingency(np.vstack([reference, sparse]))[1]
+        assert p_value > 1e-3, f"reference {reference}, sparse {sparse}"
+
+    def test_chi_square_detects_a_wrong_efficiency(self):
+        model = SourceModel(*ACCEPTANCE, bins=2_000_000, seed=404)
+        reference = reference_clicks(model, np.random.default_rng(405))
+        mu, eta_h, eta_s, nu = ACCEPTANCE
+        wrong = SourceModel(mu, eta_h, 0.95 * eta_s, nu, bins=2_000_000, seed=404)
+        p_value = chi2_contingency(np.vstack([reference, sparse_outcomes(wrong)]))[1]
+        assert p_value < 1e-6
+
+
+class TestSamplerEdgeCases:
+    def test_no_clicks_gives_zero_histogram(self):
+        # q == 0 must not reach rng.geometric(0), which raises
+        model = SourceModel(0.55, 0.0, 0.0, 0.0, bins=100_000, seed=1)
+        assert _click_probabilities(model)[0] == 0.0
+        histogram = simulate_coincidences(model, delay_span_bins=5, n_shards=3)
+        assert np.array_equal(histogram.counts, np.zeros(11, dtype=np.int64))
+        assert histogram.accidental_level == 0.0
+
+    def test_tiny_click_probability_does_not_overflow(self):
+        # gaps drawn at q ~ 1e-21 saturate int64; the walk must still end cleanly
+        model = SourceModel(1e-12, 1e-9, 1e-9, bins=10**9, seed=2)
+        herald, signal = _sample_clicks(model, n_shards=2, workers=1)
+        assert herald.size == 0 and signal.size == 0
+
+    def test_huge_mean_pair_number(self):
+        model = SourceModel(1e6, 0.1, 0.1, bins=2_000, seed=3)
+        histogram = simulate_coincidences(model, delay_span_bins=10)
+        assert histogram.counts[10] >= 0.99 * 2_000
+        assert histogram.counts.sum() > 0
+
+    @pytest.mark.parametrize("n_shards", [1, 3, 4, 7])
+    def test_shards_cover_every_bin_once(self, n_shards):
+        # saturated model: every bin clicks in both arms (misses ~1e-12 per bin)
+        bins = 1_003
+        model = SourceModel(1e12, 1.0, 1.0, noise_rate_per_bin=50.0, bins=bins, seed=4)
+        assert _click_probabilities(model)[0] == 1.0
+        herald, signal = _sample_clicks(model, n_shards, workers=2)
+        assert np.array_equal(signal, np.arange(bins))
+        assert np.array_equal(herald, np.arange(bins))
+        # pairs across shard borders are counted: the all-ones histogram
+        counts = simulate_coincidences(model, delay_span_bins=5, n_shards=n_shards).counts
+        assert np.array_equal(counts, bins - np.abs(np.arange(-5, 6)))
+
+    def test_shard_indices_sorted_and_in_range(self):
+        model = SourceModel(*ACCEPTANCE, bins=100_001, seed=5)
+        q, p10, p01 = _click_probabilities(model)
+        chunks = _shard_clicks(np.random.default_rng(6), 40_000, 70_000, q, p10, p01)
+        for clicks in map(np.concatenate, chunks):
+            assert np.all(np.diff(clicks) > 0)
+            assert clicks[0] >= 40_000 and clicks[-1] < 70_000
+
+    def test_probabilities_sum_out_the_pair_number(self):
+        # closed forms vs a direct sum over the pair number
+        for mu, eta_h, eta_s, nu in (ACCEPTANCE, LOW_EFFICIENCY, (2.0, 0.7, 0.3, 0.5)):
+            q, p10, p01 = _click_probabilities(SourceModel(mu, eta_h, eta_s, nu))
+            n = np.arange(400)
+            pn = (mu / (1.0 + mu)) ** n / (1.0 + mu)
+            miss_h = (1.0 - eta_h) ** n
+            miss_s = (1.0 - eta_s) ** n * np.exp(-nu)
+            assert q == pytest.approx(1.0 - (pn * miss_h * miss_s).sum(), rel=1e-12)
+            assert p10 == pytest.approx((pn * (1.0 - miss_h) * miss_s).sum(), rel=1e-12)
+            assert p01 == pytest.approx((pn * miss_h * (1.0 - miss_s)).sum(), rel=1e-12)
