@@ -11,9 +11,12 @@ generate  deterministic synthetic datasets (fwhm, noise, comb, coincidence)
 g2        analytic correlation chain and/or the Monte Carlo estimate
 design    anti-resonant SPDC-noise suppression report
 
-Common flags: ``--input``, ``--output`` (default stdout), ``--format
-{csv,json}``, ``--seed`` (default 1234), ``--preset {1540,1522,nv}`` and
-repeatable ``--param key=value`` overrides, validated per subcommand.
+Every subcommand takes ``--output`` (default stdout) and ``--format
+{csv,json}``.  ``fit`` and ``fsr`` take ``--input``; ``generate`` and ``g2``
+take ``--seed`` (default 1234); ``model``, ``fit`` and ``generate`` take
+``--preset {1540,1522,nv}``; all but ``fsr`` take repeatable ``--param
+key=value`` overrides, validated per subcommand.  Any other flag is a usage
+error.
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error,
 5 numeric failure, 6 I/O error.
@@ -28,14 +31,7 @@ import numpy as np
 
 from . import conversion, fitting, noise, photon_stats, snr
 from .dataio import fmt, read_scan_csv, render_csv, render_json, write_text
-from .errors import (
-    NoPeriodicity,
-    NumericFailure,
-    ParseError,
-    SamplingError,
-    ShapeError,
-    WorkbenchError,
-)
+from .errors import NumericFailure, ParseError, WorkbenchError
 from .presets import DEFAULT_PRESET, PRESETS
 
 EXIT_OK = 0
@@ -61,7 +57,6 @@ _SCHEMAS: dict[str, dict[str, type | object]] = {
     "fit": {"model": str, "gamma_r_ratio": float},
     "snr": {"mode": str, "finesse": _floats, "fc": float, "fs": float,
             "grid": int, "tolerance": float},
-    "fsr": {},
     "generate": {
         "model": str, "points": int, "pmax_mW": float,
         "alpha_MHz_per_mW": float, "gamma_all_MHz": float,
@@ -264,25 +259,31 @@ def cmd_fsr(args, params) -> str:
     return render_json({"fsr_GHz": value, "uncertainty_GHz": err, "input": args.input})
 
 
+def _power_scan(params, rng, power, values, unit: str, name: str, provenance):
+    """Columns of a power scan, with seeded Gaussian noise and its sigma on request."""
+    if params.get("noise") != "gauss":
+        return [("power_mW", power), (f"{name}_{unit}", values)], provenance
+    frac = params.get("noise_frac", 0.05)
+    sigma = frac * values
+    provenance["noise"] = f"gauss {fmt(frac)}"
+    return [
+        ("power_mW", power),
+        (f"{name}_{unit}", values + rng.normal(0.0, sigma)),
+        (f"sigma_{unit}", sigma),
+    ], provenance
+
+
 def _generate_fwhm(args, params, preset, rng):
     points = params.get("points", 26)
     pmax = params.get("pmax_mW", 250.0)
     alpha = params.get("alpha_MHz_per_mW", preset.alpha_MHz_per_mW)
     gamma_all = params.get("gamma_all_MHz", preset.cavity.gamma_all_MHz)
     power = np.linspace(0.0, pmax, points)
-    values = gamma_all + alpha * power
     provenance = {
         "command": "generate", "model": "fwhm", "seed": args.seed,
         "alpha_MHz_per_mW": fmt(alpha), "gamma_all_MHz": fmt(gamma_all),
     }
-    columns = [("power_mW", power), ("fwhm_MHz", values)]
-    if params.get("noise") == "gauss":
-        frac = params.get("noise_frac", 0.05)
-        sigma = frac * values
-        values = values + rng.normal(0.0, sigma)
-        provenance["noise"] = f"gauss {fmt(frac)}"
-        columns = [("power_mW", power), ("fwhm_MHz", values), ("sigma_MHz", sigma)]
-    return columns, provenance
+    return _power_scan(params, rng, power, gamma_all + alpha * power, "MHz", "fwhm", provenance)
 
 
 def _generate_noise(args, params, preset, rng):
@@ -292,20 +293,14 @@ def _generate_noise(args, params, preset, rng):
     alpha_tilde = params.get("alpha_tilde_per_mW", preset.alpha_tilde_per_mW)
     gamma_r = params.get("gamma_r_ratio", preset.cavity.gamma_r_ratio)
     power = np.linspace(pmax / points, pmax, points)
-    values = gamma_r * alpha_noise * power / (2.0 * (1.0 + alpha_tilde * power))
+    law = noise.NoiseParams(alpha_noise, gamma_r, alpha_tilde)
+    values = noise.noise_cavity_per_fsr(law, power)
     provenance = {
         "command": "generate", "model": "noise", "seed": args.seed,
         "alpha_noise_cps_per_mW": fmt(alpha_noise),
         "alpha_tilde_per_mW": fmt(alpha_tilde), "gamma_r_ratio": fmt(gamma_r),
     }
-    columns = [("power_mW", power), ("counts_cps", values)]
-    if params.get("noise") == "gauss":
-        frac = params.get("noise_frac", 0.05)
-        sigma = frac * values
-        values = values + rng.normal(0.0, sigma)
-        provenance["noise"] = f"gauss {fmt(frac)}"
-        columns = [("power_mW", power), ("counts_cps", values), ("sigma_cps", sigma)]
-    return columns, provenance
+    return _power_scan(params, rng, power, values, "cps", "counts", provenance)
 
 
 def _generate_comb(args, params, preset, rng):
@@ -314,19 +309,15 @@ def _generate_comb(args, params, preset, rng):
     bpf_nm = params.get("bpf_nm", 0.03)
     power = params.get("power_mW", 100.0)
     center_nm = preset.wavelengths.converted_nm if preset.wavelengths else 1540.0
-    noise_params = preset.noise()
     ghz_per_nm = conversion.bandwidth_nm_to_GHz(1.0, center_nm)
     wavelengths = center_nm + np.arange(
         -span_nm / 2.0, span_nm / 2.0 + step_nm / 2.0, step_nm
     )
     offsets = (wavelengths - center_nm) * ghz_per_nm
     half_window = bpf_nm * ghz_per_nm / 2.0
-    values = np.array([
-        noise.comb_rate_in_band(
-            preset.cavity, noise_params, power, f - half_window, f + half_window
-        )
-        for f in offsets
-    ])
+    values = noise.comb_rate_in_band(
+        preset.cavity, preset.noise(), power, offsets - half_window, offsets + half_window
+    )
     provenance = {
         "command": "generate", "model": "comb", "seed": args.seed,
         "power_mW": fmt(power), "bpf_nm": fmt(bpf_nm),
@@ -473,6 +464,17 @@ _COMMANDS = {
 }
 
 
+# first match wins, so subclasses come before their WorkbenchError base
+_ERRORS = {
+    UsageError: ("usage error", EXIT_USAGE),
+    ParseError: ("parse error", EXIT_PARSE),
+    NumericFailure: ("numeric failure", EXIT_NUMERIC),
+    WorkbenchError: ("domain error", EXIT_DOMAIN),
+    ValueError: ("domain error", EXIT_DOMAIN),
+    OSError: ("io error", EXIT_IO),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityqfc",
@@ -481,14 +483,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
-        p.add_argument("--input", default=None)
         p.add_argument("--output", default=None)
         # dataset-producing commands write CSV by default, results JSON
         default_format = "csv" if name in ("generate", "model") else "json"
         p.add_argument("--format", choices=["csv", "json"], default=default_format)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--preset", choices=sorted(PRESETS), default=DEFAULT_PRESET)
-        p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
+        # the other flags only where the handler reads them
+        if name in ("fit", "fsr"):
+            p.add_argument("--input", default=None)
+        if name in ("generate", "g2"):
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if name in ("model", "fit", "generate"):
+            p.add_argument("--preset", choices=sorted(PRESETS), default=DEFAULT_PRESET)
+        if name != "fsr":
+            p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     return parser
 
 
@@ -496,31 +503,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params = _parse_params(args.command, args.param)
+        params = _parse_params(args.command, args.param) if "param" in vars(args) else {}
         text = _COMMANDS[args.command](args, params)
         write_text(args.output, text)
         return EXIT_OK
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (NoPeriodicity, SamplingError, ShapeError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except WorkbenchError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except tuple(_ERRORS) as exc:
+        label, code = next(entry for kind, entry in _ERRORS.items() if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .fitting import ScanSeries
+from .fitting import _UNITS, ScanSeries
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-
-_UNIT_SUFFIXES = {"mW": "mW", "nm": "nm", "GHz": "GHz", "ns": "ns"}
 
 
 def fmt(value) -> str:
@@ -80,8 +78,8 @@ def render_json(payload: dict) -> str:
 
 
 def _abscissa_unit(column_name: str) -> str:
-    for suffix, unit in _UNIT_SUFFIXES.items():
-        if column_name.endswith("_" + suffix):
+    for unit in _UNITS:
+        if column_name.endswith("_" + unit):
             return unit
     raise ParseError(
         f"cannot infer abscissa unit from column name {column_name!r}; "
@@ -96,10 +94,7 @@ def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
     standard deviation) and the provenance key/value pairs from the ``#``
     lines.
     """
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise exc
+    raw = Path(path).read_text(encoding="utf-8")
     provenance: dict[str, str] = {}
     header: list[str] | None = None
     rows: list[list[float]] = []

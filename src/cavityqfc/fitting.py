@@ -17,6 +17,7 @@ from scipy.optimize import least_squares
 
 from .conversion import bandwidth_nm_to_GHz
 from .errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
+from .noise import NoiseParams, noise_cavity_per_fsr
 
 __all__ = [
     "ScanSeries",
@@ -99,6 +100,24 @@ def _weights(data: ScanSeries) -> np.ndarray:
     return 1.0 / data.sigma
 
 
+def _covariance(jac: np.ndarray, residual_norm: float, data: ScanSeries) -> np.ndarray:
+    """Parameter covariance ``(J^T J)^-1`` of a weighted least-squares fit.
+
+    Falls back to the pseudo-inverse for a singular normal matrix.  Without
+    per-point sigmas the noise variance is estimated as ``residual_norm /
+    dof``; a fit with no spare degree of freedom gets zero covariance.
+    """
+    normal = jac.T @ jac
+    try:
+        cov = np.linalg.inv(normal)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(normal)
+    if data.sigma is None:
+        dof = len(data) - jac.shape[1]
+        cov = cov * (residual_norm / dof if dof > 0 else 0.0)
+    return cov
+
+
 def fit_linear(data: ScanSeries) -> FitResult:
     """Weighted least-squares straight line, ``slope * x + intercept``.
 
@@ -115,12 +134,7 @@ def fit_linear(data: ScanSeries) -> FitResult:
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     residual = design @ coef - rhs
     residual_norm = float(residual @ residual)
-    normal = design.T @ design
-    cov = np.linalg.inv(normal)
-    if data.sigma is None:
-        dof = len(data) - 2
-        cov = cov * (residual_norm / dof if dof > 0 else 0.0)
-    err = np.sqrt(np.diag(cov))
+    err = np.sqrt(np.diag(_covariance(design, residual_norm, data)))
     return FitResult(
         parameters={"slope": float(coef[0]), "intercept": float(coef[1])},
         std_errors={"slope": float(err[0]), "intercept": float(err[1])},
@@ -130,19 +144,15 @@ def fit_linear(data: ScanSeries) -> FitResult:
     )
 
 
-def _saturating_model(P, alpha_noise, alpha_tilde, gamma_r_ratio):
-    return gamma_r_ratio * alpha_noise * P / (2.0 * (1.0 + alpha_tilde * P))
-
-
 def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     """Fit the saturating cavity-noise law, estimating both coefficients.
 
-    Model: ``N(P) = gamma_r_ratio * alpha_noise * P / (2*(1 +
-    alpha_tilde*P))`` with ``gamma_r_ratio`` held fixed.  Trust-region
-    least squares on log-parameters (which keeps both coefficients
-    positive) with an analytic Jacobian, started from a deterministic
-    initializer: the low-power slope fixes ``alpha_noise``, the droop of
-    the highest-power point relative to that slope fixes ``alpha_tilde``.
+    Model: :func:`~cavityqfc.noise.noise_cavity_per_fsr` with
+    ``gamma_r_ratio`` held fixed.  Trust-region least squares on
+    log-parameters (which keeps both coefficients positive) with an
+    analytic Jacobian, started from a deterministic initializer: the
+    low-power slope fixes ``alpha_noise``, the droop of the highest-power
+    point relative to that slope fixes ``alpha_tilde``.
     """
     if not 0.0 < gamma_r_ratio <= 1.0:
         raise ValueError("gamma_r_ratio must lie in (0, 1]")
@@ -164,13 +174,16 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     droop = slope0 * p_max / y_max if y_max > 0 else 1.0
     alpha_tilde0 = max((droop - 1.0) / p_max, 1e-3 / p_max)
 
-    def residuals(theta):
+    def model(theta):
         a, b = np.exp(theta)
-        return (_saturating_model(x, a, b, gamma_r_ratio) - y) * w
+        return noise_cavity_per_fsr(NoiseParams(a, gamma_r_ratio, b), x)
+
+    def residuals(theta):
+        return (model(theta) - y) * w
 
     def jacobian(theta):
-        a, b = np.exp(theta)
-        f = _saturating_model(x, a, b, gamma_r_ratio)
+        b = np.exp(theta[1])
+        f = model(theta)
         col_a = f * w
         col_b = -f * (b * x) / (1.0 + b * x) * w
         return np.column_stack([col_a, col_b])
@@ -195,15 +208,7 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
         )
     a, b = np.exp(result.x)
     residual_norm = float(2.0 * result.cost)
-    jac = result.jac
-    try:
-        cov_log = np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        cov_log = np.linalg.pinv(jac.T @ jac)
-    if data.sigma is None:
-        dof = len(data) - 2
-        cov_log = cov_log * (residual_norm / dof if dof > 0 else 0.0)
-    err_log = np.sqrt(np.maximum(np.diag(cov_log), 0.0))
+    err_log = np.sqrt(np.maximum(np.diag(_covariance(result.jac, residual_norm, data)), 0.0))
     return FitResult(
         parameters={"alpha_noise": float(a), "alpha_tilde": float(b)},
         std_errors={"alpha_noise": float(a * err_log[0]), "alpha_tilde": float(b * err_log[1])},
@@ -213,15 +218,12 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     )
 
 
-def _half_crossings(x: np.ndarray, y: np.ndarray, level: float) -> list[float]:
+def _half_crossings(x: np.ndarray, y: np.ndarray, level: float) -> np.ndarray:
     """Linear-interpolated abscissa positions where ``y`` crosses ``level``."""
-    crossings = []
     above = y >= level
-    for i in range(len(x) - 1):
-        if above[i] != above[i + 1]:
-            frac = (level - y[i]) / (y[i + 1] - y[i])
-            crossings.append(float(x[i] + frac * (x[i + 1] - x[i])))
-    return crossings
+    i = np.flatnonzero(above[:-1] != above[1:])
+    frac = (level - y[i]) / (y[i + 1] - y[i])
+    return x[i] + frac * (x[i + 1] - x[i])
 
 
 def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
@@ -252,7 +254,7 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
     crossings = _half_crossings(x, y, half_level)
     if len(crossings) < 2:
         raise ShapeError("peak is not resolved within the scan")
-    width0 = crossings[-1] - crossings[0]
+    width0 = float(crossings[-1] - crossings[0])
 
     offset0 = float(y.min())
     amp0 = float(y.max() - offset0)
@@ -276,14 +278,7 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
         )
         if result.status > 0 and np.all(np.isfinite(result.x)) and result.x[1] != 0:
             fwhm = 2.0 * abs(float(result.x[1]))
-            jac = result.jac
-            try:
-                cov = np.linalg.inv(jac.T @ jac)
-            except np.linalg.LinAlgError:
-                cov = np.linalg.pinv(jac.T @ jac)
-            if data.sigma is None:
-                dof = len(x) - 4
-                cov = cov * (2.0 * result.cost / dof if dof > 0 else 0.0)
+            cov = _covariance(result.jac, 2.0 * result.cost, data)
             err = 2.0 * float(np.sqrt(max(cov[1, 1], 0.0)))
     except (ValueError, np.linalg.LinAlgError):
         pass

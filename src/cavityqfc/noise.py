@@ -155,22 +155,20 @@ def as_total_rate(noise: NoiseParams, power_mW: float, gamma_all_MHz: float) -> 
     )
 
 
-def noise_cavity_per_fsr(noise: NoiseParams, power_mW: float) -> float:
+def noise_cavity_per_fsr(noise: NoiseParams, power_mW):
     """Extracted AS photons per FSR band with the cavity (counts/s).
 
     The saturating law ``gamma_r_ratio * alpha_noise * P / (2*(1 +
     alpha_tilde*P))``; its low-power slope is half the no-cavity slope and
     the curve stays strictly below that linear bound for ``P > 0``.
+    Accepts scalar or array power; a scalar gives a float.
     """
-    if power_mW < 0:
+    power = np.asarray(power_mW, dtype=float)
+    if np.any(power < 0):
         raise ValueError("power_mW must be non-negative")
-    coupling = noise.alpha_tilde_per_mW * power_mW
-    return (
-        noise.gamma_r_ratio
-        * noise.alpha_noise_cps_per_mW
-        * power_mW
-        / (2.0 * (1.0 + coupling))
-    )
+    coupling = noise.alpha_tilde_per_mW * power
+    out = noise.gamma_r_ratio * noise.alpha_noise_cps_per_mW * power / (2.0 * (1.0 + coupling))
+    return out if out.ndim else float(out)
 
 
 def noise_nocavity(
@@ -237,6 +235,14 @@ def _wrapped_lorentzian_cdf(u, hwhm_ratio: float):
     return k + np.arctan(rho * np.tan(np.pi * (u - k))) / np.pi
 
 
+def _comb_scales(cav: CavityParams, noise: NoiseParams, power_mW):
+    """FSR in GHz, pump-broadened tooth half-width in FSR units, per-FSR total."""
+    hwhm_ratio = cav.gamma_all_MHz * (1.0 + noise.alpha_tilde_per_mW * power_mW) / (
+        2.0 * cav.fsr_MHz
+    )
+    return cav.fsr_MHz * 1e-3, hwhm_ratio, noise_cavity_per_fsr(noise, power_mW)
+
+
 def comb_density(cav: CavityParams, noise: NoiseParams, power_mW: float):
     """Vectorized AS comb density (counts/s/GHz) vs frequency offset in GHz.
 
@@ -244,11 +250,7 @@ def comb_density(cav: CavityParams, noise: NoiseParams, power_mW: float):
     each pump-broadened per :func:`as_spectral_density`, with every FSR
     carrying the :func:`noise_cavity_per_fsr` total.
     """
-    fsr_GHz = cav.fsr_MHz * 1e-3
-    hwhm_ratio = cav.gamma_all_MHz * (1.0 + noise.alpha_tilde_per_mW * power_mW) / (
-        2.0 * cav.fsr_MHz
-    )
-    total = noise_cavity_per_fsr(noise, power_mW)
+    fsr_GHz, hwhm_ratio, total = _comb_scales(cav, noise, power_mW)
 
     def density(f_GHz):
         u = np.asarray(f_GHz, dtype=float) / fsr_GHz
@@ -257,21 +259,21 @@ def comb_density(cav: CavityParams, noise: NoiseParams, power_mW: float):
     return density
 
 
-def comb_rate_in_band(
-    cav: CavityParams, noise: NoiseParams, power_mW: float, f_lo_GHz: float, f_hi_GHz: float
-) -> float:
-    """Exact integral of the comb density over ``[f_lo, f_hi]`` (counts/s)."""
-    if f_hi_GHz < f_lo_GHz:
+def comb_rate_in_band(cav: CavityParams, noise: NoiseParams, power_mW, f_lo_GHz, f_hi_GHz):
+    """Exact integral of the comb density over ``[f_lo, f_hi]`` (counts/s).
+
+    Power and band edges broadcast against each other; scalars give a float.
+    """
+    f_lo = np.asarray(f_lo_GHz, dtype=float)
+    f_hi = np.asarray(f_hi_GHz, dtype=float)
+    if np.any(f_hi < f_lo):
         raise ValueError("f_hi_GHz must not be below f_lo_GHz")
-    fsr_GHz = cav.fsr_MHz * 1e-3
-    hwhm_ratio = cav.gamma_all_MHz * (1.0 + noise.alpha_tilde_per_mW * power_mW) / (
-        2.0 * cav.fsr_MHz
+    fsr_GHz, hwhm_ratio, total = _comb_scales(cav, noise, power_mW)
+    out = total * (
+        _wrapped_lorentzian_cdf(f_hi / fsr_GHz, hwhm_ratio)
+        - _wrapped_lorentzian_cdf(f_lo / fsr_GHz, hwhm_ratio)
     )
-    total = noise_cavity_per_fsr(noise, power_mW)
-    lo, hi = f_lo_GHz / fsr_GHz, f_hi_GHz / fsr_GHz
-    return total * float(
-        _wrapped_lorentzian_cdf(hi, hwhm_ratio) - _wrapped_lorentzian_cdf(lo, hwhm_ratio)
-    )
+    return out if out.ndim else float(out)
 
 
 def comb_spectrum(
@@ -284,14 +286,15 @@ def comb_spectrum(
     """Sample the AS comb on a uniform grid centered on a resonance."""
     if span_GHz <= 0:
         raise ValueError("span_GHz must be positive")
-    fsr_GHz = cav.fsr_MHz * 1e-3
+    fsr_GHz, hwhm_ratio, _ = _comb_scales(cav, noise, power_mW)
     if samples / (span_GHz / fsr_GHz) < 16:
         raise ValueError("undersampled grid: need at least 16 samples per FSR")
     freqs = np.linspace(-span_GHz / 2.0, span_GHz / 2.0, int(samples))
-    density = comb_density(cav, noise, power_mW)(freqs)
-    fwhm_GHz = cav.gamma_all_MHz * (1.0 + noise.alpha_tilde_per_mW * power_mW) * 1e-3
     return CombSpectrum(
-        frequencies_GHz=freqs, density=density, fsr_GHz=fsr_GHz, fwhm_GHz=fwhm_GHz
+        frequencies_GHz=freqs,
+        density=comb_density(cav, noise, power_mW)(freqs),
+        fsr_GHz=fsr_GHz,
+        fwhm_GHz=2.0 * hwhm_ratio * fsr_GHz,
     )
 
 

@@ -117,21 +117,25 @@ def _sinc(x):
     return out if out.ndim else float(out)
 
 
-def snr_cav(power_mW: float, alpha_tilde: float, alpha_noise: float) -> float:
-    """SNR of the cavity converter, strictly decreasing in pump power."""
-    if power_mW < 0:
+def snr_cav(power_mW, alpha_tilde: float, alpha_noise: float):
+    """SNR of the cavity converter, strictly decreasing in pump power (scalar or array)."""
+    power = np.asarray(power_mW, dtype=float)
+    if np.any(power < 0):
         raise ValueError("power_mW must be non-negative")
-    coupling = alpha_tilde * power_mW
-    return 8.0 * alpha_tilde / (alpha_noise * (1.0 + coupling) ** 2)
+    # float_power is libm pow for scalars and arrays; ndarray ** 2 may differ by 1 ulp
+    out = 8.0 * alpha_tilde / (alpha_noise * np.float_power(1.0 + alpha_tilde * power, 2))
+    return out if out.ndim else float(out)
 
 
-def snr_nocav(power_mW: float, B: float, alpha_noise: float, band_ratio: float) -> float:
-    """SNR of a plain converter behind a bandpass of width ``band_ratio*fsr``."""
-    if power_mW < 0:
+def snr_nocav(power_mW, B: float, alpha_noise: float, band_ratio: float):
+    """SNR of a plain converter behind a ``band_ratio*fsr`` bandpass (scalar or array power)."""
+    power = np.asarray(power_mW, dtype=float)
+    if np.any(power < 0):
         raise ValueError("power_mW must be non-negative")
     if not 0.0 < band_ratio <= 1.0:
         raise ValueError("band_ratio must lie in (0, 1]")
-    return B * _sinc(np.sqrt(B * power_mW)) ** 2 / (alpha_noise * band_ratio)
+    out = B * np.float_power(_sinc(np.sqrt(B * power)), 2) / (alpha_noise * band_ratio)
+    return out if out.ndim else float(out)
 
 
 def _snr_cav_of_eff(eff, F_cold: float):
@@ -174,11 +178,11 @@ def normalized_snr_curves(F_cold: float, grid_size: int = 256) -> tuple[SnrCurve
 
     x = np.linspace(0.0, 1.0, grid_size)  # alpha_tilde * P
     eff_cav = 4.0 * x / (1.0 + x) ** 2
-    snr_c = np.array([snr_cav(xi / alpha_tilde, alpha_tilde, 1.0) for xi in x])
+    snr_c = snr_cav(x / alpha_tilde, alpha_tilde, 1.0)
 
     y = np.linspace(0.0, np.pi / 2.0, grid_size)  # sqrt(B * P)
     eff_nocav = np.sin(y) ** 2
-    snr_n = np.array([snr_nocav(yi**2 / B, B, 1.0, 1.0) for yi in y])
+    snr_n = snr_nocav(np.float_power(y, 2) / B, B, 1.0, 1.0)
 
     cavity = SnrCurve(eff_cav, snr_c, label=f"cavity F={F_cold:g}")
     nocavity = SnrCurve(eff_nocav, snr_n, label="no cavity")

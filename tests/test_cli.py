@@ -1,5 +1,11 @@
-"""End-to-end tests of the command-line workbench."""
+"""End-to-end tests of the command-line workbench.
 
+Most tests call ``cli.main`` in process; ``TestEntryPoint`` runs
+``python -m cavityqfc`` in fresh processes, once per exit code.
+"""
+
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,18 +13,54 @@ import sys
 import numpy as np
 import pytest
 
-from cavityqfc import ScanSeries, extract_fwhm
+from cavityqfc import ScanSeries, cli, extract_fwhm
 from cavityqfc.dataio import read_scan_csv
 
-EXE = [sys.executable, "-m", "cavityqfc"]
 
-
-def run_cli(*args, expect=0):
-    result = subprocess.run([*EXE, *args], capture_output=True, text=True)
+def _check_exit(result, expect):
     assert result.returncode == expect, (
         f"exit {result.returncode} != {expect}; stderr: {result.stderr}"
     )
     return result
+
+
+def run_cli(*args, expect=0):
+    """Run ``cli.main`` in this process; an argparse exit gives its code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code or 0
+    result = subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
+    return _check_exit(result, expect)
+
+
+def run_module(*args, expect=0):
+    """Run ``python -m cavityqfc`` in a fresh process."""
+    result = subprocess.run(
+        [sys.executable, "-m", "cavityqfc", *args], capture_output=True, text=True
+    )
+    return _check_exit(result, expect)
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "args, expect",
+        [
+            (["design"], 0),
+            (["generate", "--param", "model=warp"], 2),
+            (["snr", "--seed", "1"], 2),
+            (["fit", "--input", "{bad}", "--param", "model=fwhm"], 3),
+            (["g2", "--param", "g2_out_obs=5.0"], 4),
+            (["fit", "--input", "/nonexistent/x.csv", "--param", "model=fwhm"], 6),
+        ],
+    )
+    def test_exit_code(self, tmp_path, args, expect):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("power_mW,fwhm_MHz\n1.0,banana\n")
+        result = run_module(*[a.format(bad=bad) for a in args], expect=expect)
+        assert result.stdout if expect == 0 else result.stderr
 
 
 class TestGenerateFitRoundTrip:
@@ -210,6 +252,14 @@ class TestDeterminismAndErrors:
 
     def test_unknown_param_is_usage_error(self):
         run_cli("generate", "--param", "model=fwhm", "--param", "bogus=1", expect=2)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["design", "--input", "x"], ["snr", "--seed", "1"], ["fsr", "--preset", "nv"]],
+    )
+    def test_unread_flag_is_usage_error(self, args):
+        result = run_cli(*args, expect=2)
+        assert "unrecognized arguments" in result.stderr
 
     def test_unknown_generate_model_is_usage_error(self):
         run_cli("generate", "--param", "model=warp", expect=2)

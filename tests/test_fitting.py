@@ -17,6 +17,7 @@ from cavityqfc import (
     periodogram,
 )
 from cavityqfc.errors import NoPeriodicity, SamplingError, ShapeError, SingularFit
+from cavityqfc.fitting import _half_crossings
 
 
 def linear_scan(alpha, gamma_all, pmax=250.0, points=26):
@@ -144,6 +145,60 @@ class TestExtractFwhm:
         y = 1 / (1 + (x / 0.5) ** 2)
         with pytest.raises(ShapeError):
             extract_fwhm(ScanSeries(x, y, unit="GHz"))
+
+    def test_half_crossings_interpolate_linearly(self):
+        x = np.arange(9.0)
+        assert np.array_equal(
+            _half_crossings(x, np.array([0, 1, 2, 3, 4, 3, 2, 1, 0.0]), 2.5), [2.5, 5.5]
+        )
+        assert np.array_equal(
+            _half_crossings(x[:5], np.array([0, 2, 0, 4, 0.0]), 1.0), [0.5, 1.5, 2.25, 3.75]
+        )
+        assert _half_crossings(x, np.ones(9), 2.0).size == 0
+
+
+class TestUnweightedErrors:
+    """Without sigmas the errors equal those of a fit weighted by the residual rms."""
+
+    @staticmethod
+    def rms_weighted(scan, residual_norm, n_params):
+        rms = np.sqrt(residual_norm / (len(scan) - n_params))
+        return ScanSeries(scan.abscissa, scan.values, np.full(len(scan), rms), scan.unit)
+
+    def test_fit_linear(self):
+        scan = linear_scan(0.49, 70.4)
+        scan = ScanSeries(scan.abscissa, scan.values + np.random.default_rng(1).normal(0, 2, 26),
+                          unit="mW")
+        bare = fit_linear(scan)
+        weighted = fit_linear(self.rms_weighted(scan, bare.residual_norm, 2))
+        for name in ("slope", "intercept"):
+            assert bare.std_errors[name] == pytest.approx(weighted.std_errors[name], rel=1e-9)
+
+    def test_fit_saturating_noise(self):
+        scan = noise_scan(230.0, 1.0 / 144.0, 0.7)
+        noisy = scan.values * (1 + np.random.default_rng(2).normal(0, 0.05, len(scan)))
+        scan = ScanSeries(scan.abscissa, noisy, unit="mW")
+        bare = fit_saturating_noise(scan, 0.7)
+        weighted = fit_saturating_noise(self.rms_weighted(scan, bare.residual_norm, 2), 0.7)
+        for name in ("alpha_noise", "alpha_tilde"):
+            assert bare.std_errors[name] == pytest.approx(weighted.std_errors[name], rel=1e-6)
+
+    def test_extract_fwhm(self):
+        from scipy.optimize import least_squares
+
+        scan = lorentzian_scan(0.0, 70.4, amplitude=0.9, offset=0.05)
+        noisy = scan.values + np.random.default_rng(3).normal(0, 0.01, len(scan))
+        scan = ScanSeries(scan.abscissa, noisy, unit="GHz")
+        x = scan.abscissa
+        fit = least_squares(
+            lambda t: t[3] + t[2] / (1 + ((x - t[0]) / t[1]) ** 2) - noisy,
+            [0.0, 35.0, 0.9, 0.05], method="lm", xtol=1e-12, ftol=1e-12,
+        )
+        fwhm, err = extract_fwhm(scan)
+        weighted_fwhm, weighted_err = extract_fwhm(self.rms_weighted(scan, 2 * fit.cost, 4))
+        assert fwhm == pytest.approx(2 * abs(fit.x[1]), rel=1e-6)
+        assert weighted_fwhm == pytest.approx(fwhm, rel=1e-6)
+        assert err == pytest.approx(weighted_err, rel=1e-4)
 
 
 class TestPeriodogram:

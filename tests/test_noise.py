@@ -98,6 +98,14 @@ class TestRates:
         tiny = 1e-8
         assert noise_cavity_per_fsr(NOISE, tiny) / (0.7 * 230.0 * tiny / 2.0) > 1 - 1e-7
 
+    def test_array_power_matches_scalar_loop(self):
+        powers = np.concatenate([[0.0], np.random.default_rng(2).uniform(0.0, 500.0, 2000)])
+        loop = [noise_cavity_per_fsr(NOISE, p) for p in powers]
+        assert np.array_equal(noise_cavity_per_fsr(NOISE, powers), loop)
+        assert type(noise_cavity_per_fsr(NOISE, 3.0)) is float
+        with pytest.raises(ValueError):
+            noise_cavity_per_fsr(NOISE, np.array([1.0, -1e-9, 2.0]))
+
     def test_extraction_ratio_cancels(self):
         for ratio in (0.1, 0.5, 0.7, 1.0):
             varied = NoiseParams(230.0, ratio, 1.0 / 144.0)
@@ -169,6 +177,30 @@ class TestComb:
         numeric, _ = quad(density, -1.895, 1.895, limit=400)
         exact = comb_rate_in_band(CAV, NOISE, 100.0, -1.895, 1.895)
         assert exact == pytest.approx(numeric, rel=1e-8)
+
+    def test_band_rate_on_arrays_matches_scalar_loop(self):
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-12.0, 12.0, 2000)
+        hi = lo + rng.uniform(0.0, 6.0, 2000)
+        power = rng.uniform(0.0, 400.0, 2000)
+        loop = [comb_rate_in_band(CAV, NOISE, p, a, b) for p, a, b in zip(power, lo, hi)]
+        assert np.array_equal(comb_rate_in_band(CAV, NOISE, power, lo, hi), loop)
+        # a scalar power broadcasts over array band edges
+        loop = [comb_rate_in_band(CAV, NOISE, 100.0, a, b) for a, b in zip(lo, hi)]
+        assert np.array_equal(comb_rate_in_band(CAV, NOISE, 100.0, lo, hi), loop)
+        assert type(comb_rate_in_band(CAV, NOISE, 100.0, -1.0, 1.0)) is float
+
+    @pytest.mark.parametrize(
+        "power, lo, hi",
+        [
+            (100.0, 1.0, 0.5),
+            (100.0, np.array([0.0, 2.0, 3.0]), np.array([1.0, 1.9, 4.0])),
+            (np.array([100.0, -1.0]), 0.0, 1.0),
+        ],
+    )
+    def test_band_rate_rejects_inverted_band_or_negative_power(self, power, lo, hi):
+        with pytest.raises(ValueError):
+            comb_rate_in_band(CAV, NOISE, power, lo, hi)
 
     def test_undersampled_grid_rejected(self):
         with pytest.raises(ValueError):

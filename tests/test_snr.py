@@ -55,6 +55,18 @@ class TestPointwiseSnr:
         base = snr_nocav(0.3, B, alpha_noise, 1.0)
         assert snr_nocav(0.3, B, alpha_noise, 0.5) == pytest.approx(2 * base, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "snr, args",
+        [(snr_cav, (1.0 / 144.0, 230.0)), (snr_nocav, (np.pi**2 / 4, 1.0, 0.7))],
+    )
+    def test_array_power_matches_scalar_loop(self, snr, args):
+        powers = np.concatenate([[0.0], np.random.default_rng(4).uniform(0.0, 500.0, 5000)])
+        loop = [snr(p, *args) for p in powers]
+        assert np.array_equal(snr(powers, *args), loop)
+        assert type(snr(3.0, *args)) is float
+        with pytest.raises(ValueError):
+            snr(np.array([1.0, -1e-9, 2.0]), *args)
+
     def test_band_ratio_domain(self):
         with pytest.raises(ValueError):
             snr_nocav(1.0, 1.0, 1.0, 0.0)
