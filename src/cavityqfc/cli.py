@@ -96,6 +96,8 @@ def _parse_params(command: str, pairs: list[str]) -> dict:
             params[key] = schema[key](value.strip())
         except ValueError:
             raise UsageError(f"cannot parse --param {pair!r}") from None
+        if schema[key] in (float, _floats) and not np.all(np.isfinite(params[key])):
+            raise ValueError(f"--param {key} must be finite, got {value.strip()!r}")
     return params
 
 
@@ -273,8 +275,15 @@ def _power_scan(params, rng, power, values, unit: str, name: str, provenance):
     ], provenance
 
 
+def _scan_points(params, default: int) -> int:
+    points = params.get("points", default)
+    if points < 1:
+        raise ValueError("points must be at least 1")
+    return points
+
+
 def _generate_fwhm(args, params, preset, rng):
-    points = params.get("points", 26)
+    points = _scan_points(params, 26)
     pmax = params.get("pmax_mW", 250.0)
     alpha = params.get("alpha_MHz_per_mW", preset.alpha_MHz_per_mW)
     gamma_all = params.get("gamma_all_MHz", preset.cavity.gamma_all_MHz)
@@ -287,7 +296,7 @@ def _generate_fwhm(args, params, preset, rng):
 
 
 def _generate_noise(args, params, preset, rng):
-    points = params.get("points", 12)
+    points = _scan_points(params, 12)
     pmax = params.get("pmax_mW", 250.0)
     alpha_noise = params.get("alpha_noise_cps_per_mW", preset.alpha_noise_cps_per_mW)
     alpha_tilde = params.get("alpha_tilde_per_mW", preset.alpha_tilde_per_mW)

@@ -21,10 +21,12 @@ mW, vacuum wavelengths in nm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.constants import c as _C_VACUUM  # m/s
+
+_C_VACUUM = 299_792_458.0  # m/s, exact by definition
 
 __all__ = [
     "CavityParams",
@@ -46,11 +48,12 @@ __all__ = [
 ]
 
 
-def _require_finite(value: float, name: str) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+def _require_finite(params) -> None:
+    """Reject NaN or infinity in any field of a parameter dataclass; None means unset."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,7 @@ class CavityParams:
     group_index: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.fsr_MHz <= 0:
             raise ValueError("fsr_MHz must be positive")
         if self.gamma_all_MHz <= 0:
@@ -113,7 +117,7 @@ class PumpDrive:
     phase_rad: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self.power_mW, "power_mW")
+        _require_finite(self)
         if self.power_mW < 0:
             raise ValueError("power_mW must be non-negative")
         if self.alpha_tilde_per_mW <= 0:
@@ -139,6 +143,7 @@ class WavelengthConfig:
     converted_nm: float
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("signal_nm", "pump_nm", "converted_nm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NumericFailure, ParseError
 from .fitting import _UNITS, ScanSeries
 
 __all__ = [
@@ -63,7 +63,11 @@ def render_csv(columns: list[tuple[str, np.ndarray]], provenance: dict | None = 
 
 
 def render_json(payload: dict) -> str:
-    """Render a result object with a schema version, deterministically."""
+    """Render a result object with a schema version, deterministically.
+
+    Output is strict JSON (RFC 8259): a NaN or infinite value raises
+    :class:`~cavityqfc.errors.NumericFailure` instead of printing ``NaN``.
+    """
 
     def default(obj):
         if isinstance(obj, np.ndarray):
@@ -74,7 +78,11 @@ def render_json(payload: dict) -> str:
 
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
-    return json.dumps(body, sort_keys=True, indent=2, default=default) + "\n"
+    try:
+        text = json.dumps(body, sort_keys=True, indent=2, default=default, allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailure(f"result is not valid JSON: {exc}") from None
+    return text + "\n"
 
 
 def _abscissa_unit(column_name: str) -> str:

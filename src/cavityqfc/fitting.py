@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .conversion import bandwidth_nm_to_GHz
 from .errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
@@ -188,6 +187,10 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
         col_b = -f * (b * x) / (1.0 + b * x) * w
         return np.column_stack([col_a, col_b])
 
+    # imported here, not at module level: scipy's start-up would otherwise
+    # be paid by every CLI call, and only the two nonlinear fits need it
+    from scipy.optimize import least_squares
+
     theta0 = np.log([alpha_noise0, alpha_tilde0])
     lower = np.array([-np.inf, np.log(1e-12 / p_max)])
     result = least_squares(
@@ -265,6 +268,8 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
         center, hwhm, amp, offset = theta
         model = offset + amp / (1.0 + ((x - center) / hwhm) ** 2)
         return (model - y) * w
+
+    from scipy.optimize import least_squares  # see fit_saturating_noise
 
     fwhm = err = None
     try:

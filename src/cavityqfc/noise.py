@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conversion import CavityParams
+from .conversion import CavityParams, _require_finite
 
 __all__ = [
     "NoiseParams",
@@ -65,6 +65,7 @@ class NoiseParams:
     beta_tilde: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.alpha_noise_cps_per_mW < 0:
             raise ValueError("alpha_noise_cps_per_mW must be non-negative")
         if not 0.0 <= self.gamma_r_ratio <= 1.0:
@@ -119,9 +120,15 @@ class CombSpectrum:
             raise ValueError("density must be non-negative")
 
 
-def as_spectral_density(
-    noise: NoiseParams, power_mW: float, detuning_MHz, gamma_all_MHz: float
-):
+def _pump_power(power_mW) -> np.ndarray:
+    """Scalar or array pump power as an array, rejecting negative entries."""
+    power = np.asarray(power_mW, dtype=float)
+    if np.any(power < 0):
+        raise ValueError("power_mW must be non-negative")
+    return power
+
+
+def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MHz: float):
     """AS spectral density of a single cavity resonance (counts/s/GHz).
 
     A Lorentzian in the normalized detuning ``d = detuning / gamma_all``
@@ -129,30 +136,30 @@ def as_spectral_density(
 
         S(d) = gamma_r_ratio * beta_tilde * P / ((1 + alpha_tilde*P)^2/4 + d^2)
 
-    Accepts scalar or array detuning.
+    Power and detuning broadcast against each other; scalars give a float.
     """
-    if power_mW < 0:
-        raise ValueError("power_mW must be non-negative")
+    power = _pump_power(power_mW)
     beta = noise._require_beta()
     d = np.asarray(detuning_MHz, dtype=float) / gamma_all_MHz
-    coupling = noise.alpha_tilde_per_mW * power_mW
-    out = noise.gamma_r_ratio * beta * power_mW / (0.25 * (1.0 + coupling) ** 2 + d * d)
+    coupling = noise.alpha_tilde_per_mW * power
+    out = noise.gamma_r_ratio * beta * power / (0.25 * (1.0 + coupling) ** 2 + d * d)
     return out if out.ndim else float(out)
 
 
-def as_total_rate(noise: NoiseParams, power_mW: float, gamma_all_MHz: float) -> float:
+def as_total_rate(noise: NoiseParams, power_mW, gamma_all_MHz: float):
     """Closed-form integral of :func:`as_spectral_density` over all detunings.
 
     Equals ``2*pi * gamma_r_ratio * gamma_all * beta_tilde * P /
     (1 + alpha_tilde*P)`` in counts/s (``gamma_all`` enters in GHz because
-    ``beta_tilde`` is a density per GHz).
+    ``beta_tilde`` is a density per GHz).  Accepts scalar or array power;
+    a scalar gives a float.
     """
+    power = _pump_power(power_mW)
     beta = noise._require_beta()
-    coupling = noise.alpha_tilde_per_mW * power_mW
+    coupling = noise.alpha_tilde_per_mW * power
     gamma_all_GHz = gamma_all_MHz * 1e-3
-    return (
-        2.0 * np.pi * noise.gamma_r_ratio * gamma_all_GHz * beta * power_mW / (1.0 + coupling)
-    )
+    out = 2.0 * np.pi * noise.gamma_r_ratio * gamma_all_GHz * beta * power / (1.0 + coupling)
+    return out if out.ndim else float(out)
 
 
 def noise_cavity_per_fsr(noise: NoiseParams, power_mW):
@@ -163,25 +170,21 @@ def noise_cavity_per_fsr(noise: NoiseParams, power_mW):
     the curve stays strictly below that linear bound for ``P > 0``.
     Accepts scalar or array power; a scalar gives a float.
     """
-    power = np.asarray(power_mW, dtype=float)
-    if np.any(power < 0):
-        raise ValueError("power_mW must be non-negative")
+    power = _pump_power(power_mW)
     coupling = noise.alpha_tilde_per_mW * power
     out = noise.gamma_r_ratio * noise.alpha_noise_cps_per_mW * power / (2.0 * (1.0 + coupling))
     return out if out.ndim else float(out)
 
 
-def noise_nocavity(
-    alpha_noise: float, power_mW: float, bpf_GHz: float, fsr_GHz: float
-) -> float:
+def noise_nocavity(alpha_noise: float, power_mW, bpf_GHz: float, fsr_GHz: float):
     """No-cavity AS photons inside a bandpass window (counts/s).
 
     Linear in both pump power and bandwidth:
     ``alpha_noise * P * bpf / fsr``.  Valid only for windows no wider than
-    one FSR (``alpha_noise`` is defined per FSR-wide band).
+    one FSR (``alpha_noise`` is defined per FSR-wide band).  Accepts scalar
+    or array power.
     """
-    if power_mW < 0:
-        raise ValueError("power_mW must be non-negative")
+    _pump_power(power_mW)
     if bpf_GHz <= 0 or fsr_GHz <= 0:
         raise ValueError("bandwidths must be positive")
     if bpf_GHz > fsr_GHz:
@@ -189,19 +192,20 @@ def noise_nocavity(
     return alpha_noise * power_mW * bpf_GHz / fsr_GHz
 
 
-def half_noise_check(noise: NoiseParams, power_mW: float) -> float:
+def half_noise_check(noise: NoiseParams, power_mW):
     """Cavity-to-no-cavity AS ratio at equal pump and full-FSR bandwidth.
 
     Normalized by the extraction ratio, the closed forms give
     ``1 / (2*(1 + alpha_tilde*P))``: exactly one half at vanishing pump
-    power, dropping further as up-conversion saturates the comb.
+    power, dropping further as up-conversion saturates the comb.  Accepts
+    scalar or array power; a scalar gives a float.
     """
-    if power_mW == 0:
-        return 0.5
-    flat = noise.gamma_r_ratio * noise_nocavity(
-        noise.alpha_noise_cps_per_mW, power_mW, 1.0, 1.0
-    )
-    return noise_cavity_per_fsr(noise, power_mW) / flat
+    power = _pump_power(power_mW)
+    zero = power == 0
+    flat = noise.gamma_r_ratio * noise_nocavity(noise.alpha_noise_cps_per_mW, power, 1.0, 1.0)
+    # both laws vanish at zero power, where the ratio is its limit 1/2
+    out = np.where(zero, 0.5, noise_cavity_per_fsr(noise, power) / np.where(zero, 1.0, flat))
+    return out if out.ndim else float(out)
 
 
 def beta_tilde_from(F_cold: float, alpha_noise: float, fsr: float) -> float:

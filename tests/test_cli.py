@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line workbench.
 
 Most tests call ``cli.main`` in process; ``TestEntryPoint`` runs
-``python -m cavityqfc`` in fresh processes, once per exit code.
+``python -m cavityqfc`` in fresh processes, once per exit code, and
+``TestImportCost`` checks in a fresh interpreter that scipy stays unloaded
+until a nonlinear fit runs.
 """
 
 import contextlib
@@ -9,11 +11,12 @@ import io
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from cavityqfc import ScanSeries, cli, extract_fwhm
+from cavityqfc import ScanSeries, cli, conversion, extract_fwhm
 from cavityqfc.dataio import read_scan_csv
 
 
@@ -61,6 +64,33 @@ class TestEntryPoint:
         bad.write_text("power_mW,fwhm_MHz\n1.0,banana\n")
         result = run_module(*[a.format(bad=bad) for a in args], expect=expect)
         assert result.stdout if expect == 0 else result.stderr
+
+
+class TestImportCost:
+    def test_scipy_is_imported_only_by_the_fits(self):
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import numpy as np
+            from cavityqfc import NoiseParams, ScanSeries, cli, fitting, noise_cavity_per_fsr
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["design"]) == 0
+            after_design = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            power = np.linspace(20.0, 250.0, 12)
+            counts = noise_cavity_per_fsr(NoiseParams(230.0, 0.7, 1.0 / 144.0), power)
+            fitting.fit_saturating_noise(ScanSeries(power, counts, unit="mW"), 0.7)
+            print(json.dumps({"after_design": after_design,
+                              "after_fit": "scipy.optimize" in sys.modules}))
+        """)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        state = json.loads(result.stdout)
+        assert state["after_design"] == []
+        assert state["after_fit"] is True
+
+    def test_speed_of_light_equals_scipy_constant(self):
+        from scipy.constants import c
+
+        assert conversion._C_VACUUM == c
 
 
 class TestGenerateFitRoundTrip:
@@ -260,6 +290,34 @@ class TestDeterminismAndErrors:
     def test_unread_flag_is_usage_error(self, args):
         result = run_cli(*args, expect=2)
         assert "unrecognized arguments" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["design", "--param", "finesse=nan"],
+            ["g2", "--param", "zeta=nan"],
+            ["g2", "--param", "g2_in=inf"],
+            ["snr", "--param", "mode=table", "--param", "fc=-inf"],
+            ["model", "--param", "powers=33.3,nan"],
+        ],
+    )
+    def test_nonfinite_param_is_domain_error(self, args):
+        result = run_cli(*args, expect=4)
+        assert "must be finite" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("model", ["fwhm", "noise"])
+    def test_empty_scan_is_domain_error(self, model):
+        result = run_cli("generate", "--param", f"model={model}", "--param", "points=0",
+                         expect=4)
+        assert "points must be at least 1" in result.stderr
+        assert result.stdout == ""
+
+    def test_overflowing_result_is_numeric_failure(self):
+        # 2*fc/pi overflows to inf, which strict JSON cannot carry
+        result = run_cli("snr", "--param", "mode=table", "--param", "fc=1e308", expect=5)
+        assert "numeric failure" in result.stderr
+        assert result.stdout == ""
 
     def test_unknown_generate_model_is_usage_error(self):
         run_cli("generate", "--param", "model=warp", expect=2)

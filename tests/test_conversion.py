@@ -25,6 +25,14 @@ from cavityqfc import (
 CAV = CavityParams(fsr_MHz=5200.0, gamma_all_MHz=70.4, gamma_r_ratio=0.7)
 CAV_OPEN = CavityParams(fsr_MHz=5200.0, gamma_all_MHz=70.4, gamma_r_ratio=1.0)
 
+# a valid value for every field of each parameter type
+_VALID_FIELDS = {
+    CavityParams: dict(fsr_MHz=5200.0, gamma_all_MHz=70.4, gamma_r_ratio=0.7,
+                       length_mm=13.26, group_index=2.1739),
+    PumpDrive: dict(power_mW=144.0, alpha_tilde_per_mW=1.0 / 144.0, phase_rad=0.3),
+    WavelengthConfig: dict(signal_nm=780.0, pump_nm=1581.0, converted_nm=1540.0),
+}
+
 
 def drive_for(coupling, gamma_all=70.4, phase=0.0):
     """Pump drive with dimensionless coupling C, alpha_tilde fixed at 1/144."""
@@ -239,3 +247,17 @@ class TestDomainTypes:
             WavelengthConfig(780.0, 1581.0, 1560.0)
         with pytest.raises(ValueError):
             WavelengthConfig(1581.0, 780.0, 1540.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            pytest.param(cls, field, id=f"{cls.__name__}.{field}")
+            for cls, valid in _VALID_FIELDS.items()
+            for field in valid
+        ],
+    )
+    def test_nonfinite_field_rejected(self, cls, field, bad):
+        cls(**_VALID_FIELDS[cls])  # the unmodified fields construct
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cls(**{**_VALID_FIELDS[cls], field: bad})

@@ -106,6 +106,24 @@ class TestRates:
         with pytest.raises(ValueError):
             noise_cavity_per_fsr(NOISE, np.array([1.0, -1e-9, 2.0]))
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            lambda p: as_spectral_density(NOISE, p, 35.0, 70.4),
+            lambda p: as_total_rate(NOISE, p, 70.4),
+            lambda p: half_noise_check(NOISE, p),
+        ],
+        ids=["as_spectral_density", "as_total_rate", "half_noise_check"],
+    )
+    def test_power_guard_and_array_power(self, law):
+        powers = np.concatenate([[0.0], np.random.default_rng(4).uniform(0.0, 500.0, 2000)])
+        assert np.array_equal(law(powers), [law(p) for p in powers])
+        assert type(law(3.0)) is float
+        with pytest.raises(ValueError, match="non-negative"):
+            law(-10.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            law(np.array([1.0, -1e-9, 2.0]))
+
     def test_extraction_ratio_cancels(self):
         for ratio in (0.1, 0.5, 0.7, 1.0):
             varied = NoiseParams(230.0, ratio, 1.0 / 144.0)
@@ -278,6 +296,17 @@ class TestNoiseParams:
             NoiseParams(230.0, 1.3, 1.0 / 144.0)
         with pytest.raises(ValueError):
             NoiseParams(230.0, 0.7, -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field", ["alpha_noise_cps_per_mW", "gamma_r_ratio", "alpha_tilde_per_mW", "beta_tilde"]
+    )
+    def test_nonfinite_field_rejected(self, field, bad):
+        valid = dict(alpha_noise_cps_per_mW=230.0, gamma_r_ratio=0.7,
+                     alpha_tilde_per_mW=1.0 / 144.0, beta_tilde=NOISE.beta_tilde)
+        NoiseParams(**valid)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NoiseParams(**{**valid, field: bad})
 
     def test_from_cavity_consistency(self):
         built = NoiseParams.from_cavity(CAV, 230.0, 1.0 / 144.0)
