@@ -17,7 +17,6 @@ from .conversion import (
     bandwidth_nm_to_GHz,
     conversion_amplitude,
     dfg_wavelength,
-    finesse,
     finesse_from_reflectances,
     fsr_from_length,
     nocavity_efficiency,
@@ -79,10 +78,7 @@ from .photon_stats import (
 )
 from .presets import DEFAULT_PRESET, PRESETS, Preset
 from .snr import (
-    BpfChoice,
-    Confinement,
     DesignReport,
-    SnrConfig,
     SnrCurve,
     cavity_dominates,
     low_power_snr_gain,

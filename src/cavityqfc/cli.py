@@ -73,7 +73,7 @@ _SCHEMAS: dict[str, dict[str, type | object]] = {
         "g2_out_obs": float, "mc": int,
         "mu": float, "eta_herald": float, "eta_signal": float, "nu": float,
         "bins": int, "span_bins": int, "resolution_ns": float,
-        "window_ns": float, "shards": int, "workers": int,
+        "window_ns": float,
     },
     "design": {"finesse": float, "fsr_GHz": float, "bpf_nm": float, "center_nm": float},
 }
@@ -315,6 +315,8 @@ def _generate_noise(args, params, preset, rng):
 def _generate_comb(args, params, preset, rng):
     span_nm = params.get("span_nm", 2.0)
     step_nm = params.get("step_nm", 0.01)
+    if not step_nm > 0:
+        raise ValueError("step_nm must be positive")
     bpf_nm = params.get("bpf_nm", 0.03)
     power = params.get("power_mW", 100.0)
     center_nm = preset.wavelengths.converted_nm if preset.wavelengths else 1540.0
@@ -340,7 +342,8 @@ def _generate_comb(args, params, preset, rng):
     return [("wavelength_nm", wavelengths), ("counts_cps", values)], provenance
 
 
-def _source_model_from(args, params) -> photon_stats.SourceModel:
+def _simulate_from(args, params):
+    """Source model and its coincidence histogram from the Monte Carlo parameters."""
     mu = params.get("mu", 0.55)
     eta_h = params.get("eta_herald", 0.1)
     eta_s = params.get("eta_signal", 0.1)
@@ -350,7 +353,7 @@ def _source_model_from(args, params) -> photon_stats.SourceModel:
         nu = photon_stats.noise_rate_for_intensity_ratio(mu, eta_s, params["zeta"])
     else:
         nu = 0.0
-    return photon_stats.SourceModel(
+    model = photon_stats.SourceModel(
         mean_pairs_per_bin=mu,
         herald_efficiency=eta_h,
         signal_efficiency=eta_s,
@@ -358,15 +361,16 @@ def _source_model_from(args, params) -> photon_stats.SourceModel:
         bins=params.get("bins", 10_000_000),
         seed=args.seed,
     )
-
-
-def _generate_coincidence(args, params, preset, rng):
-    model = _source_model_from(args, params)
     histogram = photon_stats.simulate_coincidences(
         model,
         delay_span_bins=params.get("span_bins", 30),
         resolution_ns=params.get("resolution_ns", 0.8),
     )
+    return model, histogram
+
+
+def _generate_coincidence(args, params, preset, rng):
+    model, histogram = _simulate_from(args, params)
     provenance = {
         "command": "generate", "model": "coincidence", "seed": args.seed,
         "mu": fmt(model.mean_pairs_per_bin),
@@ -403,14 +407,7 @@ def cmd_generate(args, params) -> str:
 
 def cmd_g2(args, params) -> str:
     if params.get("mc"):
-        model = _source_model_from(args, params)
-        histogram = photon_stats.simulate_coincidences(
-            model,
-            delay_span_bins=params.get("span_bins", 30),
-            resolution_ns=params.get("resolution_ns", 0.8),
-            n_shards=params.get("shards", 1),
-            workers=params.get("workers", 1),
-        )
+        _, histogram = _simulate_from(args, params)
         window = params.get("window_ns", histogram.resolution_ns)
         record = photon_stats.g2_from_histogram(histogram, window)
         payload = {

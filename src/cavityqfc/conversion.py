@@ -38,7 +38,6 @@ __all__ = [
     "sample_response",
     "peak_efficiency",
     "power_broadened_fwhm",
-    "finesse",
     "fsr_from_length",
     "finesse_from_reflectances",
     "nocavity_efficiency",
@@ -49,10 +48,13 @@ __all__ = [
 
 
 def _require_finite(params) -> None:
-    """Reject NaN or infinity in any field of a parameter dataclass; None means unset."""
+    """Reject NaN or infinity in any field of a parameter dataclass.
+
+    None means unset; Python integers are finite and may exceed the float range.
+    """
     for field in fields(params):
         value = getattr(params, field.name)
-        if value is not None and not math.isfinite(value):
+        if value is not None and not isinstance(value, int) and not math.isfinite(value):
             raise ValueError(f"{field.name} must be finite, got {float(value)!r}")
 
 
@@ -236,14 +238,9 @@ def power_broadened_fwhm(cav: CavityParams, drive: PumpDrive) -> float:
     return cav.gamma_all_MHz * (1.0 + drive.coupling)
 
 
-def finesse(cav: CavityParams) -> float:
-    """Cold-cavity finesse ``FSR / FWHM``."""
-    return cav.finesse
-
-
 def fsr_from_length(length_mm: float, group_index: float) -> float:
     """Free spectral range ``c / (2 * n_g * L)`` in GHz."""
-    if length_mm <= 0 or group_index <= 0:
+    if not (length_mm > 0 and group_index > 0):
         raise ValueError("length_mm and group_index must be positive")
     return _C_VACUUM / (2.0 * group_index * length_mm * 1e-3) * 1e-9
 
@@ -275,9 +272,9 @@ def nocavity_efficiency(power_mW: float, B_per_mW: float) -> float:
     ``sin^2(sqrt(B*P))``: full conversion at ``B*P = (pi/2)^2``, complete
     back-conversion at ``B*P = pi^2``.
     """
-    if power_mW < 0:
+    if not power_mW >= 0:
         raise ValueError("power_mW must be non-negative")
-    if B_per_mW <= 0:
+    if not B_per_mW > 0:
         raise ValueError("B_per_mW must be positive")
     return float(np.sin(np.sqrt(B_per_mW * power_mW)) ** 2)
 
@@ -289,14 +286,14 @@ def alpha_tilde_from_finesse(F_cold: float, B_per_mW: float) -> float:
     ``4*alpha_tilde*P`` and the cavity-enhanced bare-waveguide efficiency
     ``(F/pi)*B*P`` gives ``alpha_tilde = F * B / (4*pi)``.
     """
-    if F_cold <= 0 or B_per_mW <= 0:
+    if not (F_cold > 0 and B_per_mW > 0):
         raise ValueError("F_cold and B_per_mW must be positive")
     return F_cold * B_per_mW / (4.0 * np.pi)
 
 
 def dfg_wavelength(signal_nm: float, pump_nm: float) -> float:
     """Wavelength produced by difference-frequency generation (nm)."""
-    if signal_nm <= 0 or pump_nm <= 0:
+    if not (signal_nm > 0 and pump_nm > 0):
         raise ValueError("wavelengths must be positive")
     if pump_nm <= signal_nm:
         raise ValueError("pump_nm must exceed signal_nm (divergent otherwise)")
@@ -305,6 +302,6 @@ def dfg_wavelength(signal_nm: float, pump_nm: float) -> float:
 
 def bandwidth_nm_to_GHz(delta_nm: float, center_nm: float) -> float:
     """Convert a small wavelength bandwidth to frequency, ``c*dl/l^2`` (GHz)."""
-    if delta_nm <= 0 or center_nm <= 0:
+    if not (delta_nm > 0 and center_nm > 0):
         raise ValueError("delta_nm and center_nm must be positive")
     return _C_VACUUM * (delta_nm * 1e-9) / (center_nm * 1e-9) ** 2 * 1e-9

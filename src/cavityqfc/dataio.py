@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,12 +32,19 @@ SCHEMA_VERSION = 2
 
 
 def fmt(value) -> str:
-    """Deterministic scalar formatting for file output."""
+    """Deterministic scalar formatting for file output.
+
+    A NaN or infinite value raises :class:`~cavityqfc.errors.NumericFailure`,
+    so CSV output is as strict as :func:`render_json`.
+    """
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".12g")
+    value = float(value)
+    if not math.isfinite(value):
+        raise NumericFailure(f"result is not a finite number: {value!r}")
+    return format(value, ".12g")
 
 
 def write_text(path: str | None, text: str) -> None:

@@ -67,12 +67,6 @@ class ScanSeries:
     def __len__(self) -> int:
         return len(self.abscissa)
 
-    @classmethod
-    def counting(cls, abscissa, counts, unit: str = "GHz", floor: float = 1.0):
-        """Series with Poisson uncertainties ``sqrt(counts)``, floored."""
-        counts = np.asarray(counts, dtype=float)
-        return cls(abscissa, counts, np.maximum(np.sqrt(np.abs(counts)), floor), unit)
-
 
 @dataclass(frozen=True)
 class FitResult:

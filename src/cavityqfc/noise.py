@@ -17,7 +17,7 @@ anti-resonant suppression estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,9 +94,6 @@ class NoiseParams:
             alpha_tilde_per_mW=alpha_tilde_per_mW,
             beta_tilde=beta,
         )
-
-    def with_gamma_r_ratio(self, gamma_r_ratio: float) -> "NoiseParams":
-        return replace(self, gamma_r_ratio=gamma_r_ratio)
 
     def _require_beta(self) -> float:
         if self.beta_tilde is None:
@@ -320,9 +317,10 @@ def spdc_antiresonant_suppression(F: float, fsr_GHz: float, bpf_GHz: float) -> f
         raise ValueError("bpf_GHz must be narrower than fsr_GHz")
     hwhm_ratio = 1.0 / (2.0 * F)
     half_window = bpf_GHz / (2.0 * fsr_GHz)
+    # the window is symmetric about the anti-resonance, where the two CDF
+    # arctans nearly cancel at high finesse; their difference in closed form:
     comb_mass = float(
-        _wrapped_lorentzian_cdf(0.5 + half_window, hwhm_ratio)
-        - _wrapped_lorentzian_cdf(0.5 - half_window, hwhm_ratio)
+        2.0 / np.pi * np.arctan(np.tanh(np.pi * hwhm_ratio) * np.tan(np.pi * half_window))
     )
     flat_mass = bpf_GHz / fsr_GHz
     return flat_mass / comb_mass

@@ -20,18 +20,16 @@ one uniform per clicking bin to pick its outcome, and builds the delay
 histogram from the sorted herald and signal click indices.  The result is
 an exact sample of the per-bin model, at a cost that grows with the number
 of clicks rather than the number of bins.  Each seed gives one
-realization, reproducible for a given ``(seed, shard plan)`` whatever the
-worker count.
+realization.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import ConversionResponse
+from .conversion import ConversionResponse, _require_finite
 from .errors import CoverageError
 from .fitting import ScanSeries
 
@@ -90,6 +88,7 @@ class SourceModel:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.mean_pairs_per_bin <= 0:
             raise ValueError("mean_pairs_per_bin must be positive")
         for name in ("herald_efficiency", "signal_efficiency"):
@@ -270,58 +269,33 @@ def _click_probabilities(model: SourceModel) -> tuple[float, float, float]:
     return float(q), float(p10), float(p01)
 
 
-def _shard_bounds(bins: int, n_shards: int) -> list[tuple[int, int]]:
-    edges = np.linspace(0, bins, n_shards + 1).astype(int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(n_shards)]
-
-
-def _shard_clicks(rng, start: int, stop: int, q: float, p10: float, p01: float):
-    """Sorted herald and signal click indices for bins ``[start, stop)``.
+def _sample_clicks(model: SourceModel):
+    """Sorted herald and signal click indices over all ``model.bins`` bins.
 
     Clicking bins are placed by geometric skip-ahead; one uniform on
     ``[0, q)`` per clicking bin then picks herald-only, signal-only or both.
-    Returns lists of index chunks, so that the caller concatenates only once.
     """
+    q, p10, p01 = _click_probabilities(model)
+    bins = int(model.bins)
+    # the first child of the seed's SeedSequence, so that each seed keeps the
+    # realization it has given since the sampler was written
+    rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(1)[0])
     heralds = [np.empty(0, dtype=np.int64)]
     signals = [np.empty(0, dtype=np.int64)]
-    if q <= 0.0:
-        return heralds, signals
-    last = start - 1
-    while last < stop - 1:
-        expected = q * (stop - 1 - last)
+    last = -1
+    while q > 0.0 and last < bins - 1:
+        expected = q * (bins - 1 - last)
         size = int(min(_CHUNK, expected + 6.0 * np.sqrt(expected) + 16.0))
-        # gaps beyond the shard end the walk; clipping them keeps cumsum in range
-        gaps = np.minimum(rng.geometric(q, size), stop - start + 1)
+        # gaps beyond the last bin end the walk; clipping them keeps cumsum in range
+        gaps = np.minimum(rng.geometric(q, size), bins + 1)
         clicks = last + np.cumsum(gaps)
-        clicks = clicks[: np.searchsorted(clicks, stop)]
-        last = int(clicks[-1]) if clicks.size == size else stop - 1
+        clicks = clicks[: np.searchsorted(clicks, bins)]
+        last = int(clicks[-1]) if clicks.size == size else bins - 1
         u = rng.random(clicks.size) * q
         heralds.append(clicks[(u < p10) | (u >= p10 + p01)])
         signals.append(clicks[u >= p10])
-    return heralds, signals
-
-
-def _sample_clicks(model: SourceModel, n_shards: int, workers: int):
-    """Sorted herald and signal click indices over all ``model.bins`` bins."""
-    probabilities = _click_probabilities(model)
-    streams = np.random.SeedSequence(model.seed).spawn(n_shards)
-    bounds = _shard_bounds(int(model.bins), n_shards)
-
-    def sample(shard: int):
-        start, stop = bounds[shard]
-        return _shard_clicks(np.random.default_rng(streams[shard]), start, stop, *probabilities)
-
-    if workers > 1 and n_shards > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(sample, range(n_shards)))
-    else:
-        shards = [sample(shard) for shard in range(n_shards)]
-    # shards cover consecutive bin ranges, so concatenation keeps the order
-    # and pairs across a shard border are counted
-    return (
-        np.concatenate([chunk for heralds, _ in shards for chunk in heralds]),
-        np.concatenate([chunk for _, signals in shards for chunk in signals]),
-    )
+        del gaps, clicks, u  # the last chunk's buffers would otherwise outlive the walk
+    return np.concatenate(heralds), np.concatenate(signals)
 
 
 def _delay_histogram(herald: np.ndarray, signal: np.ndarray, k: int) -> np.ndarray:
@@ -351,25 +325,18 @@ def simulate_coincidences(
     model: SourceModel,
     delay_span_bins: int = 30,
     resolution_ns: float = 0.8,
-    n_shards: int = 1,
-    workers: int = 1,
 ) -> CoincidenceHistogram:
     """Simulate a coincidence histogram over delays ``[-k, +k]`` bins.
 
-    Time bins are split into ``n_shards`` contiguous blocks, each driven
-    by an independent random stream spawned from ``(seed, shard index)``.
-    Click generation may run on ``workers`` threads; the merged histogram
-    is identical to the single-worker result for the same shard plan
-    because each block's clicks depend only on its own stream.  Work and
+    All ``model.bins`` time bins are drawn from one random stream seeded by
+    ``model.seed``, so a seed always gives the same histogram.  Work and
     memory grow with the number of clicks, not with ``bins``.
     """
     if delay_span_bins < 1:
         raise ValueError("delay_span_bins must be positive")
-    if n_shards < 1 or workers < 1:
-        raise ValueError("n_shards and workers must be positive")
     bins = int(model.bins)
     k = int(delay_span_bins)
-    herald, signal = _sample_clicks(model, n_shards, workers)
+    herald, signal = _sample_clicks(model)
     counts = _delay_histogram(herald, signal, k)
     delays = np.arange(-k, k + 1, dtype=float) * resolution_ns
     off_peak = np.concatenate([counts[:k], counts[k + 1 :]])

@@ -17,7 +17,6 @@ a cold finesse of at least ``8/pi`` keeps it on top everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from .errors import NumericFailure
 from .noise import spdc_antiresonant_suppression
 
 __all__ = [
-    "Confinement",
-    "BpfChoice",
-    "SnrConfig",
     "SnrCurve",
     "DesignReport",
     "snr_cav",
@@ -40,41 +36,6 @@ __all__ = [
     "low_power_snr_gain",
     "nv_design_report",
 ]
-
-
-class Confinement(Enum):
-    NONE = "none"
-    CONVERTED_MODE = "converted_mode"
-    SIGNAL_MODE = "signal_mode"
-
-
-class BpfChoice(Enum):
-    FSR_WIDE = "fsr_wide"
-    FWHM_WIDE = "fwhm_wide"
-
-
-@dataclass(frozen=True)
-class SnrConfig:
-    """One converter configuration: which mode is confined, which filter."""
-
-    confinement: Confinement = Confinement.NONE
-    F_c: float = 1.0
-    F_s: float = 1.0
-    bpf_choice: BpfChoice = BpfChoice.FSR_WIDE
-    B_over_alpha_noise: float = np.pi**2 / 4.0
-
-    def __post_init__(self):
-        if self.B_over_alpha_noise <= 0:
-            raise ValueError("B_over_alpha_noise must be positive")
-        if self.confinement is Confinement.CONVERTED_MODE and self.F_c < 1.0:
-            raise ValueError("F_c must be >= 1 when the converted mode is confined")
-        if self.confinement is Confinement.SIGNAL_MODE and self.F_s < 1.0:
-            raise ValueError("F_s must be >= 1 when the signal mode is confined")
-
-    def normalized_snr(self) -> float:
-        """Low-power SNR factor of this configuration, no-cavity/FSR-wide = 1."""
-        table = snr_config_table(self.F_c, self.F_s)
-        return table[self.bpf_choice.value][self.confinement.value]
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,8 @@ def test_05_fit_recovery():
 
 def test_06_finesse_and_enhancement_arithmetic():
     with criterion(6, "finesse and enhancement arithmetic"):
-        f1540 = q.finesse(q.CavityParams(5200.0, 70.4))
-        f1522 = q.finesse(q.CavityParams(5200.0, 34.4))
+        f1540 = q.CavityParams(5200.0, 70.4).finesse
+        f1522 = q.CavityParams(5200.0, 34.4).finesse
         assert f1540 == pytest.approx(73.9, abs=0.05)
         assert abs(f1540 - 74.0) <= 1.0
         assert f1522 == pytest.approx(151.2, abs=0.05)

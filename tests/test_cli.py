@@ -3,7 +3,7 @@
 Most tests call ``cli.main`` in process; ``TestEntryPoint`` runs
 ``python -m cavityqfc`` in fresh processes, once per exit code, and
 ``TestImportCost`` checks in a fresh interpreter that scipy stays unloaded
-until a nonlinear fit runs.
+until a nonlinear fit runs and that no thread pool is imported.
 """
 
 import contextlib
@@ -72,18 +72,20 @@ class TestImportCost:
             import contextlib, io, json, sys
             import numpy as np
             from cavityqfc import NoiseParams, ScanSeries, cli, fitting, noise_cavity_per_fsr
+            after_import = "concurrent.futures" in sys.modules
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["design"]) == 0
             after_design = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
             power = np.linspace(20.0, 250.0, 12)
             counts = noise_cavity_per_fsr(NoiseParams(230.0, 0.7, 1.0 / 144.0), power)
             fitting.fit_saturating_noise(ScanSeries(power, counts, unit="mW"), 0.7)
-            print(json.dumps({"after_design": after_design,
+            print(json.dumps({"after_import": after_import, "after_design": after_design,
                               "after_fit": "scipy.optimize" in sys.modules}))
         """)
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         state = json.loads(result.stdout)
+        assert state["after_import"] is False
         assert state["after_design"] == []
         assert state["after_fit"] is True
 
@@ -232,6 +234,11 @@ class TestG2Command:
         expected = thermal_source_g2(0.55, 0.1, 0.1)
         assert abs(payload["g2"] - expected) < 3 * payload["stderr"]
 
+    @pytest.mark.parametrize("key", ["shards", "workers"])
+    def test_parallel_plan_keys_are_usage_errors(self, key):
+        result = run_cli("g2", "--param", "mc=1", "--param", f"{key}=2", expect=2)
+        assert "unknown parameter" in result.stderr
+
 
 class TestCoincidenceRoundTrip:
     def test_histogram_file_reanalyzed(self, tmp_path):
@@ -259,6 +266,11 @@ class TestDesignCommand:
         assert payload["finesse"] == 45.0
         assert payload["suppression_factor"] > 10.0
         assert payload["over_tenfold"] is True
+
+    def test_huge_finesse_stays_finite(self):
+        payload = json.loads(run_cli("design", "--param", "finesse=1e17").stdout)
+        assert np.isfinite(payload["suppression_factor"])
+        assert payload["suppression_factor"] > 1e16
 
 
 class TestDeterminismAndErrors:
@@ -313,9 +325,18 @@ class TestDeterminismAndErrors:
         assert "points must be at least 1" in result.stderr
         assert result.stdout == ""
 
-    def test_overflowing_result_is_numeric_failure(self):
-        # 2*fc/pi overflows to inf, which strict JSON cannot carry
-        result = run_cli("snr", "--param", "mode=table", "--param", "fc=1e308", expect=5)
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_nonpositive_comb_step_is_domain_error(self, step):
+        result = run_cli("generate", "--param", "model=comb", "--param", f"step_nm={step}",
+                         expect=4)
+        assert "step_nm must be positive" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_result_is_numeric_failure(self, fmt):
+        # 2*fc/pi overflows to inf, which neither strict JSON nor the CSV writer carries
+        result = run_cli("snr", "--param", "mode=table", "--param", "fc=1e308",
+                         "--format", fmt, expect=5)
         assert "numeric failure" in result.stderr
         assert result.stdout == ""
 

@@ -7,12 +7,12 @@ from scipy.optimize import minimize_scalar
 from cavityqfc import (
     CavityParams,
     PumpDrive,
+    SourceModel,
     WavelengthConfig,
     alpha_tilde_from_finesse,
     bandwidth_nm_to_GHz,
     conversion_amplitude,
     dfg_wavelength,
-    finesse,
     finesse_from_reflectances,
     fsr_from_length,
     nocavity_efficiency,
@@ -31,6 +31,8 @@ _VALID_FIELDS = {
                        length_mm=13.26, group_index=2.1739),
     PumpDrive: dict(power_mW=144.0, alpha_tilde_per_mW=1.0 / 144.0, phase_rad=0.3),
     WavelengthConfig: dict(signal_nm=780.0, pump_nm=1581.0, converted_nm=1540.0),
+    SourceModel: dict(mean_pairs_per_bin=0.55, herald_efficiency=0.1, signal_efficiency=0.1,
+                      noise_rate_per_bin=0.01, bins=1000, seed=1),
 }
 
 
@@ -152,9 +154,9 @@ class TestScalarModel:
         assert power_broadened_fwhm(cav2, PumpDrive(0.0, 0.56 / 34.4)) == pytest.approx(34.4)
 
     def test_finesse(self):
-        assert finesse(CavityParams(5200.0, 70.4)) == pytest.approx(73.8636, abs=1e-3)
-        assert finesse(CavityParams(5200.0, 34.4)) == pytest.approx(151.1628, abs=1e-3)
-        assert finesse(CavityParams(5200.0, 5200.0)) == pytest.approx(1.0)
+        assert CavityParams(5200.0, 70.4).finesse == pytest.approx(73.8636, abs=1e-3)
+        assert CavityParams(5200.0, 34.4).finesse == pytest.approx(151.1628, abs=1e-3)
+        assert CavityParams(5200.0, 5200.0).finesse == pytest.approx(1.0)
 
     def test_fsr_from_length(self):
         # group index back-computed from L = 13.26 mm and FSR = 5.2 GHz
@@ -211,6 +213,25 @@ class TestScalarModel:
         assert bandwidth_nm_to_GHz(0.03, 1540.0) == pytest.approx(3.79, abs=0.005)
         assert bandwidth_nm_to_GHz(0.03, 1522.0) == pytest.approx(3.88, abs=0.005)
         assert bandwidth_nm_to_GHz(0.03, 1587.0) == pytest.approx(3.57, abs=0.005)
+
+    @pytest.mark.parametrize(
+        "func, args",
+        [
+            (fsr_from_length, (np.nan, 2.1739)),
+            (fsr_from_length, (13.26, np.nan)),
+            (bandwidth_nm_to_GHz, (np.nan, 1540.0)),
+            (bandwidth_nm_to_GHz, (0.03, np.nan)),
+            (alpha_tilde_from_finesse, (np.nan, 4.0)),
+            (alpha_tilde_from_finesse, (25.0, np.nan)),
+            (dfg_wavelength, (np.nan, 1581.0)),
+            (dfg_wavelength, (780.0, np.nan)),
+            (nocavity_efficiency, (np.nan, 1.0)),
+            (nocavity_efficiency, (1.0, np.nan)),
+        ],
+    )
+    def test_nan_argument_rejected(self, func, args):
+        with pytest.raises(ValueError):
+            func(*args)
 
 
 class TestDomainTypes:

@@ -308,7 +308,3 @@ class TestScanSeries:
             ScanSeries(
                 np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([1.0, 0.0]), "mW"
             )
-
-    def test_counting_sigma_floor(self):
-        series = ScanSeries.counting(np.array([0.0, 1.0, 2.0]), np.array([0.0, 4.0, 100.0]))
-        assert np.allclose(series.sigma, [1.0, 2.0, 10.0])

@@ -11,12 +11,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from cavityqfc import SourceModel, simulate_coincidences
-from cavityqfc.photon_stats import (
-    _click_probabilities,
-    _delay_histogram,
-    _sample_clicks,
-    _shard_clicks,
-)
+from cavityqfc.photon_stats import _click_probabilities, _delay_histogram, _sample_clicks
 
 ACCEPTANCE = (0.55, 0.1, 0.1, 0.01)
 LOW_EFFICIENCY = (0.01, 0.5, 0.002, 0.001)
@@ -94,7 +89,7 @@ def reference_clicks(model, rng, chunk=1_000_000):
 
 
 def sparse_outcomes(model):
-    herald, signal = _sample_clicks(model, n_shards=1, workers=1)
+    herald, signal = _sample_clicks(model)
     both = np.intersect1d(herald, signal, assume_unique=True).size
     herald_only = herald.size - both
     signal_only = signal.size - both
@@ -129,14 +124,14 @@ class TestSamplerEdgeCases:
         # q == 0 must not reach rng.geometric(0), which raises
         model = SourceModel(0.55, 0.0, 0.0, 0.0, bins=100_000, seed=1)
         assert _click_probabilities(model)[0] == 0.0
-        histogram = simulate_coincidences(model, delay_span_bins=5, n_shards=3)
+        histogram = simulate_coincidences(model, delay_span_bins=5)
         assert np.array_equal(histogram.counts, np.zeros(11, dtype=np.int64))
         assert histogram.accidental_level == 0.0
 
     def test_tiny_click_probability_does_not_overflow(self):
         # gaps drawn at q ~ 1e-21 saturate int64; the walk must still end cleanly
         model = SourceModel(1e-12, 1e-9, 1e-9, bins=10**9, seed=2)
-        herald, signal = _sample_clicks(model, n_shards=2, workers=1)
+        herald, signal = _sample_clicks(model)
         assert herald.size == 0 and signal.size == 0
 
     def test_huge_mean_pair_number(self):
@@ -145,26 +140,23 @@ class TestSamplerEdgeCases:
         assert histogram.counts[10] >= 0.99 * 2_000
         assert histogram.counts.sum() > 0
 
-    @pytest.mark.parametrize("n_shards", [1, 3, 4, 7])
-    def test_shards_cover_every_bin_once(self, n_shards):
+    def test_shards_cover_every_bin_once(self):
         # saturated model: every bin clicks in both arms (misses ~1e-12 per bin)
         bins = 1_003
         model = SourceModel(1e12, 1.0, 1.0, noise_rate_per_bin=50.0, bins=bins, seed=4)
         assert _click_probabilities(model)[0] == 1.0
-        herald, signal = _sample_clicks(model, n_shards, workers=2)
+        herald, signal = _sample_clicks(model)
         assert np.array_equal(signal, np.arange(bins))
         assert np.array_equal(herald, np.arange(bins))
-        # pairs across shard borders are counted: the all-ones histogram
-        counts = simulate_coincidences(model, delay_span_bins=5, n_shards=n_shards).counts
+        # every pair within the span is counted: the all-ones histogram
+        counts = simulate_coincidences(model, delay_span_bins=5).counts
         assert np.array_equal(counts, bins - np.abs(np.arange(-5, 6)))
 
     def test_shard_indices_sorted_and_in_range(self):
-        model = SourceModel(*ACCEPTANCE, bins=100_001, seed=5)
-        q, p10, p01 = _click_probabilities(model)
-        chunks = _shard_clicks(np.random.default_rng(6), 40_000, 70_000, q, p10, p01)
-        for clicks in map(np.concatenate, chunks):
+        bins = 100_001
+        for clicks in _sample_clicks(SourceModel(*ACCEPTANCE, bins=bins, seed=5)):
             assert np.all(np.diff(clicks) > 0)
-            assert clicks[0] >= 40_000 and clicks[-1] < 70_000
+            assert clicks[0] >= 0 and clicks[-1] < bins
 
     def test_probabilities_sum_out_the_pair_number(self):
         # closed forms vs a direct sum over the pair number

@@ -259,6 +259,24 @@ class TestAntiResonantSuppression:
     def test_peaked_comb_beats_flat(self):
         assert spdc_antiresonant_suppression(np.pi * 1.01, 5.0, 3.0) > 1.0
 
+    def test_matches_cdf_difference_at_moderate_finesse(self):
+        def cdf_difference_suppression(F, fsr, bpf):
+            # the wrapped-Lorentzian CDF at both window edges, accurate for F <= 1e3
+            rho = 1.0 / np.tanh(np.pi / (2.0 * F))
+            w = bpf / (2.0 * fsr)
+
+            def cdf(u):
+                k = np.round(u)
+                return k + np.arctan(rho * np.tan(np.pi * (u - k))) / np.pi
+
+            return (bpf / fsr) / (cdf(0.5 + w) - cdf(0.5 - w))
+
+        for F in (1.0, 3.0, 45.0, 151.0, 1e3):
+            for ratio in (0.001, 0.1, 0.714, 0.99):
+                assert spdc_antiresonant_suppression(F, 5.0, ratio * 5.0) == pytest.approx(
+                    cdf_difference_suppression(F, 5.0, ratio * 5.0), rel=1e-9
+                )
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             spdc_antiresonant_suppression(45.0, 5.0, 5.0)

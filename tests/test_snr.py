@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from cavityqfc import (
-    BpfChoice,
-    Confinement,
     NoiseParams,
     PumpDrive,
-    SnrConfig,
     SnrCurve,
     cavity_dominates,
     low_power_snr_gain,
@@ -134,6 +131,9 @@ class TestConfigTable:
         assert table["fwhm_wide"]["no_cavity"] == 25.0
         assert table["fwhm_wide"]["converted_mode"] == pytest.approx(15.915, abs=1e-3)
         assert table["fwhm_wide"]["signal_mode"] == pytest.approx(25 / np.pi, rel=1e-12)
+        assert table["fsr_wide"]["converted_mode"] == low_power_snr_gain(25.0)
+        with pytest.raises(ValueError):
+            snr_config_table(25.0, 0.5)
 
     def test_parity_at_half_pi(self):
         table = snr_config_table(np.pi / 2, 1.0)
@@ -153,12 +153,6 @@ class TestConfigTable:
         assert low_power_snr_gain(np.pi / 2) == pytest.approx(1.0, rel=1e-14)
         assert low_power_snr_gain(74.0) == pytest.approx(47.11, abs=0.01)
         assert low_power_snr_gain(25.0) == pytest.approx(15.92, abs=0.01)
-
-    def test_snr_config_lookup(self):
-        config = SnrConfig(Confinement.CONVERTED_MODE, F_c=25.0, bpf_choice=BpfChoice.FSR_WIDE)
-        assert config.normalized_snr() == pytest.approx(low_power_snr_gain(25.0), rel=1e-14)
-        with pytest.raises(ValueError):
-            SnrConfig(Confinement.SIGNAL_MODE, F_s=0.5)
 
 
 class TestDesignReport:
