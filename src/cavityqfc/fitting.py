@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _UNITS = ("mW", "nm", "GHz", "ns")
+_LM_MAX_TRIALS = 200  # accepted or rejected Levenberg-Marquardt trial steps
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class ScanSeries:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Named parameter estimates with standard errors."""
+    """Estimates with standard errors; ``iterations`` counts the accepted
+    Levenberg-Marquardt steps (0 for the closed-form line)."""
 
     parameters: dict[str, float]
     std_errors: dict[str, float]
@@ -111,6 +113,44 @@ def _covariance(jac: np.ndarray, residual_norm: float, data: ScanSeries) -> np.n
     return cov
 
 
+def _levenberg_marquardt(residuals, jacobian, theta0, lower=-np.inf):
+    """Minimize ``|residuals(theta)|^2`` by Levenberg-Marquardt with Marquardt's
+    scale-invariant damping ``lam * diag(J^T J)``.  ``theta`` is clipped at
+    ``lower``, where an outward gradient holds a coordinate out of the step.
+    Stops when a step changes ``theta`` or the cost by under 1e-12 relative;
+    returns ``(theta, residuals, jacobian, accepted_steps)``.
+    """
+    theta = np.asarray(theta0, dtype=float)
+    r, jac = residuals(theta), jacobian(theta)
+    cost = float(r @ r)
+    if not np.isfinite(cost):
+        raise NumericFailure(f"non-finite residuals at the start point {theta}")
+    lam, accepted = 0.1, 0
+    for _ in range(_LM_MAX_TRIALS):
+        grad = jac.T @ r
+        free = ~((theta <= lower) & (grad > 0))
+        normal = (jac.T @ jac)[np.ix_(free, free)]
+        scale = np.sqrt(np.diag(normal))
+        scale[scale == 0] = 1.0
+        damped = normal / np.outer(scale, scale) + lam * np.eye(scale.size)
+        step = np.zeros_like(theta)
+        step[free] = np.linalg.lstsq(damped, -grad[free] / scale, rcond=None)[0] / scale
+        trial = np.maximum(theta + step, lower)
+        done = np.linalg.norm(trial - theta) <= 1e-12 * (1e-12 + np.linalg.norm(theta))
+        r_trial = residuals(trial)
+        cost_trial = float(r_trial @ r_trial)
+        if cost_trial < cost:
+            done |= cost - cost_trial <= 1e-12 * cost
+            theta, r, jac, cost = trial, r_trial, jacobian(trial), cost_trial
+            lam, accepted = lam / 10.0, accepted + 1
+        else:
+            lam *= 10.0
+        if done:
+            return theta, r, jac, accepted
+    raise NumericFailure(f"Levenberg-Marquardt did not converge in {_LM_MAX_TRIALS} "
+                         f"trial steps: residual={cost:.3e}, theta={theta}")
+
+
 def fit_linear(data: ScanSeries) -> FitResult:
     """Weighted least-squares straight line, ``slope * x + intercept``.
 
@@ -141,11 +181,12 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     """Fit the saturating cavity-noise law, estimating both coefficients.
 
     Model: :func:`~cavityqfc.noise.noise_cavity_per_fsr` with
-    ``gamma_r_ratio`` held fixed.  Trust-region least squares on
-    log-parameters (which keeps both coefficients positive) with an
-    analytic Jacobian, started from a deterministic initializer: the
-    low-power slope fixes ``alpha_noise``, the droop of the highest-power
-    point relative to that slope fixes ``alpha_tilde``.
+    ``gamma_r_ratio`` held fixed.  Levenberg-Marquardt on log-parameters
+    (which keeps both coefficients positive, ``alpha_tilde`` clipped at
+    ``1e-12 / P_max``) with an analytic Jacobian, started from a
+    deterministic initializer: the low-power slope fixes ``alpha_noise``,
+    the droop of the highest-power point relative to that slope fixes
+    ``alpha_tilde``.
     """
     if not 0.0 < gamma_r_ratio <= 1.0:
         raise ValueError("gamma_r_ratio must lie in (0, 1]")
@@ -168,7 +209,8 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     alpha_tilde0 = max((droop - 1.0) / p_max, 1e-3 / p_max)
 
     def model(theta):
-        a, b = np.exp(theta)
+        # capped: an overshooting trial step gets a finite, rejected cost
+        a, b = np.exp(np.minimum(theta, 700.0))
         return noise_cavity_per_fsr(NoiseParams(a, gamma_r_ratio, b), x)
 
     def residuals(theta):
@@ -181,37 +223,18 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
         col_b = -f * (b * x) / (1.0 + b * x) * w
         return np.column_stack([col_a, col_b])
 
-    # imported here, not at module level: scipy's start-up would otherwise
-    # be paid by every CLI call, and only the two nonlinear fits need it
-    from scipy.optimize import least_squares
-
     theta0 = np.log([alpha_noise0, alpha_tilde0])
     lower = np.array([-np.inf, np.log(1e-12 / p_max)])
-    result = least_squares(
-        residuals,
-        theta0,
-        jac=jacobian,
-        bounds=(lower, np.inf),
-        method="trf",
-        xtol=1e-12,
-        ftol=1e-12,
-        gtol=1e-12,
-        max_nfev=200,
-    )
-    if result.status <= 0 or not np.all(np.isfinite(result.x)):
-        raise NumericFailure(
-            "saturating-noise fit did not converge within 200 evaluations: "
-            f"status={result.status}, residual={2 * result.cost:.3e}, theta={result.x}"
-        )
-    a, b = np.exp(result.x)
-    residual_norm = float(2.0 * result.cost)
-    err_log = np.sqrt(np.maximum(np.diag(_covariance(result.jac, residual_norm, data)), 0.0))
+    theta, r, jac, steps = _levenberg_marquardt(residuals, jacobian, theta0, lower)
+    a, b = np.exp(theta)
+    residual_norm = float(r @ r)
+    err_log = np.sqrt(np.maximum(np.diag(_covariance(jac, residual_norm, data)), 0.0))
     return FitResult(
         parameters={"alpha_noise": float(a), "alpha_tilde": float(b)},
         std_errors={"alpha_noise": float(a * err_log[0]), "alpha_tilde": float(b * err_log[1])},
         residual_norm=residual_norm,
         converged=True,
-        iterations=int(result.nfev),
+        iterations=steps,
     )
 
 
@@ -238,10 +261,14 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
     if span == 0 or span < 1e-12 * np.max(np.abs(y)):
         raise ShapeError("flat series has no peak")
 
-    smooth = np.convolve(y, np.ones(3) / 3.0, mode="same")
-    level = smooth.min() + 0.5 * (smooth.max() - smooth.min())
-    above = smooth >= level
-    n_regions = int(np.count_nonzero(np.diff(above.astype(int)) == 1) + int(above[0]))
+    # peak regions with hysteresis: one opens at half maximum and closes 8 noise
+    # units (the median neighbour step) below it, but not below a quarter of the
+    # span, so flank noise cannot split a peak and pure noise still fails
+    level = (y - y.min()) / span
+    close = max(0.5 - 8.0 * np.median(np.abs(np.diff(y))) / span, 0.25)
+    state = np.select([level >= 0.5, level < close], [1, -1], 0)
+    state = state[state != 0]
+    n_regions = int(np.count_nonzero(np.diff(state) == 2) + (state[0] == 1))
     if n_regions > 1:
         raise ShapeError(f"series has {n_regions} peaks, expected a single one")
 
@@ -260,26 +287,24 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
 
     def residuals(theta):
         center, hwhm, amp, offset = theta
-        model = offset + amp / (1.0 + ((x - center) / hwhm) ** 2)
-        return (model - y) * w
+        return (offset + amp / (1.0 + ((x - center) / hwhm) ** 2) - y) * w
 
-    from scipy.optimize import least_squares  # see fit_saturating_noise
+    def jacobian(theta):
+        center, hwhm, amp, _ = theta
+        u = (x - center) / hwhm
+        shape = 1.0 / (1.0 + u * u)
+        slope = 2.0 * amp * shape * shape * u / hwhm
+        return np.column_stack([slope, slope * u, shape, np.ones_like(x)]) * w[:, None]
 
     fwhm = err = None
     try:
-        result = least_squares(
-            residuals,
-            x0=[center0, width0 / 2.0, amp0, offset0],
-            method="lm" if data.sigma is None else "trf",
-            xtol=1e-12,
-            ftol=1e-12,
-            max_nfev=2000,
-        )
-        if result.status > 0 and np.all(np.isfinite(result.x)) and result.x[1] != 0:
-            fwhm = 2.0 * abs(float(result.x[1]))
-            cov = _covariance(result.jac, 2.0 * result.cost, data)
+        theta, r, jac, _ = _levenberg_marquardt(residuals, jacobian,
+                                                [center0, width0 / 2.0, amp0, offset0])
+        if theta[1] != 0:
+            fwhm = 2.0 * abs(float(theta[1]))
+            cov = _covariance(jac, float(r @ r), data)
             err = 2.0 * float(np.sqrt(max(cov[1, 1], 0.0)))
-    except (ValueError, np.linalg.LinAlgError):
+    except (NumericFailure, np.linalg.LinAlgError):
         pass
     if fwhm is None:
         # fall back to the interpolated half-maximum crossings

@@ -179,14 +179,15 @@ def noise_nocavity(alpha_noise: float, power_mW, bpf_GHz: float, fsr_GHz: float)
     Linear in both pump power and bandwidth:
     ``alpha_noise * P * bpf / fsr``.  Valid only for windows no wider than
     one FSR (``alpha_noise`` is defined per FSR-wide band).  Accepts scalar
-    or array power.
+    or array power; a scalar gives a float.
     """
-    _pump_power(power_mW)
+    power = _pump_power(power_mW)
     if bpf_GHz <= 0 or fsr_GHz <= 0:
         raise ValueError("bandwidths must be positive")
     if bpf_GHz > fsr_GHz:
         raise ValueError("bpf_GHz must not exceed fsr_GHz")
-    return alpha_noise * power_mW * bpf_GHz / fsr_GHz
+    out = alpha_noise * power * bpf_GHz / fsr_GHz
+    return out if out.ndim else float(out)
 
 
 def half_noise_check(noise: NoiseParams, power_mW):

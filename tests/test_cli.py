@@ -2,8 +2,8 @@
 
 Most tests call ``cli.main`` in process; ``TestEntryPoint`` runs
 ``python -m cavityqfc`` in fresh processes, once per exit code, and
-``TestImportCost`` checks in a fresh interpreter that scipy stays unloaded
-until a nonlinear fit runs and that no thread pool is imported.
+``TestImportCost`` checks in fresh interpreters that no scipy module is
+loaded, not even by the nonlinear fits, and that no thread pool is imported.
 """
 
 import contextlib
@@ -67,27 +67,48 @@ class TestEntryPoint:
 
 
 class TestImportCost:
-    def test_scipy_is_imported_only_by_the_fits(self):
+    def test_no_scipy_module_is_loaded(self):
         code = textwrap.dedent("""
             import contextlib, io, json, sys
             import numpy as np
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
             from cavityqfc import NoiseParams, ScanSeries, cli, fitting, noise_cavity_per_fsr
-            after_import = "concurrent.futures" in sys.modules
+            state = {"thread_pool": "concurrent.futures" in sys.modules,
+                     "after_import": scipy_modules()}
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["design"]) == 0
-            after_design = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            state["after_design"] = scipy_modules()
             power = np.linspace(20.0, 250.0, 12)
             counts = noise_cavity_per_fsr(NoiseParams(230.0, 0.7, 1.0 / 144.0), power)
             fitting.fit_saturating_noise(ScanSeries(power, counts, unit="mW"), 0.7)
-            print(json.dumps({"after_import": after_import, "after_design": after_design,
-                              "after_fit": "scipy.optimize" in sys.modules}))
+            x = np.linspace(-300.0, 300.0, 201)
+            fitting.extract_fwhm(ScanSeries(x, 1.0 / (1.0 + (x / 35.0) ** 2)))
+            state["after_fits"] = scipy_modules()
+            print(json.dumps(state))
         """)
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         state = json.loads(result.stdout)
-        assert state["after_import"] is False
-        assert state["after_design"] == []
-        assert state["after_fit"] is True
+        assert state == {"thread_pool": False, "after_import": [], "after_design": [],
+                         "after_fits": []}
+
+    def test_fit_noise_subcommand_loads_no_scipy(self, tmp_path):
+        data = tmp_path / "noise.csv"
+        run_cli("generate", "--param", "model=noise", "--output", str(data))
+        # -X importtime reports every module the fresh process imports on stderr
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "cavityqfc", "fit",
+             "--input", str(data), "--param", "model=noise"],
+            capture_output=True, text=True,
+        )
+        _check_exit(result, 0)
+        assert json.loads(result.stdout)["converged"]
+        imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+        assert "cavityqfc.fitting" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
     def test_speed_of_light_equals_scipy_constant(self):
         from scipy.constants import c

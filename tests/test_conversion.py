@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from cavityqfc import (
@@ -282,3 +284,22 @@ class TestDomainTypes:
         cls(**_VALID_FIELDS[cls])  # the unmodified fields construct
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             cls(**{**_VALID_FIELDS[cls], field: bad})
+
+
+@given(
+    finesse=st.floats(1.0, 1e4),
+    gamma_r=st.floats(1e-6, 1.0),
+    coupling=st.floats(0.0, 1e3),
+    detuning=st.floats(-1e3, 1e3),
+)
+def test_unitarity_property(finesse, gamma_r, coupling, detuning):
+    """|t|^2 + |r|^2 <= 1 with equality at gamma_r = 1; |t|^2 + |r|^2/gamma_r = 1."""
+    cav = CavityParams(fsr_MHz=100.0 * finesse, gamma_all_MHz=100.0, gamma_r_ratio=gamma_r)
+    lossless = CavityParams(fsr_MHz=100.0 * finesse, gamma_all_MHz=100.0, gamma_r_ratio=1.0)
+    drive = PumpDrive(coupling, 1.0)
+    t2 = abs(transmission_amplitude(cav, drive, 100.0 * detuning)) ** 2
+    r2 = abs(conversion_amplitude(cav, drive, 100.0 * detuning)) ** 2
+    r2_lossless = abs(conversion_amplitude(lossless, drive, 100.0 * detuning)) ** 2
+    assert t2 + r2 <= 1.0 + 1e-12
+    assert t2 + r2 / gamma_r == pytest.approx(1.0, abs=1e-12)
+    assert t2 + r2_lossless == pytest.approx(1.0, abs=1e-12)

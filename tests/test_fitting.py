@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from cavityqfc import (
+    PRESETS,
     CavityParams,
     NoiseParams,
+    PumpDrive,
     ScanSeries,
     bandwidth_nm_to_GHz,
     comb_rate_in_band,
@@ -15,6 +18,7 @@ from cavityqfc import (
     fit_linear,
     fit_saturating_noise,
     periodogram,
+    sample_response,
 )
 from cavityqfc.errors import NoPeriodicity, SamplingError, ShapeError, SingularFit
 from cavityqfc.fitting import _half_crossings
@@ -140,11 +144,35 @@ class TestExtractFwhm:
         with pytest.raises(ShapeError):
             extract_fwhm(ScanSeries(x, y, unit="GHz"))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_double_peak_rejected(self, seed):
+        x = np.linspace(-10, 10, 401)
+        y = 1 / (1 + (x - 4) ** 2) + 1 / (1 + (x + 4) ** 2)
+        noisy = y + np.random.default_rng(seed).normal(0.0, 0.01, x.size)
+        with pytest.raises(ShapeError, match="2 peaks"):
+            extract_fwhm(ScanSeries(x, noisy, unit="GHz"))
+
     def test_underresolved_peak_rejected(self):
         x = np.linspace(-50, 50, 11)
         y = 1 / (1 + (x / 0.5) ** 2)
         with pytest.raises(ShapeError):
             extract_fwhm(ScanSeries(x, y, unit="GHz"))
+
+    @pytest.mark.parametrize("seed", [369, 2609, 6955, 7478, 7571])
+    def test_noisy_single_peak_is_not_split(self, seed):
+        # 1 % noise on a converted-mode line: these seeds used to cross half
+        # maximum twice on one flank and raise "series has 2 peaks"
+        rng = np.random.default_rng(seed)
+        preset = PRESETS["1540"]
+        pump = rng.uniform(30.0, 150.0)
+        grid = np.linspace(-600.0, 600.0, 801)
+        drive = PumpDrive(pump, preset.alpha_tilde_per_mW)
+        efficiency = np.abs(sample_response(preset.cavity, drive, grid).r_rs) ** 2
+        sigma = np.full(grid.size, 0.01 * efficiency.max())
+        noisy = efficiency + sigma * rng.normal(0.0, 1.0, grid.size)
+        fwhm, err = extract_fwhm(ScanSeries(grid, noisy, sigma))
+        true_fwhm = preset.cavity.gamma_all_MHz * (1.0 + preset.alpha_tilde_per_mW * pump)
+        assert abs(fwhm - true_fwhm) <= 4.0 * err
 
     def test_half_crossings_interpolate_linearly(self):
         x = np.arange(9.0)
@@ -184,8 +212,6 @@ class TestUnweightedErrors:
             assert bare.std_errors[name] == pytest.approx(weighted.std_errors[name], rel=1e-6)
 
     def test_extract_fwhm(self):
-        from scipy.optimize import least_squares
-
         scan = lorentzian_scan(0.0, 70.4, amplitude=0.9, offset=0.05)
         noisy = scan.values + np.random.default_rng(3).normal(0, 0.01, len(scan))
         scan = ScanSeries(scan.abscissa, noisy, unit="GHz")
@@ -199,6 +225,99 @@ class TestUnweightedErrors:
         assert fwhm == pytest.approx(2 * abs(fit.x[1]), rel=1e-6)
         assert weighted_fwhm == pytest.approx(fwhm, rel=1e-6)
         assert err == pytest.approx(weighted_err, rel=1e-4)
+
+
+def reference_fit(residuals, theta0, sigma, jac="3-point", **kwargs):
+    """scipy's least squares (finite-difference Jacobian by default) and its errors."""
+    fit = least_squares(residuals, theta0, jac=jac, xtol=1e-12, ftol=1e-12, gtol=1e-12,
+                        **kwargs)
+    cov = np.linalg.inv(fit.jac.T @ fit.jac)
+    if sigma is None:
+        cov *= 2.0 * fit.cost / (fit.fun.size - fit.x.size)
+    return fit.x, np.sqrt(np.diag(cov))
+
+
+class TestScipyParity:
+    """Both nonlinear fits land where scipy's least squares does, errors included."""
+
+    @staticmethod
+    def law_reference(scan, gamma_r, theta0):
+        x, y = scan.abscissa, scan.values
+        w = np.ones_like(x) if scan.sigma is None else 1.0 / scan.sigma
+
+        def law(theta):
+            a, b = np.exp(theta)
+            return gamma_r * a * x / (2.0 * (1.0 + b * x))
+
+        def jacobian(theta):
+            # analytic: near the floor a finite difference in log(alpha_tilde)
+            # changes the law by less than its rounding error
+            bx = np.exp(theta[1]) * x
+            return np.column_stack([law(theta), -law(theta) * bx / (1.0 + bx)]) * w[:, None]
+
+        floor = np.log(1e-12 / x.max())
+        theta, err_log = reference_fit(lambda t: (law(t) - y) * w, np.log(theta0),
+                                       scan.sigma, jac=jacobian,
+                                       bounds=([-np.inf, floor], np.inf), method="trf")
+        return np.exp(theta), np.exp(theta) * err_log
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_saturating_noise(self, weighted):
+        power = np.linspace(250.0 / 12, 250.0, 12)
+        for seed in range(50):
+            rng = np.random.default_rng([11, seed])
+            truth = (rng.uniform(100.0, 300.0), 1.0 / rng.uniform(60.0, 200.0))
+            clean = 0.7 * truth[0] * power / (2.0 * (1.0 + truth[1] * power))
+            sigma = 0.05 * clean
+            scan = ScanSeries(power, clean + rng.normal(0.0, sigma),
+                              sigma if weighted else None, "mW")
+            result = fit_saturating_noise(scan, 0.7)
+            values, errors = self.law_reference(scan, 0.7, truth)
+            for k, name in enumerate(("alpha_noise", "alpha_tilde")):
+                assert result.parameters[name] == pytest.approx(values[k], rel=1e-6)
+                assert result.std_errors[name] == pytest.approx(errors[k], rel=1e-6)
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_saturating_noise_at_lower_clip(self, weighted):
+        # linear data that bend slightly upward push alpha_tilde to its floor
+        power = np.linspace(5.0, 250.0, 12)
+        clipped = 0
+        for seed in range(10):
+            rng = np.random.default_rng([12, seed])
+            clean = 0.7 * 230.0 * power / 2.0 * (1.0 + 0.01 * power / 250.0)
+            sigma = 0.02 * clean
+            scan = ScanSeries(power, clean + rng.normal(0.0, sigma),
+                              sigma if weighted else None, "mW")
+            result = fit_saturating_noise(scan, 0.7)
+            values, errors = self.law_reference(scan, 0.7, (230.0, 1e-3 / 250.0))
+            floor = 1e-12 / 250.0
+            if values[1] > 1.01 * floor:
+                continue
+            clipped += 1
+            assert result.parameters["alpha_tilde"] == pytest.approx(floor, rel=1e-12)
+            assert result.parameters["alpha_noise"] == pytest.approx(values[0], rel=1e-6)
+            for k, name in enumerate(("alpha_noise", "alpha_tilde")):
+                assert result.std_errors[name] == pytest.approx(errors[k], rel=1e-6)
+        assert clipped >= 5
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    def test_extract_fwhm(self, weighted):
+        x = np.linspace(-600.0, 600.0, 801)
+        for seed in range(50):
+            rng = np.random.default_rng([13, seed])
+            truth = [rng.uniform(-50.0, 50.0), rng.uniform(30.0, 100.0),
+                     rng.uniform(0.5, 2.0), rng.uniform(-0.1, 0.1)]
+            clean = truth[3] + truth[2] / (1.0 + ((x - truth[0]) / truth[1]) ** 2)
+            sigma = np.full(x.size, 0.01 * truth[2])
+            noisy = clean + sigma * rng.normal(0.0, 1.0, x.size)
+            w = 1.0 / sigma if weighted else 1.0
+            theta, err = reference_fit(
+                lambda t: (t[3] + t[2] / (1.0 + ((x - t[0]) / t[1]) ** 2) - noisy) * w,
+                truth, sigma if weighted else None, method="lm",
+            )
+            fwhm, fwhm_err = extract_fwhm(ScanSeries(x, noisy, sigma if weighted else None))
+            assert fwhm == pytest.approx(2.0 * abs(theta[1]), rel=1e-6)
+            assert fwhm_err == pytest.approx(2.0 * err[1], rel=1e-6)
 
 
 class TestPeriodogram:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from cavityqfc import (
@@ -19,6 +22,7 @@ from cavityqfc import (
     normalized_noise_coefficient,
     spdc_antiresonant_suppression,
 )
+from cavityqfc.noise import _wrapped_lorentzian_cdf
 
 CAV = CavityParams(5200.0, 70.4, 0.7)
 NOISE = NoiseParams.from_cavity(CAV, 230.0, 1.0 / 144.0)
@@ -112,12 +116,14 @@ class TestRates:
             lambda p: as_spectral_density(NOISE, p, 35.0, 70.4),
             lambda p: as_total_rate(NOISE, p, 70.4),
             lambda p: half_noise_check(NOISE, p),
+            lambda p: noise_nocavity(230.0, p, 3.79, 5.2),
         ],
-        ids=["as_spectral_density", "as_total_rate", "half_noise_check"],
+        ids=["as_spectral_density", "as_total_rate", "half_noise_check", "noise_nocavity"],
     )
     def test_power_guard_and_array_power(self, law):
         powers = np.concatenate([[0.0], np.random.default_rng(4).uniform(0.0, 500.0, 2000)])
         assert np.array_equal(law(powers), [law(p) for p in powers])
+        assert np.array_equal(law(list(powers[:5])), law(powers[:5]))
         assert type(law(3.0)) is float
         with pytest.raises(ValueError, match="non-negative"):
             law(-10.0)
@@ -331,3 +337,15 @@ class TestNoiseParams:
         expected = beta_tilde_from(CAV.finesse, 230.0, CAV.fsr_MHz * 1e-3)
         assert built.beta_tilde == pytest.approx(expected, rel=1e-9)
         assert built.gamma_r_ratio == CAV.gamma_r_ratio
+
+
+@given(
+    hwhm_ratio=st.floats(1e-4, 10.0),
+    u=arrays(float, st.integers(2, 200), elements=st.floats(-50.0, 50.0)),
+)
+def test_wrapped_comb_cdf_is_monotone_with_unit_mass_per_period(hwhm_ratio, u):
+    u = np.sort(u)
+    cdf = _wrapped_lorentzian_cdf(u, hwhm_ratio)
+    assert np.all(np.diff(cdf) >= -1e-12)
+    assert np.allclose(_wrapped_lorentzian_cdf(u + 1.0, hwhm_ratio) - cdf, 1.0,
+                       rtol=0.0, atol=1e-9)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cavityqfc import (
     CavityParams,
@@ -276,3 +278,11 @@ class TestG2FromHistogram:
         counts = [0] * 20 + [5] + [0] * 20
         with pytest.raises(ValueError):
             g2_from_histogram(self.histogram(counts), 0.8)
+
+
+@given(g2_in=st.floats(1.01, 1e4), zeta=st.floats(1e-6, 1e6))
+def test_g2_out_and_zeta_from_g2_are_inverses(g2_in, zeta):
+    observed = g2_out(g2_in, zeta)
+    assume(1.0 < observed < g2_in)
+    assert zeta_from_g2(g2_in, observed) == pytest.approx(zeta, rel=1e-6)
+    assert g2_out(g2_in, zeta_from_g2(g2_in, observed)) == pytest.approx(observed, rel=1e-12)
