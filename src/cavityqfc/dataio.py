@@ -3,15 +3,20 @@
 CSV dialect: comma-separated, ``#``-prefixed provenance lines before the
 header row, ``.`` decimal separator, units embedded in the column names
 (``power_mW``, ``fwhm_MHz``, ``wavelength_nm``, ``counts_cps``, ...).
-Floats are written with ``%.12g`` so identical inputs produce
-byte-identical files.
+Each column is written by one rule chosen from its dtype: ``%.12g`` for
+floats, ``%d`` for integers, ``true``/``false`` for booleans; finiteness is
+checked once per column. JSON arrays are written as the ``repr`` of each
+element as a float, so integer arrays appear as ``1.0``. Identical inputs
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,18 +60,36 @@ def write_text(path: str | None, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+_CSV_SPEC = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%s"}
+
+# render_json's placeholder for an array, with the indentation and key of its
+# line; json.dumps escapes the NUL, which no name, number or file path holds
+_ARRAY_SLOT = re.compile(r'^(( *).*)"\\u0000(\d+)"(?=,?$)', re.MULTILINE)
+
+
 def render_csv(columns: list[tuple[str, np.ndarray]], provenance: dict | None = None) -> str:
-    """Render named columns with ``#`` provenance lines and a header row."""
-    lines = []
-    for key, value in (provenance or {}).items():
-        lines.append(f"# {key} = {value}")
+    """Render named columns with ``#`` provenance lines and a header row.
+
+    The first NaN or infinity in row order raises ``NumericFailure``; a
+    column that is not float, integer or boolean raises ``TypeError``.
+    """
+    lines = [f"# {key} = {value}" for key, value in (provenance or {}).items()]
     lines.append(",".join(name for name, _ in columns))
     arrays = [np.asarray(col) for _, col in columns]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
+    if any(len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("all columns must have equal length")
-    for i in range(n):
-        lines.append(",".join(fmt(a[i]) for a in arrays))
+    cells, bad = [], []
+    for j, a in enumerate(arrays):
+        if a.dtype.kind not in _CSV_SPEC:
+            raise TypeError(f"cannot write a column of dtype {a.dtype} as CSV")
+        if a.dtype.kind == "f" and not np.isfinite(a).all():
+            bad.append((int(np.argmin(np.isfinite(a))), j))
+        cells.append(np.where(a, "true", "false").tolist() if a.dtype.kind == "b" else a.tolist())
+    if bad:
+        row, j = min(bad)
+        raise NumericFailure(f"result is not a finite number: {float(arrays[j][row])!r}")
+    row_format = ",".join(_CSV_SPEC[a.dtype.kind] for a in arrays)
+    lines.extend(map(row_format.__mod__, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -76,21 +99,38 @@ def render_json(payload: dict) -> str:
     Output is strict JSON (RFC 8259): a NaN or infinite value raises
     :class:`~cavityqfc.errors.NumericFailure` instead of printing ``NaN``.
     """
+    arrays: list[list[float]] = []
 
-    def default(obj):
-        if isinstance(obj, np.ndarray):
-            return [float(v) for v in obj]
+    def stash(obj):
+        if isinstance(obj, dict):
+            return {key: stash(value) for key, value in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [stash(value) for value in obj]
         if isinstance(obj, (np.floating, np.integer)):
             return obj.item()
-        raise TypeError(f"not JSON serializable: {type(obj)!r}")
+        if not isinstance(obj, np.ndarray):
+            return obj
+        if obj.ndim != 1 or obj.dtype.kind not in _CSV_SPEC:
+            raise TypeError(f"cannot write a {obj.ndim}-D {obj.dtype} array as JSON")
+        values = obj.astype(float)
+        if not np.isfinite(values).all():
+            # json.dumps then rejects the first bad value where it sits
+            return float(values[np.argmin(np.isfinite(values))])
+        arrays.append(values.tolist())
+        return f"\0{len(arrays) - 1}" if values.size else []
+
+    def expand(slot: re.Match) -> str:
+        line, indent, values = slot[1], slot[2], arrays[int(slot[3])]
+        items = f",\n  {indent}".join(map(float.__repr__, values))
+        return f"{line}[\n  {indent}{items}\n{indent}]"
 
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
     try:
-        text = json.dumps(body, sort_keys=True, indent=2, default=default, allow_nan=False)
+        text = json.dumps(stash(body), sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericFailure(f"result is not valid JSON: {exc}") from None
-    return text + "\n"
+    return _ARRAY_SLOT.sub(expand, text) + "\n"
 
 
 def _abscissa_unit(column_name: str) -> str:
@@ -113,7 +153,7 @@ def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
     raw = Path(path).read_text(encoding="utf-8")
     provenance: dict[str, str] = {}
     header: list[str] | None = None
-    rows: list[list[float]] = []
+    rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -124,9 +164,9 @@ def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
                 key, _, value = body.partition("=")
                 provenance[key.strip()] = value.strip()
             continue
-        fields = [f.strip() for f in stripped.split(",")]
+        fields = stripped.split(",")
         if header is None:
-            header = fields
+            header = [f.strip() for f in fields]
             if len(header) < 2:
                 raise ParseError("need at least two columns", lineno)
             continue
@@ -134,13 +174,21 @@ def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
             raise ParseError(
                 f"expected {len(header)} fields, got {len(fields)}", lineno
             )
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            raise ParseError(f"non-numeric value in {fields!r}", lineno) from None
+        rows.append((lineno, fields))
     if header is None or not rows:
         raise ParseError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    try:
+        # float() ignores the whitespace around a field, as str.strip() does
+        flat = list(map(float, chain.from_iterable(fields for _, fields in rows)))
+    except ValueError:
+        for lineno, fields in rows:
+            try:
+                list(map(float, fields))
+            except ValueError:
+                fields = [f.strip() for f in fields]
+                raise ParseError(f"non-numeric value in {fields!r}", lineno) from None
+        raise
+    data = np.array(flat).reshape(len(rows), len(header))
     unit = _abscissa_unit(header[0])
     sigma = data[:, 2] if data.shape[1] >= 3 else None
     try:

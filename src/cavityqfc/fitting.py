@@ -250,8 +250,9 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
     """Full width at half maximum of a single-peaked series.
 
     Least-squares Lorentzian fit (peak position, half-width, amplitude,
-    offset); if the fit fails the width falls back to linearly
-    interpolated half-maximum crossings.  Returns ``(fwhm, uncertainty)``
+    offset); if the fit fails or is wider than the scan, the width falls
+    back to the linearly interpolated half-maximum crossings that bracket
+    the highest sample.  Returns ``(fwhm, uncertainty)``
     in abscissa units.
     """
     x, y = data.abscissa, data.values
@@ -275,14 +276,17 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
     half_level = y.min() + 0.5 * (y.max() - y.min())
     if np.count_nonzero(y >= half_level) < 8:
         raise ShapeError("need at least 8 points above half maximum")
+    # start from the crossings that bracket the highest sample: the outermost
+    # pair can sit on noise spikes far out in the tails
+    center0 = float(x[np.argmax(y)])
     crossings = _half_crossings(x, y, half_level)
-    if len(crossings) < 2:
+    k = int(np.searchsorted(crossings, center0))
+    if k == 0 or k == len(crossings):
         raise ShapeError("peak is not resolved within the scan")
-    width0 = float(crossings[-1] - crossings[0])
+    width0 = float(crossings[k] - crossings[k - 1])
 
     offset0 = float(y.min())
     amp0 = float(y.max() - offset0)
-    center0 = float(x[np.argmax(y)])
     w = _weights(data)
 
     def residuals(theta):
@@ -300,8 +304,10 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
     try:
         theta, r, jac, _ = _levenberg_marquardt(residuals, jacobian,
                                                 [center0, width0 / 2.0, amp0, offset0])
-        if theta[1] != 0:
-            fwhm = 2.0 * abs(float(theta[1]))
+        width = 2.0 * abs(float(theta[1]))
+        # a width beyond the scan is not constrained by the data
+        if 0 < width <= np.ptp(x):
+            fwhm = width
             cov = _covariance(jac, float(r @ r), data)
             err = 2.0 * float(np.sqrt(max(cov[1, 1], 0.0)))
     except (NumericFailure, np.linalg.LinAlgError):

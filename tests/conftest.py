@@ -1,6 +1,17 @@
-"""Shared test settings: property tests draw the same examples on every run."""
+"""Shared test settings.
+
+Property tests draw the same examples on every run. ``pyproject.toml`` puts
+``src`` on the test process's path; the fresh ``python`` processes some
+tests start get it through ``PYTHONPATH``, so they import the same package.
+"""
+
+import os
+from pathlib import Path
 
 from hypothesis import settings
 
 settings.register_profile("cavityqfc", derandomize=True, deadline=None)
 settings.load_profile("cavityqfc")
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))

@@ -1,12 +1,64 @@
-"""Tests for CSV/JSON serialization."""
+"""Tests for CSV/JSON serialization.
+
+The column renderers are checked byte for byte against the per-element
+renderers they replaced, kept here as references.
+"""
+
+import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cavityqfc.dataio import read_scan_csv, render_csv, render_json
-from cavityqfc.errors import NumericFailure
+from cavityqfc.dataio import SCHEMA_VERSION, fmt, read_scan_csv, render_csv, render_json
+from cavityqfc.errors import NumericFailure, ParseError
+
+
+def reference_render_csv(columns, provenance=None):
+    """One ``fmt`` call per cell, row by row."""
+    lines = [f"# {key} = {value}" for key, value in (provenance or {}).items()]
+    lines.append(",".join(name for name, _ in columns))
+    arrays = [np.asarray(col) for _, col in columns]
+    for i in range(len(arrays[0])):
+        lines.append(",".join(fmt(a[i]) for a in arrays))
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_json(payload):
+    """``json.dumps`` with every array expanded by ``default``, one float at a time."""
+
+    def default(obj):
+        if isinstance(obj, np.ndarray):
+            return [float(v) for v in obj]
+        if isinstance(obj, (np.floating, np.integer)):
+            return obj.item()
+        raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+    body = {"schema_version": SCHEMA_VERSION}
+    body.update(payload)
+    return json.dumps(body, sort_keys=True, indent=2, default=default, allow_nan=False) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1e16, 1e-5])
+_ELEMENTS = {
+    "float64": st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS,
+    "float32": st.floats(width=32, allow_nan=False, allow_infinity=False),
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "uint64": st.integers(0, 2**64 - 1),
+    "int8": st.integers(-128, 127),
+    "bool": st.booleans(),
+}
+
+
+def columns_of(n):
+    """One 1-D array of ``n`` elements of any dtype the renderers write."""
+    return st.sampled_from(sorted(_ELEMENTS)).flatmap(
+        lambda dtype: st.lists(_ELEMENTS[dtype], min_size=n, max_size=n).map(
+            lambda values: np.array(values, dtype=dtype)
+        )
+    )
 
 
 @pytest.mark.parametrize(
@@ -15,6 +67,103 @@ from cavityqfc.errors import NumericFailure
 def test_render_json_rejects_nonfinite(value):
     with pytest.raises(NumericFailure, match="not valid JSON"):
         render_json({"value": value})
+
+
+@given(data=st.data(), n=st.integers(0, 30), width=st.integers(1, 4))
+def test_render_csv_matches_per_cell_reference(data, n, width):
+    columns = [(f"c{j}", data.draw(columns_of(n))) for j in range(width)]
+    provenance = {"command": "test", "seed": 7}
+    assert render_csv(columns, provenance) == reference_render_csv(columns, provenance)
+
+
+_KEYS = st.text("abcdefgh_", min_size=1, max_size=6)
+_LEAVES = (
+    st.integers(0, 30).flatmap(columns_of)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text(st.characters(exclude_characters="\0"), max_size=8)
+)
+
+
+@given(payload=st.dictionaries(
+    _KEYS,
+    st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=12),
+    max_size=5,
+))
+def test_render_json_matches_per_element_reference(payload):
+    assert render_json(payload) == reference_render_json(payload)
+
+
+def test_render_json_writes_nested_arrays_like_the_reference():
+    # the shape of the ``model`` JSON: arrays in a list of dicts, one of them empty
+    payload = {
+        "detunings_MHz": np.linspace(-1.0, 1.0, 5),
+        "spectra": [
+            {"power_mW": 33.3, "transmission": np.array([0.5, -0.0, 5e-324]),
+             "conversion": np.array([], dtype=float)},
+            {"power_mW": np.float64(94.0), "counts": np.arange(3),
+             "flags": np.array([True, False])},
+        ],
+    }
+    assert render_json(payload) == reference_render_json(payload)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row, col", [(0, 0), (3, 1), (5, 2)])
+def test_render_csv_rejects_nonfinite_like_the_reference(bad, row, col):
+    columns = [(name, np.linspace(0.0, 1.0, 6)) for name in ("a", "b", "c")]
+    columns[col][1][row] = bad
+    columns[2][1][5] = np.nan  # a later bad value must not be the one reported
+    with pytest.raises(NumericFailure) as reference:
+        reference_render_csv(columns)
+    with pytest.raises(NumericFailure, match="not a finite number") as raised:
+        render_csv(columns)
+    assert str(raised.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_render_json_rejects_nonfinite_in_nested_arrays(bad):
+    array = np.linspace(0.0, 1.0, 6)
+    array[4] = bad
+    payload = {"spectra": [{"ok": np.ones(3)}, {"power_mW": 1.0, "transmission": array}]}
+    with pytest.raises(ValueError) as reference:
+        reference_render_json(payload)
+    with pytest.raises(NumericFailure, match="not valid JSON") as raised:
+        render_json(payload)
+    assert str(raised.value) == f"result is not valid JSON: {reference.value}"
+
+
+def test_complex_columns_are_rejected():
+    # casting to float would drop the imaginary part
+    with pytest.raises(TypeError):
+        render_csv([("z", np.array([1 + 1j]))])
+    with pytest.raises(TypeError):
+        render_json({"z": np.array([1 + 1j])})
+
+
+def _scan_lines(n):
+    return ["# command = test", "", "x_mW,y"] + [f"{i}.5,{2 * i}" for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [("1,2,3", "expected 2 fields, got 3"), ("7", "expected 2 fields, got 1"),
+     ("7, abc", "non-numeric value in ['7', 'abc']"), ("nan?,1", "non-numeric")],
+)
+def test_read_scan_csv_reports_the_bad_line_deep_in_a_file(tmp_path, bad_line, message):
+    lines = _scan_lines(2000)
+    lines.insert(1500, bad_line)
+    path = tmp_path / "scan.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(message)) as raised:
+        read_scan_csv(str(path))
+    assert raised.value.line == 1501
+    assert str(raised.value).startswith("line 1501: ")
 
 
 _WORD = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=12)

@@ -174,6 +174,17 @@ class TestExtractFwhm:
         true_fwhm = preset.cavity.gamma_all_MHz * (1.0 + preset.alpha_tilde_per_mW * pump)
         assert abs(fwhm - true_fwhm) <= 4.0 * err
 
+    @pytest.mark.parametrize("seed", [22, 31, 100])
+    def test_fit_wider_than_the_scan_falls_back(self, seed):
+        # 12 % noise on a 12-unit line: at these seeds the Lorentzian converged
+        # to a width of 20.1-23.5 on this 20-unit scan
+        x = np.linspace(-10.0, 10.0, 41)
+        noisy = 1.0 / (1.0 + (x / 6.0) ** 2) + np.random.default_rng(seed).normal(0.0, 0.12, x.size)
+        fwhm, err = extract_fwhm(ScanSeries(x, noisy))
+        assert fwhm <= np.ptp(x)
+        assert fwhm == pytest.approx(12.0, rel=0.3)
+        assert err == pytest.approx(0.5)
+
     def test_half_crossings_interpolate_linearly(self):
         x = np.arange(9.0)
         assert np.array_equal(

@@ -8,6 +8,8 @@ closed-form click probabilities are not validated against themselves.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from cavityqfc import SourceModel, simulate_coincidences
@@ -30,6 +32,10 @@ def indices(mask):
     return np.flatnonzero(mask).astype(np.int64)
 
 
+# sorted unique click indices, empty included
+_CLICKS = st.sets(st.integers(0, 60), max_size=25).map(lambda s: np.array(sorted(s), np.int64))
+
+
 class TestDelayHistogram:
     def test_against_brute_force(self):
         rng = np.random.default_rng(10)
@@ -41,6 +47,12 @@ class TestDelayHistogram:
             assert np.array_equal(
                 _delay_histogram(herald, signal, k), brute_force_histogram(herald, signal, k)
             )
+
+    @given(herald=_CLICKS, signal=_CLICKS, k=st.integers(1, 8))
+    def test_property_against_brute_force(self, herald, signal, k):
+        assert np.array_equal(
+            _delay_histogram(herald, signal, k), brute_force_histogram(herald, signal, k)
+        )
 
     def test_all_ones_edges(self):
         ones = np.arange(5, dtype=np.int64)
