@@ -53,6 +53,8 @@ class ScanSeries:
         object.__setattr__(self, "values", y)
         if x.ndim != 1 or y.shape != x.shape:
             raise ValueError("abscissa and values must be 1-d arrays of equal length")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("abscissa and values must be finite")
         if np.any(np.diff(x) <= 0):
             raise ValueError("abscissa must be strictly increasing")
         if self.unit not in _UNITS:
@@ -62,8 +64,8 @@ class ScanSeries:
             object.__setattr__(self, "sigma", s)
             if s.shape != x.shape:
                 raise ValueError("sigma must match the abscissa length")
-            if np.any(s <= 0):
-                raise ValueError("sigma must be positive where present")
+            if not np.all((s > 0) & np.isfinite(s)):
+                raise ValueError("sigma must be positive and finite where present")
 
     def __len__(self) -> int:
         return len(self.abscissa)

@@ -15,12 +15,14 @@ independent Poisson noise contaminates the signal arm.
 
 The simulator sums the pair number out in closed form, giving the
 probabilities of the four per-bin outcomes (no click, herald only, signal
-only, both).  It places the clicking bins by geometric skip-ahead, draws
-one uniform per clicking bin to pick its outcome, and builds the delay
-histogram from the sorted herald and signal click indices.  The result is
-an exact sample of the per-bin model, at a cost that grows with the number
-of clicks rather than the number of bins.  Each seed gives one
-realization.
+only, both).  It places the clicking bins by geometric skip-ahead and
+draws one uniform per clicking bin to pick its outcome.  The delay
+histogram walks the shorter of the sorted herald and signal click lists:
+one ``searchsorted`` per click finds the start of its window in the other
+list, and rank passes then pair every still-open window with its next
+click until the delay exceeds the span.  The result is an exact sample of
+the per-bin model, at a cost that grows with the number of clicks and
+pairs rather than the number of bins.  Each seed gives one realization.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18  # clicking bins placed per skip-ahead draw
-_HERALD_BLOCK = 1 << 16  # heralds whose pairs are expanded at once
+_BLOCK = 1 << 16  # clicks whose delay windows are walked at once
 _LOW_STATISTICS_BINS = 10_000
 
 
@@ -292,8 +294,10 @@ def _sample_clicks(model: SourceModel):
         clicks = clicks[: np.searchsorted(clicks, bins)]
         last = int(clicks[-1]) if clicks.size == size else bins - 1
         u = rng.random(clicks.size) * q
-        heralds.append(clicks[(u < p10) | (u >= p10 + p01)])
-        signals.append(clicks[u >= p10])
+        # np.compress, unlike a boolean index, does not slow down on masks
+        # that are true at random about half the time
+        heralds.append(np.compress((u < p10) | (u >= p10 + p01), clicks))
+        signals.append(np.compress(u >= p10, clicks))
         del gaps, clicks, u  # the last chunk's buffers would otherwise outlive the walk
     return np.concatenate(heralds), np.concatenate(signals)
 
@@ -301,24 +305,35 @@ def _sample_clicks(model: SourceModel):
 def _delay_histogram(herald: np.ndarray, signal: np.ndarray, k: int) -> np.ndarray:
     """Coincidence counts vs herald-to-signal delay in ``[-k, +k]`` bins.
 
-    Both index arrays are sorted; each herald's window in ``signal`` comes
-    from ``searchsorted`` and its pairs are expanded and counted per block
-    of heralds, so memory stays bounded by the block, not the click count.
+    Both index arrays are sorted.  The walk goes over the shorter list, one
+    block of ``_BLOCK`` clicks at a time, so memory stays bounded by the
+    block.  One ``searchsorted`` gives each click the first index of its
+    window in the other list, the first click no more than ``k`` bins
+    before it.  Pass ``r`` then pairs every still-open window with the
+    ``r``-th click of that window: a window closes once its delay exceeds
+    ``k`` or its index reaches the end of the other list.  The index array
+    stays sorted, so the windows that ran off the end are all at its tail
+    and are cut off with one slice.  Delays are counted as
+    ``other - walked + k``; walking the signal list counts them mirrored,
+    so that histogram is reversed to keep the index ``signal - herald + k``.
     """
     counts = np.zeros(2 * k + 1, dtype=np.int64)
-    for lo in range(0, herald.size, _HERALD_BLOCK):
-        h = herald[lo : lo + _HERALD_BLOCK]
-        first = np.searchsorted(signal, h - k, side="left")
-        n_pairs = np.searchsorted(signal, h + k, side="right") - first
-        total = int(n_pairs.sum())
-        if total == 0:
-            continue
-        # index of every (herald, signal) pair: window start plus rank in window
-        ends = np.cumsum(n_pairs)
-        j = np.arange(total) + np.repeat(first - (ends - n_pairs), n_pairs)
-        delays = signal[j] - np.repeat(h - k, n_pairs)
-        counts += np.bincount(delays, minlength=2 * k + 1)
-    return counts
+    mirrored = signal.size < herald.size
+    walked, other = (signal, herald) if mirrored else (herald, signal)
+    for lo in range(0, walked.size, _BLOCK):
+        clicks = walked[lo : lo + _BLOCK]
+        index = np.searchsorted(other, clicks - k, side="left")
+        while True:
+            open_windows = int(np.searchsorted(index, other.size))
+            if open_windows == 0:
+                break
+            clicks, index = clicks[:open_windows], index[:open_windows]
+            delays = other[index] - clicks  # at least -k by the window search
+            inside = delays <= k
+            counts += np.bincount(np.compress(inside, delays) + k, minlength=2 * k + 1)
+            clicks = np.compress(inside, clicks)
+            index = np.compress(inside, index) + 1
+    return counts[::-1].copy() if mirrored else counts
 
 
 def simulate_coincidences(
@@ -332,8 +347,10 @@ def simulate_coincidences(
     ``model.seed``, so a seed always gives the same histogram.  Work and
     memory grow with the number of clicks, not with ``bins``.
     """
-    if delay_span_bins < 1:
-        raise ValueError("delay_span_bins must be positive")
+    if not isinstance(delay_span_bins, (int, np.integer)) or delay_span_bins < 1:
+        raise ValueError("delay_span_bins must be an integer of at least 1")
+    if not 0.0 < resolution_ns < np.inf:
+        raise ValueError("resolution_ns must be positive and finite")
     bins = int(model.bins)
     k = int(delay_span_bins)
     herald, signal = _sample_clicks(model)
@@ -358,6 +375,8 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
     counts.  Widening the window beyond the correlation peak dilutes the
     estimate toward one.
     """
+    if not np.isfinite(window_ns):
+        raise ValueError("window_ns must be finite")
     m_float = window_ns / histogram.resolution_ns
     m = int(round(m_float))
     if m < 1 or abs(m_float - m) > 1e-9:

@@ -376,6 +376,14 @@ class TestDeterminismAndErrors:
         result = run_cli("fit", "--input", str(bad), "--param", "model=fwhm", expect=3)
         assert "line 2" in result.stderr
 
+    def test_nonfinite_scan_is_parse_error(self, tmp_path, capfd):
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text("power_mW,fwhm_MHz\n1,2\nnan,3\n2,4\n3,inf\n4,5\n")
+        result = run_cli("fit", "--input", str(bad), "--param", "model=fwhm", expect=3)
+        assert "must be finite" in result.stderr
+        # LAPACK writes straight to file descriptor 2, past redirect_stderr
+        assert "DLASCL" not in capfd.readouterr().err
+
     def test_empty_file_is_parse_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -438,3 +438,11 @@ class TestScanSeries:
             ScanSeries(
                 np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([1.0, 0.0]), "mW"
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["abscissa", "values", "sigma"])
+    def test_nonfinite_rejected(self, field, bad):
+        columns = {name: np.array([1.0, 2.0, 3.0]) for name in ("abscissa", "values", "sigma")}
+        columns[field][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScanSeries(**columns, unit="mW")

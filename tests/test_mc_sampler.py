@@ -54,6 +54,22 @@ class TestDelayHistogram:
             _delay_histogram(herald, signal, k), brute_force_histogram(herald, signal, k)
         )
 
+    @pytest.mark.parametrize("shorter", ["signal", "herald"])
+    def test_each_orientation_against_brute_force(self, shorter):
+        # the walk goes over the shorter list; the last click of that list sits
+        # past the end of the other, so its window runs off the other list
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(20, 200))
+            k = int(rng.integers(1, 30))
+            many = indices(rng.random(n) < 0.5)
+            few = np.append(indices(rng.random(n) < 0.1), n + k // 2)
+            assert few.size < many.size and few[-1] > many[-1]
+            herald, signal = (many, few) if shorter == "signal" else (few, many)
+            assert np.array_equal(
+                _delay_histogram(herald, signal, k), brute_force_histogram(herald, signal, k)
+            )
+
     def test_all_ones_edges(self):
         ones = np.arange(5, dtype=np.int64)
         expected = np.array([2, 3, 4, 5, 4, 3, 2], dtype=np.int64)
@@ -66,14 +82,18 @@ class TestDelayHistogram:
         assert np.array_equal(wide, brute_force_histogram(ones, ones, 10))
 
     def test_blocks_of_heralds_join_exactly(self, monkeypatch):
+        # blocks split the shorter list: the heralds in the first two cases,
+        # the signals in the last
         from cavityqfc import photon_stats
 
         rng = np.random.default_rng(11)
-        herald = indices(rng.random(5_000) < 0.2)
-        signal = indices(rng.random(5_000) < 0.2)
-        whole = _delay_histogram(herald, signal, 12)
-        monkeypatch.setattr(photon_stats, "_HERALD_BLOCK", 7)
-        assert np.array_equal(_delay_histogram(herald, signal, 12), whole)
+        for p_herald, p_signal in ((0.2, 0.2), (0.05, 0.2), (0.2, 0.05)):
+            herald = indices(rng.random(5_000) < p_herald)
+            signal = indices(rng.random(5_000) < p_signal)
+            whole = _delay_histogram(herald, signal, 12)
+            with monkeypatch.context() as patch:
+                patch.setattr(photon_stats, "_BLOCK", 7)
+                assert np.array_equal(_delay_histogram(herald, signal, 12), whole)
 
     def test_empty_inputs(self):
         empty = np.empty(0, dtype=np.int64)

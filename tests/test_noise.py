@@ -240,6 +240,18 @@ def tooth_sum_suppression(F, fsr, bpf, teeth=4000):
     return (bpf / fsr) / mass.sum()
 
 
+def cdf_difference_suppression(F, fsr, bpf):
+    """The wrapped-Lorentzian CDF at both window edges, accurate for F <= 1e3."""
+    rho = 1.0 / np.tanh(np.pi / (2.0 * F))
+    w = bpf / (2.0 * fsr)
+
+    def cdf(u):
+        k = np.round(u)
+        return k + np.arctan(rho * np.tan(np.pi * (u - k))) / np.pi
+
+    return (bpf / fsr) / (cdf(0.5 + w) - cdf(0.5 - w))
+
+
 class TestAntiResonantSuppression:
     def test_against_tooth_sum_oracle(self):
         for args in [(45.0, 5.0, 3.57), (45.0, 5.0, 3.79), (10.0, 5.2, 2.0), (151.0, 5.2, 3.88)]:
@@ -266,22 +278,17 @@ class TestAntiResonantSuppression:
         assert spdc_antiresonant_suppression(np.pi * 1.01, 5.0, 3.0) > 1.0
 
     def test_matches_cdf_difference_at_moderate_finesse(self):
-        def cdf_difference_suppression(F, fsr, bpf):
-            # the wrapped-Lorentzian CDF at both window edges, accurate for F <= 1e3
-            rho = 1.0 / np.tanh(np.pi / (2.0 * F))
-            w = bpf / (2.0 * fsr)
-
-            def cdf(u):
-                k = np.round(u)
-                return k + np.arctan(rho * np.tan(np.pi * (u - k))) / np.pi
-
-            return (bpf / fsr) / (cdf(0.5 + w) - cdf(0.5 - w))
-
         for F in (1.0, 3.0, 45.0, 151.0, 1e3):
             for ratio in (0.001, 0.1, 0.714, 0.99):
                 assert spdc_antiresonant_suppression(F, 5.0, ratio * 5.0) == pytest.approx(
                     cdf_difference_suppression(F, 5.0, ratio * 5.0), rel=1e-9
                 )
+
+    @given(F=st.floats(1.0, 1e3), ratio=st.floats(0.001, 0.99))
+    def test_property_matches_cdf_difference(self, F, ratio):
+        assert spdc_antiresonant_suppression(F, 5.0, ratio * 5.0) == pytest.approx(
+            cdf_difference_suppression(F, 5.0, ratio * 5.0), rel=1e-9
+        )
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -227,6 +227,27 @@ class TestSimulator:
         assert histogram.delay_bins_ns[np.argmax(histogram.counts)] == 0.0
         assert histogram.accidental_level > 0
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"resolution_ns": 0.0}, "resolution_ns"),
+            ({"resolution_ns": -0.8}, "resolution_ns"),
+            ({"resolution_ns": np.nan}, "resolution_ns"),
+            ({"resolution_ns": np.inf}, "resolution_ns"),
+            ({"delay_span_bins": 2.7}, "delay_span_bins"),
+            ({"delay_span_bins": 0}, "delay_span_bins"),
+        ],
+    )
+    def test_arguments_checked_before_sampling(self, monkeypatch, kwargs, message):
+        from cavityqfc import photon_stats
+
+        def no_sampling(model):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(photon_stats, "_sample_clicks", no_sampling)
+        with pytest.raises(ValueError, match=message):
+            simulate_coincidences(SourceModel(0.55, 0.1, 0.1, bins=1_000, seed=1), **kwargs)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             SourceModel(0.0, 0.1, 0.1)
@@ -269,6 +290,11 @@ class TestG2FromHistogram:
     def test_window_must_be_integer_bins(self):
         with pytest.raises(ValueError):
             g2_from_histogram(self.histogram([10] * 41), 1.0)
+
+    @pytest.mark.parametrize("window", [np.inf, -np.inf, np.nan])
+    def test_window_must_be_finite(self, window):
+        with pytest.raises(ValueError, match="window_ns must be finite"):
+            g2_from_histogram(self.histogram([10] * 41), window)
 
     def test_needs_off_window_bins(self):
         with pytest.raises(ValueError):
