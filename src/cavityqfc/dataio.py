@@ -191,6 +191,20 @@ def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
     data = np.array(flat).reshape(len(rows), len(header))
     unit = _abscissa_unit(header[0])
     sigma = data[:, 2] if data.shape[1] >= 3 else None
+    # ScanSeries checks the same rules but knows no line numbers
+    nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if nonfinite.size:
+        lineno, fields = rows[nonfinite[0]]
+        fields = [f.strip() for f in fields]
+        raise ParseError(f"values must be finite, got {fields!r}", lineno)
+    falling = np.flatnonzero(np.diff(data[:, 0]) <= 0)
+    if falling.size:
+        (_, before), (lineno, fields) = rows[falling[0]], rows[falling[0] + 1]
+        raise ParseError(
+            f"abscissa must be strictly increasing, got {fields[0].strip()} "
+            f"after {before[0].strip()}",
+            lineno,
+        )
     try:
         series = ScanSeries(data[:, 0], data[:, 1], sigma, unit)
     except ValueError as exc:

@@ -15,18 +15,23 @@ independent Poisson noise contaminates the signal arm.
 
 The simulator sums the pair number out in closed form, giving the
 probabilities of the four per-bin outcomes (no click, herald only, signal
-only, both).  It places the clicking bins by geometric skip-ahead and
-draws one uniform per clicking bin to pick its outcome.  The delay
+only, both).  It places the clicking bins by geometric skip-ahead, each
+gap drawn from one standard exponential by inversion, and draws one
+uniform per clicking bin to pick its outcome.  The delay
 histogram walks the shorter of the sorted herald and signal click lists:
 one ``searchsorted`` per click finds the start of its window in the other
 list, and rank passes then pair every still-open window with its next
 click until the delay exceeds the span.  The result is an exact sample of
 the per-bin model, at a cost that grows with the number of clicks and
 pairs rather than the number of bins.  Each seed gives one realization.
+Where fewer than a third of the bins click, the gaps are the ones numpy's
+``Generator.geometric`` draws from the same stream, so each seed keeps the
+realization it has always had; from a third up the realizations are new.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,9 +281,17 @@ def _sample_clicks(model: SourceModel):
 
     Clicking bins are placed by geometric skip-ahead; one uniform on
     ``[0, q)`` per clicking bin then picks herald-only, signal-only or both.
+    Each gap is drawn by exponential inversion, ``floor(E / -log1p(-q)) + 1``
+    with ``E`` a standard exponential, which is how numpy's
+    ``Generator.geometric`` draws below ``q = 1/3``: there every seed gives
+    the same clicks as ``rng.geometric`` would.  From ``q = 1/3`` numpy
+    switches to a search method, so realizations there differ from
+    ``rng.geometric``'s while remaining exact samples of the same law.
     """
     q, p10, p01 = _click_probabilities(model)
     bins = int(model.bins)
+    # math.log1p is the C log1p numpy's geometric uses; at q == 1 every gap is 1
+    rate = -math.log1p(-q) if q < 1.0 else math.inf
     # the first child of the seed's SeedSequence, so that each seed keeps the
     # realization it has given since the sampler was written
     rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(1)[0])
@@ -288,18 +301,27 @@ def _sample_clicks(model: SourceModel):
     while q > 0.0 and last < bins - 1:
         expected = q * (bins - 1 - last)
         size = int(min(_CHUNK, expected + 6.0 * np.sqrt(expected) + 16.0))
+        draws = rng.standard_exponential(size)
+        with np.errstate(over="ignore"):  # E / rate is inf for subnormal rates
+            np.divide(draws, rate, out=draws)
         # gaps beyond the last bin end the walk; clipping them keeps cumsum in range
-        gaps = np.minimum(rng.geometric(q, size), bins + 1)
-        clicks = last + np.cumsum(gaps)
+        np.minimum(draws, bins, out=draws)
+        clicks = draws.astype(np.int64)  # truncation is floor for these draws
+        clicks += 1
+        clicks[0] += last
+        np.cumsum(clicks, out=clicks)
         clicks = clicks[: np.searchsorted(clicks, bins)]
         last = int(clicks[-1]) if clicks.size == size else bins - 1
-        u = rng.random(clicks.size) * q
+        u = rng.random(out=draws[: clicks.size])
+        u *= q
         # np.compress, unlike a boolean index, does not slow down on masks
         # that are true at random about half the time
         heralds.append(np.compress((u < p10) | (u >= p10 + p01), clicks))
         signals.append(np.compress(u >= p10, clicks))
-        del gaps, clicks, u  # the last chunk's buffers would otherwise outlive the walk
-    return np.concatenate(heralds), np.concatenate(signals)
+        del draws, clicks, u  # the last chunk's buffers would otherwise outlive the walk
+    herald = np.concatenate(heralds)
+    del heralds  # the chunks go before the signals are joined
+    return herald, np.concatenate(signals)
 
 
 def _delay_histogram(herald: np.ndarray, signal: np.ndarray, k: int) -> np.ndarray:

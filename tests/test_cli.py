@@ -384,6 +384,18 @@ class TestDeterminismAndErrors:
         # LAPACK writes straight to file descriptor 2, past redirect_stderr
         assert "DLASCL" not in capfd.readouterr().err
 
+    def test_nonfinite_scan_names_the_first_bad_line(self, tmp_path):
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text("power_mW,fwhm_MHz\n1,2\nnan,3\n2,4\n3,inf\n4,5\n")
+        result = run_cli("fit", "--input", str(bad), "--param", "model=fwhm", expect=3)
+        assert "line 3: values must be finite, got ['nan', '3']" in result.stderr
+
+    def test_decreasing_abscissa_names_the_first_falling_line(self, tmp_path):
+        bad = tmp_path / "decreasing.csv"
+        bad.write_text("power_mW,fwhm_MHz\n# note\n1,2\n2,3\n3,4\n2.5,5\n4,6\n")
+        result = run_cli("fit", "--input", str(bad), "--param", "model=fwhm", expect=3)
+        assert "line 6: abscissa must be strictly increasing, got 2.5 after 3" in result.stderr
+
     def test_empty_file_is_parse_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

@@ -153,7 +153,9 @@ def _scan_lines(n):
 @pytest.mark.parametrize(
     "bad_line, message",
     [("1,2,3", "expected 2 fields, got 3"), ("7", "expected 2 fields, got 1"),
-     ("7, abc", "non-numeric value in ['7', 'abc']"), ("nan?,1", "non-numeric")],
+     ("7, abc", "non-numeric value in ['7', 'abc']"), ("nan?,1", "non-numeric"),
+     ("nan,1", "values must be finite, got ['nan', '1']"),
+     ("0,1", "abscissa must be strictly increasing, got 0 after 1496.5")],
 )
 def test_read_scan_csv_reports_the_bad_line_deep_in_a_file(tmp_path, bad_line, message):
     lines = _scan_lines(2000)

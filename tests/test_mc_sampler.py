@@ -6,6 +6,8 @@ draws the thermal pair number and tests each detector separately, so the
 closed-form click probabilities are not validated against themselves.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from cavityqfc import SourceModel, simulate_coincidences
-from cavityqfc.photon_stats import _click_probabilities, _delay_histogram, _sample_clicks
+from cavityqfc.photon_stats import _CHUNK, _click_probabilities, _delay_histogram, _sample_clicks
 
 ACCEPTANCE = (0.55, 0.1, 0.1, 0.01)
 LOW_EFFICIENCY = (0.01, 0.5, 0.002, 0.001)
@@ -201,3 +203,82 @@ class TestSamplerEdgeCases:
             assert q == pytest.approx(1.0 - (pn * miss_h * miss_s).sum(), rel=1e-12)
             assert p10 == pytest.approx((pn * (1.0 - miss_h) * miss_s).sum(), rel=1e-12)
             assert p01 == pytest.approx((pn * miss_h * (1.0 - miss_s)).sum(), rel=1e-12)
+
+
+def geometric_clicks(model):
+    """The sampler as it was with gaps from ``rng.geometric``, chunk by chunk."""
+    q, p10, p01 = _click_probabilities(model)
+    bins = int(model.bins)
+    rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(1)[0])
+    heralds = [np.empty(0, dtype=np.int64)]
+    signals = [np.empty(0, dtype=np.int64)]
+    last = -1
+    while q > 0.0 and last < bins - 1:
+        expected = q * (bins - 1 - last)
+        size = int(min(_CHUNK, expected + 6.0 * np.sqrt(expected) + 16.0))
+        clicks = last + np.cumsum(np.minimum(rng.geometric(q, size), bins + 1))
+        clicks = clicks[: np.searchsorted(clicks, bins)]
+        last = int(clicks[-1]) if clicks.size == size else bins - 1
+        u = rng.random(clicks.size) * q
+        heralds.append(clicks[(u < p10) | (u >= p10 + p01)])
+        signals.append(clicks[u >= p10])
+    return np.concatenate(heralds), np.concatenate(signals)
+
+
+class TestExponentialGaps:
+    @pytest.mark.parametrize(
+        "params, bins",
+        [
+            (ACCEPTANCE, 3_000_000),  # two chunks
+            (LOW_EFFICIENCY, 50_000_000),  # two chunks
+            ((1.0, 0.05, 0.05, 0.0), 1_000_000),  # acceptance 09
+            ((0.55, 0.5, 0.5, 0.0), 5_000),  # low statistics, q = 0.29
+            (ACCEPTANCE, 200_000),  # the pinned realization
+        ],
+        ids=["dense", "sparse", "acceptance09", "low_statistics", "pinned"],
+    )
+    def test_same_clicks_as_rng_geometric_below_a_third(self, params, bins):
+        # numpy draws geometric gaps as ceil(E / -log1p(-q)) below q = 1/3
+        for seed in range(8):
+            model = SourceModel(*params, bins=bins, seed=seed)
+            assert _click_probabilities(model)[0] < 1.0 / 3.0
+            for ours, reference in zip(_sample_clicks(model), geometric_clicks(model)):
+                assert np.array_equal(ours, reference)
+
+    @pytest.mark.parametrize(
+        "params",
+        [(0.5, 1.0, 1.0, 0.0), (1.0, 0.5, 0.5, 0.0), (10.0, 0.9, 0.9, 1.0), (1e3, 1.0, 1.0, 5.0)],
+        ids=["q_one_third", "q_0.43", "q_0.97", "q_0.99999"],
+    )
+    def test_exact_from_a_third_up(self, params):
+        # numpy's geometric switches to a search method here, so the clicks
+        # differ from rng.geometric's; they must still follow the same law
+        bins = 200_000
+        model = SourceModel(*params, bins=bins, seed=6)
+        q = _click_probabilities(model)[0]
+        assert 1.0 / 3.0 <= q < 1.0
+        herald, signal = _sample_clicks(model)
+        for clicks in (herald, signal):
+            assert np.all(np.diff(clicks) > 0)
+            assert clicks[0] >= 0 and clicks[-1] < bins
+        clicking = np.union1d(herald, signal).size
+        assert abs(clicking / bins - q) < 5.0 * np.sqrt(q * (1.0 - q) / bins)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            SourceModel(1e12, 1.0, 1.0, noise_rate_per_bin=50.0, bins=1_003, seed=4),  # q == 1
+            SourceModel(1e-12, 1e-9, 1e-9, bins=10**9, seed=2),  # q ~ 1e-21
+            SourceModel(1e-300, 1e-10, 1e-10, bins=10**9, seed=2),  # subnormal q
+        ],
+        ids=["q_one", "q_1e-21", "q_subnormal"],
+    )
+    def test_extreme_click_probabilities_raise_no_warning(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            herald, signal = _sample_clicks(model)
+        q = _click_probabilities(model)[0]
+        if q == 1.0:
+            assert np.array_equal(herald, np.arange(model.bins))
+        else:
+            assert herald.size == 0 and signal.size == 0
