@@ -301,7 +301,20 @@ def dfg_wavelength(signal_nm: float, pump_nm: float) -> float:
 
 
 def bandwidth_nm_to_GHz(delta_nm: float, center_nm: float) -> float:
-    """Convert a small wavelength bandwidth to frequency, ``c*dl/l^2`` (GHz)."""
+    """Convert a small wavelength bandwidth to frequency, ``c*dl/l^2`` (GHz).
+
+    Raises ``ValueError`` when the result is not finite and positive, as
+    when ``center_nm`` is so small or so large that its square leaves the
+    float range.
+    """
     if not (delta_nm > 0 and center_nm > 0):
         raise ValueError("delta_nm and center_nm must be positive")
-    return _C_VACUUM * (delta_nm * 1e-9) / (center_nm * 1e-9) ** 2 * 1e-9
+    try:
+        bandwidth = _C_VACUUM * (delta_nm * 1e-9) / (center_nm * 1e-9) ** 2 * 1e-9
+    except (OverflowError, ZeroDivisionError):  # the square left the float range
+        bandwidth = math.nan
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError(
+            f"bandwidth of {delta_nm:g} nm at {center_nm:g} nm must be finite and positive in GHz"
+        )
+    return bandwidth

@@ -17,9 +17,12 @@ The simulator sums the pair number out in closed form, giving the
 probabilities of the four per-bin outcomes (no click, herald only, signal
 only, both).  It places the clicking bins by geometric skip-ahead, each
 gap drawn from one standard exponential by inversion, and draws one
-uniform per clicking bin to pick its outcome.  The delay
-histogram walks the shorter of the sorted herald and signal click lists:
-one ``searchsorted`` per click finds the start of its window in the other
+uniform per clicking bin to pick its outcome.  Each chunk of clicking
+bins is histogrammed as soon as it is drawn, against itself and the tail
+of earlier clicks within the delay span, so memory is bounded by one
+chunk of 2^18 clicks, not by the run.  The delay histogram walks
+the shorter of the sorted herald and signal click lists: one
+``searchsorted`` per click finds the start of its window in the other
 list, and rank passes then pair every still-open window with its next
 click until the delay exceeds the span.  The result is an exact sample of
 the per-bin model, at a cost that grows with the number of clicks and
@@ -58,7 +61,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18  # clicking bins placed per skip-ahead draw
-_BLOCK = 1 << 16  # clicks whose delay windows are walked at once
 _LOW_STATISTICS_BINS = 10_000
 
 
@@ -276,11 +278,12 @@ def _click_probabilities(model: SourceModel) -> tuple[float, float, float]:
     return float(q), float(p10), float(p01)
 
 
-def _sample_clicks(model: SourceModel):
-    """Sorted herald and signal click indices over all ``model.bins`` bins.
+def _click_chunks(model: SourceModel):
+    """Yield the sorted herald and signal clicks of each chunk, in bin order.
 
-    Clicking bins are placed by geometric skip-ahead; one uniform on
-    ``[0, q)`` per clicking bin then picks herald-only, signal-only or both.
+    Clicking bins are placed by geometric skip-ahead, up to ``_CHUNK`` per
+    chunk; one uniform on ``[0, q)`` per clicking bin then picks
+    herald-only, signal-only or both.
     Each gap is drawn by exponential inversion, ``floor(E / -log1p(-q)) + 1``
     with ``E`` a standard exponential, which is how numpy's
     ``Generator.geometric`` draws below ``q = 1/3``: there every seed gives
@@ -295,8 +298,6 @@ def _sample_clicks(model: SourceModel):
     # the first child of the seed's SeedSequence, so that each seed keeps the
     # realization it has given since the sampler was written
     rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(1)[0])
-    heralds = [np.empty(0, dtype=np.int64)]
-    signals = [np.empty(0, dtype=np.int64)]
     last = -1
     while q > 0.0 and last < bins - 1:
         expected = q * (bins - 1 - last)
@@ -314,47 +315,47 @@ def _sample_clicks(model: SourceModel):
         last = int(clicks[-1]) if clicks.size == size else bins - 1
         u = rng.random(out=draws[: clicks.size])
         u *= q
+        herald_mask = (u < p10) | (u >= p10 + p01)
+        signal_mask = u >= p10
+        # freed first, so that herald and signal take its memory: the heap stays
+        # smaller, and so do the page faults of growing it again on the next run
+        del draws, u
         # np.compress, unlike a boolean index, does not slow down on masks
         # that are true at random about half the time
-        heralds.append(np.compress((u < p10) | (u >= p10 + p01), clicks))
-        signals.append(np.compress(u >= p10, clicks))
-        del draws, clicks, u  # the last chunk's buffers would otherwise outlive the walk
-    herald = np.concatenate(heralds)
-    del heralds  # the chunks go before the signals are joined
-    return herald, np.concatenate(signals)
+        herald = np.compress(herald_mask, clicks)
+        signal = np.compress(signal_mask, clicks)
+        del clicks, herald_mask, signal_mask  # freed before the consumer's histogram runs
+        yield herald, signal
 
 
 def _delay_histogram(herald: np.ndarray, signal: np.ndarray, k: int) -> np.ndarray:
     """Coincidence counts vs herald-to-signal delay in ``[-k, +k]`` bins.
 
-    Both index arrays are sorted.  The walk goes over the shorter list, one
-    block of ``_BLOCK`` clicks at a time, so memory stays bounded by the
-    block.  One ``searchsorted`` gives each click the first index of its
-    window in the other list, the first click no more than ``k`` bins
-    before it.  Pass ``r`` then pairs every still-open window with the
-    ``r``-th click of that window: a window closes once its delay exceeds
-    ``k`` or its index reaches the end of the other list.  The index array
-    stays sorted, so the windows that ran off the end are all at its tail
-    and are cut off with one slice.  Delays are counted as
+    Both index arrays are sorted.  The walk goes over the shorter list.
+    One ``searchsorted`` gives each click the first index of its window in
+    the other list, the first click no more than ``k`` bins before it.
+    Pass ``r`` then pairs every still-open window with the ``r``-th click
+    of that window: a window closes once its delay exceeds ``k`` or its
+    index reaches the end of the other list.  The index array stays
+    sorted, so the windows that ran off the end are all at its tail and
+    are cut off with one slice.  Delays are counted as
     ``other - walked + k``; walking the signal list counts them mirrored,
     so that histogram is reversed to keep the index ``signal - herald + k``.
     """
     counts = np.zeros(2 * k + 1, dtype=np.int64)
     mirrored = signal.size < herald.size
-    walked, other = (signal, herald) if mirrored else (herald, signal)
-    for lo in range(0, walked.size, _BLOCK):
-        clicks = walked[lo : lo + _BLOCK]
-        index = np.searchsorted(other, clicks - k, side="left")
-        while True:
-            open_windows = int(np.searchsorted(index, other.size))
-            if open_windows == 0:
-                break
-            clicks, index = clicks[:open_windows], index[:open_windows]
-            delays = other[index] - clicks  # at least -k by the window search
-            inside = delays <= k
-            counts += np.bincount(np.compress(inside, delays) + k, minlength=2 * k + 1)
-            clicks = np.compress(inside, clicks)
-            index = np.compress(inside, index) + 1
+    clicks, other = (signal, herald) if mirrored else (herald, signal)
+    index = np.searchsorted(other, clicks - k, side="left")
+    while True:
+        open_windows = int(np.searchsorted(index, other.size))
+        if open_windows == 0:
+            break
+        clicks, index = clicks[:open_windows], index[:open_windows]
+        delays = other[index] - clicks  # at least -k by the window search
+        inside = delays <= k
+        counts += np.bincount(np.compress(inside, delays) + k, minlength=2 * k + 1)
+        clicks = np.compress(inside, clicks)
+        index = np.compress(inside, index) + 1
     return counts[::-1].copy() if mirrored else counts
 
 
@@ -366,8 +367,11 @@ def simulate_coincidences(
     """Simulate a coincidence histogram over delays ``[-k, +k]`` bins.
 
     All ``model.bins`` time bins are drawn from one random stream seeded by
-    ``model.seed``, so a seed always gives the same histogram.  Work and
-    memory grow with the number of clicks, not with ``bins``.
+    ``model.seed``, so a seed always gives the same histogram.  Each chunk
+    of clicks is histogrammed as soon as it is drawn, together with the
+    tail of earlier clicks within ``k`` bins of it, so memory is bounded by
+    one chunk of 2^18 clicks plus the span, and time grows with the number
+    of clicks, not with ``bins``.
     """
     if not isinstance(delay_span_bins, (int, np.integer)) or delay_span_bins < 1:
         raise ValueError("delay_span_bins must be an integer of at least 1")
@@ -375,8 +379,20 @@ def simulate_coincidences(
         raise ValueError("resolution_ns must be positive and finite")
     bins = int(model.bins)
     k = int(delay_span_bins)
-    herald, signal = _sample_clicks(model)
-    counts = _delay_histogram(herald, signal, k)
+    counts = np.zeros(2 * k + 1, dtype=np.int64)
+    tail_h = tail_s = np.empty(0, dtype=np.int64)
+    for herald, signal in _click_chunks(model):
+        # every pair with at least one member in this chunk, each counted once
+        counts += _delay_histogram(herald, np.concatenate((tail_s, signal)), k)
+        counts += _delay_histogram(tail_h, signal, k)
+        # later clicks lie past this chunk's last, so only the clicks within
+        # k bins of it can pair again; the tail may reach back over chunks
+        cut = max(herald[-1:].tolist() + signal[-1:].tolist(), default=-1) - k
+        tail_h, tail_s = (
+            np.concatenate([c[c.searchsorted(cut, "right") :] for c in (old, new)])
+            for old, new in ((tail_h, herald), (tail_s, signal))
+        )
+        del herald, signal  # freed before the next chunk is drawn, which then reuses them
     delays = np.arange(-k, k + 1, dtype=float) * resolution_ns
     off_peak = np.concatenate([counts[:k], counts[k + 1 :]])
     return CoincidenceHistogram(

@@ -22,11 +22,7 @@ class Preset:
     cavity: CavityParams
     alpha_tilde_per_mW: float
     alpha_noise_cps_per_mW: float
-    bpf_GHz: float
-    t_circ: float
     wavelengths: WavelengthConfig | None = None
-    B_ref_per_mW: float | None = None
-    L_ref_mm: float | None = None
     broadening_MHz_per_mW: float | None = None
 
     def noise(self) -> NoiseParams:
@@ -54,11 +50,7 @@ PRESETS: dict[str, Preset] = {
         ),
         alpha_tilde_per_mW=1.0 / 144.0,
         alpha_noise_cps_per_mW=230.0,
-        bpf_GHz=3.79,
-        t_circ=0.08,
         wavelengths=WavelengthConfig(signal_nm=780.0, pump_nm=1581.0, converted_nm=1540.0),
-        B_ref_per_mW=17.3e-3,
-        L_ref_mm=45.0,
         broadening_MHz_per_mW=0.49,
     ),
     "1522": Preset(
@@ -72,11 +64,7 @@ PRESETS: dict[str, Preset] = {
         ),
         alpha_tilde_per_mW=1.0 / 61.0,
         alpha_noise_cps_per_mW=85.0,
-        bpf_GHz=3.88,
-        t_circ=0.08,
         wavelengths=WavelengthConfig(signal_nm=780.0, pump_nm=1600.0, converted_nm=1522.0),
-        B_ref_per_mW=3.6e-3,
-        L_ref_mm=20.0,
         broadening_MHz_per_mW=0.56,
     ),
     # anti-resonant SPDC design point: cavity on the 3229 nm idler, finesse 45,
@@ -86,8 +74,6 @@ PRESETS: dict[str, Preset] = {
         cavity=CavityParams(fsr_MHz=5000.0, gamma_all_MHz=5000.0 / 45.0, gamma_r_ratio=1.0),
         alpha_tilde_per_mW=1.0 / 144.0,
         alpha_noise_cps_per_mW=230.0,
-        bpf_GHz=3.5712,
-        t_circ=0.08,
     ),
 }
 

@@ -332,6 +332,9 @@ class TestDeterminismAndErrors:
             ["g2", "--param", "g2_in=inf"],
             ["snr", "--param", "mode=table", "--param", "fc=-inf"],
             ["model", "--param", "powers=33.3,nan"],
+            # (center_nm * 1e-9) ** 2 underflows to 0 and overflows to inf
+            *(["design", "--param", f"center_nm={center}", "--format", fmt]
+              for center in ("1e-300", "1e300") for fmt in ("json", "csv")),
         ],
     )
     def test_nonfinite_param_is_domain_error(self, args):

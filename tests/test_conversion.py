@@ -215,6 +215,10 @@ class TestScalarModel:
         assert bandwidth_nm_to_GHz(0.03, 1540.0) == pytest.approx(3.79, abs=0.005)
         assert bandwidth_nm_to_GHz(0.03, 1522.0) == pytest.approx(3.88, abs=0.005)
         assert bandwidth_nm_to_GHz(0.03, 1587.0) == pytest.approx(3.57, abs=0.005)
+        # (center_nm * 1e-9) ** 2 underflows to 0 at 1e-300 and overflows at 1e300
+        for center_nm in (1e-300, 1e300):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                bandwidth_nm_to_GHz(0.03, center_nm)
 
     @pytest.mark.parametrize(
         "func, args",

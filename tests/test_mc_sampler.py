@@ -3,9 +3,13 @@
 The histogram is compared with brute-force pair counting, and the sampler's
 outcome frequencies with an independent per-photon-number reference that
 draws the thermal pair number and tests each detector separately, so the
-closed-form click probabilities are not validated against themselves.
+closed-form click probabilities are not validated against themselves.  The
+chunk-by-chunk simulation is compared with brute-force counting over its
+joined clicks, and its traced memory peak with its own at a quarter of the
+bins.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,8 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
-from cavityqfc import SourceModel, simulate_coincidences
-from cavityqfc.photon_stats import _CHUNK, _click_probabilities, _delay_histogram, _sample_clicks
+from cavityqfc import SourceModel, photon_stats, simulate_coincidences
+from cavityqfc.photon_stats import _CHUNK, _click_chunks, _click_probabilities, _delay_histogram
 
 ACCEPTANCE = (0.55, 0.1, 0.1, 0.01)
 LOW_EFFICIENCY = (0.01, 0.5, 0.002, 0.001)
@@ -24,14 +28,22 @@ LOW_EFFICIENCY = (0.01, 0.5, 0.002, 0.001)
 def brute_force_histogram(herald, signal, k):
     counts = np.zeros(2 * k + 1, dtype=np.int64)
     for i in herald:
-        for j in signal:
-            if abs(j - i) <= k:
-                counts[j - i + k] += 1
+        delays = signal - i  # every signal click tried against each herald
+        counts += np.bincount(delays[np.abs(delays) <= k] + k, minlength=2 * k + 1)
     return counts
 
 
 def indices(mask):
     return np.flatnonzero(mask).astype(np.int64)
+
+
+def sample_clicks(model):
+    """Every herald and signal click of the run, the chunks joined."""
+    heralds, signals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for herald, signal in _click_chunks(model):
+        heralds.append(herald)
+        signals.append(signal)
+    return np.concatenate(heralds), np.concatenate(signals)
 
 
 # sorted unique click indices, empty included
@@ -83,20 +95,6 @@ class TestDelayHistogram:
         assert wide.sum() == 16  # every herald-signal pair counted once
         assert np.array_equal(wide, brute_force_histogram(ones, ones, 10))
 
-    def test_blocks_of_heralds_join_exactly(self, monkeypatch):
-        # blocks split the shorter list: the heralds in the first two cases,
-        # the signals in the last
-        from cavityqfc import photon_stats
-
-        rng = np.random.default_rng(11)
-        for p_herald, p_signal in ((0.2, 0.2), (0.05, 0.2), (0.2, 0.05)):
-            herald = indices(rng.random(5_000) < p_herald)
-            signal = indices(rng.random(5_000) < p_signal)
-            whole = _delay_histogram(herald, signal, 12)
-            with monkeypatch.context() as patch:
-                patch.setattr(photon_stats, "_BLOCK", 7)
-                assert np.array_equal(_delay_histogram(herald, signal, 12), whole)
-
     def test_empty_inputs(self):
         empty = np.empty(0, dtype=np.int64)
         assert np.array_equal(_delay_histogram(empty, np.arange(3), 2), np.zeros(5))
@@ -123,7 +121,7 @@ def reference_clicks(model, rng, chunk=1_000_000):
 
 
 def sparse_outcomes(model):
-    herald, signal = _sample_clicks(model)
+    herald, signal = sample_clicks(model)
     both = np.intersect1d(herald, signal, assume_unique=True).size
     herald_only = herald.size - both
     signal_only = signal.size - both
@@ -165,7 +163,7 @@ class TestSamplerEdgeCases:
     def test_tiny_click_probability_does_not_overflow(self):
         # gaps drawn at q ~ 1e-21 saturate int64; the walk must still end cleanly
         model = SourceModel(1e-12, 1e-9, 1e-9, bins=10**9, seed=2)
-        herald, signal = _sample_clicks(model)
+        herald, signal = sample_clicks(model)
         assert herald.size == 0 and signal.size == 0
 
     def test_huge_mean_pair_number(self):
@@ -179,7 +177,7 @@ class TestSamplerEdgeCases:
         bins = 1_003
         model = SourceModel(1e12, 1.0, 1.0, noise_rate_per_bin=50.0, bins=bins, seed=4)
         assert _click_probabilities(model)[0] == 1.0
-        herald, signal = _sample_clicks(model)
+        herald, signal = sample_clicks(model)
         assert np.array_equal(signal, np.arange(bins))
         assert np.array_equal(herald, np.arange(bins))
         # every pair within the span is counted: the all-ones histogram
@@ -188,7 +186,7 @@ class TestSamplerEdgeCases:
 
     def test_shard_indices_sorted_and_in_range(self):
         bins = 100_001
-        for clicks in _sample_clicks(SourceModel(*ACCEPTANCE, bins=bins, seed=5)):
+        for clicks in sample_clicks(SourceModel(*ACCEPTANCE, bins=bins, seed=5)):
             assert np.all(np.diff(clicks) > 0)
             assert clicks[0] >= 0 and clicks[-1] < bins
 
@@ -203,6 +201,35 @@ class TestSamplerEdgeCases:
             assert q == pytest.approx(1.0 - (pn * miss_h * miss_s).sum(), rel=1e-12)
             assert p10 == pytest.approx((pn * (1.0 - miss_h) * miss_s).sum(), rel=1e-12)
             assert p01 == pytest.approx((pn * miss_h * (1.0 - miss_s)).sum(), rel=1e-12)
+
+
+class TestChunkedSimulation:
+    @pytest.mark.parametrize("chunk", [3, 50])
+    @pytest.mark.parametrize("k", [1, 30])
+    @pytest.mark.parametrize("params", [ACCEPTANCE, LOW_EFFICIENCY], ids=["dense", "sparse"])
+    def test_chunks_join_exactly(self, monkeypatch, params, k, chunk):
+        # chunks of 3 clicks span fewer than 30 bins, so a tail reaches back
+        # over several chunks; the histogram must count every pair once
+        monkeypatch.setattr(photon_stats, "_CHUNK", chunk)
+        model = SourceModel(*params, bins=20_000, seed=11)
+        chunks = list(_click_chunks(model))
+        assert len(chunks) >= 3
+        herald, signal = (np.concatenate(arm) for arm in zip(*chunks))
+        counts = simulate_coincidences(model, delay_span_bins=k).counts
+        assert np.array_equal(counts, brute_force_histogram(herald, signal, k))
+
+    def test_memory_does_not_grow_with_bins(self):
+        # the clicks of a run are never held whole: four times the bins
+        # must not raise the traced peak by half
+        peaks = []
+        for bins in (5_000_000, 20_000_000):
+            tracemalloc.start()
+            try:
+                simulate_coincidences(SourceModel(*ACCEPTANCE, bins=bins, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], f"traced peaks {peaks} bytes"
 
 
 def geometric_clicks(model):
@@ -242,7 +269,7 @@ class TestExponentialGaps:
         for seed in range(8):
             model = SourceModel(*params, bins=bins, seed=seed)
             assert _click_probabilities(model)[0] < 1.0 / 3.0
-            for ours, reference in zip(_sample_clicks(model), geometric_clicks(model)):
+            for ours, reference in zip(sample_clicks(model), geometric_clicks(model)):
                 assert np.array_equal(ours, reference)
 
     @pytest.mark.parametrize(
@@ -257,7 +284,7 @@ class TestExponentialGaps:
         model = SourceModel(*params, bins=bins, seed=6)
         q = _click_probabilities(model)[0]
         assert 1.0 / 3.0 <= q < 1.0
-        herald, signal = _sample_clicks(model)
+        herald, signal = sample_clicks(model)
         for clicks in (herald, signal):
             assert np.all(np.diff(clicks) > 0)
             assert clicks[0] >= 0 and clicks[-1] < bins
@@ -276,7 +303,7 @@ class TestExponentialGaps:
     def test_extreme_click_probabilities_raise_no_warning(self, model):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            herald, signal = _sample_clicks(model)
+            herald, signal = sample_clicks(model)
         q = _click_probabilities(model)[0]
         if q == 1.0:
             assert np.array_equal(herald, np.arange(model.bins))

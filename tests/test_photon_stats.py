@@ -244,7 +244,7 @@ class TestSimulator:
         def no_sampling(model):
             raise AssertionError("sampled before the arguments were checked")
 
-        monkeypatch.setattr(photon_stats, "_sample_clicks", no_sampling)
+        monkeypatch.setattr(photon_stats, "_click_chunks", no_sampling)
         with pytest.raises(ValueError, match=message):
             simulate_coincidences(SourceModel(0.55, 0.1, 0.1, bins=1_000, seed=1), **kwargs)
 
