@@ -12,11 +12,18 @@ g2        analytic correlation chain and/or the Monte Carlo estimate
 design    anti-resonant SPDC-noise suppression report
 
 Every subcommand takes ``--output`` (default stdout) and ``--format
-{csv,json}``.  ``fit`` and ``fsr`` take ``--input``; ``generate`` and ``g2``
+{csv,json}``.  Each handler computes one result and returns it as
+``(payload, csv, provenance)``; ``--format`` only chooses how ``main``
+writes it.  ``fit`` and ``fsr`` take ``--input``; ``generate`` and ``g2``
 take ``--seed`` (default 1234); ``model``, ``fit`` and ``generate`` take
 ``--preset {1540,1522,nv}``; all but ``fsr`` take repeatable ``--param
 key=value`` overrides, validated per subcommand.  Any other flag is a usage
 error.
+
+Limits, checked before anything is allocated (exit 4): ``model samples``,
+``snr grid`` and ``generate points`` at most 10^6, a comb scan at most
+10^6 steps long (``span_nm <= 10^6 * step_nm``), ``span_bins`` at most
+``bins``.
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error,
 5 numeric failure, 6 I/O error.
@@ -42,6 +49,7 @@ EXIT_NUMERIC = 5
 EXIT_IO = 6
 
 DEFAULT_SEED = 1234
+MAX_POINTS = 1_000_000  # most model samples, generate points and comb steps
 
 
 class UsageError(Exception):
@@ -101,8 +109,8 @@ def _parse_params(command: str, pairs: list[str]) -> dict:
     return params
 
 
-def _render_kv_csv(pairs: dict, provenance: dict | None = None) -> str:
-    lines = [f"# {k} = {v}" for k, v in (provenance or {}).items()]
+def _render_kv_csv(pairs: dict, provenance: dict) -> str:
+    lines = [f"# {k} = {v}" for k, v in provenance.items()]
     lines.append("key,value")
     for key, value in pairs.items():
         lines.append(f"{key},{fmt(value)}")
@@ -120,22 +128,32 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _emit(args, payload: dict, csv_columns=None, provenance=None) -> str:
-    """JSON by default; CSV renders columns when given, else key/value rows."""
-    if args.format == "json":
+def _render(form: str, payload: dict, csv, provenance: dict | None) -> str:
+    """Render one handler result: the payload as JSON, or CSV of the columns
+    when ``csv`` is a list, else key/value rows of ``csv`` or of the
+    flattened payload.  CSV provenance values go through ``fmt``."""
+    if form == "json":
         return render_json(payload)
-    if csv_columns is not None:
-        return render_csv(csv_columns, provenance)
-    return _render_kv_csv(_flatten(payload), provenance)
+    provenance = {k: v if isinstance(v, str) else fmt(v) for k, v in (provenance or {}).items()}
+    if isinstance(csv, list):
+        return render_csv(csv, provenance)
+    return _render_kv_csv(_flatten(payload) if csv is None else csv, provenance)
 
 
-def cmd_model(args, params) -> str:
+def _count(params, key: str, default: int, least: int) -> int:
+    value = params.get(key, default)
+    if value < least:
+        raise ValueError(f"{key} must be at least {least}")
+    if value > MAX_POINTS:
+        raise ValueError(f"{key} must be at most {MAX_POINTS}")
+    return value
+
+
+def cmd_model(args, params):
     preset = PRESETS[args.preset]
     cav = preset.cavity
     powers = params.get("powers", [33.3, 94.0, 148.0])
-    samples = params.get("samples", 1201)
-    if samples < 16:
-        raise ValueError("samples must be at least 16")
+    samples = _count(params, "samples", 1201, 16)
     widest = cav.gamma_all_MHz * (1.0 + preset.alpha_tilde_per_mW * max(max(powers), 0.0))
     span = params.get("span_MHz", 8.0 * widest)
     grid = np.linspace(-span / 2.0, span / 2.0, samples)
@@ -144,15 +162,13 @@ def cmd_model(args, params) -> str:
         drive = conversion.PumpDrive(power, preset.alpha_tilde_per_mW)
         response = conversion.sample_response(cav, drive, grid)
         blocks.append((power, np.abs(response.t_ss) ** 2, np.abs(response.r_rs) ** 2))
-    if args.format == "json":
-        return render_json({
-            "preset": preset.name,
-            "detunings_MHz": grid,
-            "spectra": [
-                {"power_mW": p, "transmission": t, "conversion": r}
-                for p, t, r in blocks
-            ],
-        })
+    payload = {
+        "preset": preset.name,
+        "detunings_MHz": grid,
+        "spectra": [
+            {"power_mW": p, "transmission": t, "conversion": r} for p, t, r in blocks
+        ],
+    }
     power_col = np.concatenate([np.full(samples, p) for p, _, _ in blocks])
     columns = [
         ("power_mW", power_col),
@@ -160,10 +176,10 @@ def cmd_model(args, params) -> str:
         ("transmission", np.concatenate([t for _, t, _ in blocks])),
         ("conversion", np.concatenate([r for _, _, r in blocks])),
     ]
-    return render_csv(columns, {"command": "model", "preset": preset.name})
+    return payload, columns, {"command": "model", "preset": preset.name}
 
 
-def cmd_fit(args, params) -> str:
+def cmd_fit(args, params):
     if not args.input:
         raise UsageError("fit requires --input")
     model = params.get("model")
@@ -194,74 +210,61 @@ def cmd_fit(args, params) -> str:
         "converged": result.converged,
         "iterations": result.iterations,
     }
-    if not result.converged:
-        raise NumericFailure(f"fit did not converge: {payload}")
-    if args.format == "csv":
-        flat = {f"{k}": v for k, v in parameters.items()}
-        flat.update({f"stderr_{k}": v for k, v in errors.items()})
-        flat["residual_norm"] = result.residual_norm
-        return _render_kv_csv(flat, {"command": "fit", "model": model})
-    return render_json(payload)
+    flat = dict(parameters)
+    flat.update({f"stderr_{k}": v for k, v in errors.items()})
+    flat["residual_norm"] = result.residual_norm
+    return payload, flat, {"command": "fit", "model": model}
 
 
-def cmd_snr(args, params) -> str:
+def cmd_snr(args, params):
     mode = params.get("mode", "curves")
     if mode == "curves":
         finesses = params.get("finesse", [8.0 / np.pi, 25.0])
         grid = params.get("grid", 256)
         curves = [snr.normalized_snr_curves(F, grid)[0] for F in finesses]
         curves.append(snr.normalized_snr_curves(finesses[0], grid)[1])
-        if args.format == "json":
-            return render_json({
-                "curves": [
-                    {"label": c.label,
-                     "efficiencies": c.efficiencies,
-                     "snr": c.snr_values}
-                    for c in curves
-                ]
-            })
+        payload = {"curves": [
+            {"label": c.label, "efficiencies": c.efficiencies, "snr": c.snr_values}
+            for c in curves
+        ]}
         label_col = np.concatenate(
             [np.full(len(c.efficiencies), i) for i, c in enumerate(curves)]
         )
         provenance = {"command": "snr", "mode": "curves"}
         for i, c in enumerate(curves):
             provenance[f"curve_{i}"] = c.label
-        return render_csv(
-            [
-                ("curve", label_col),
-                ("efficiency", np.concatenate([c.efficiencies for c in curves])),
-                ("snr", np.concatenate([c.snr_values for c in curves])),
-            ],
-            provenance,
-        )
+        return payload, [
+            ("curve", label_col),
+            ("efficiency", np.concatenate([c.efficiencies for c in curves])),
+            ("snr", np.concatenate([c.snr_values for c in curves])),
+        ], provenance
     if mode == "table":
         fc = params.get("fc", 74.0)
         fs = params.get("fs", 1.0)
         table = snr.snr_config_table(fc, fs)
-        return _emit(args, {"F_c": fc, "F_s": fs, "table": table})
+        return {"F_c": fc, "F_s": fs, "table": table}, None, None
     if mode == "min-finesse":
         tolerance = params.get("tolerance", 1e-3)
         value = snr.min_finesse_for_dominance(tolerance)
-        return _emit(args, {"min_finesse": value, "tolerance": tolerance})
+        return {"min_finesse": value, "tolerance": tolerance}, None, None
     raise UsageError("snr mode must be curves, table or min-finesse")
 
 
-def cmd_fsr(args, params) -> str:
+def cmd_fsr(args, params):
     if not args.input:
         raise UsageError("fsr requires --input")
     series, provenance = read_scan_csv(args.input)
     value, err = fitting.extract_fsr(series)
-    if args.format == "csv":
-        freqs, power = fitting.periodogram(series)
-        half = len(freqs) // 2
-        return render_csv(
-            [("frequency_per_unit", freqs[1 : half + 1]), ("power", power[1 : half + 1])],
-            {"command": "fsr", "fsr_GHz": fmt(value), "uncertainty_GHz": fmt(err)},
-        )
-    return render_json({"fsr_GHz": value, "uncertainty_GHz": err, "input": args.input})
+    freqs, power = fitting.periodogram(series)
+    half = len(freqs) // 2
+    return (
+        {"fsr_GHz": value, "uncertainty_GHz": err, "input": args.input},
+        [("frequency_per_unit", freqs[1 : half + 1]), ("power", power[1 : half + 1])],
+        {"command": "fsr", "fsr_GHz": value, "uncertainty_GHz": err},
+    )
 
 
-def _power_scan(params, rng, power, values, unit: str, name: str, provenance):
+def _power_scan(params, seed, power, values, unit: str, name: str, provenance):
     """Columns of a power scan, with seeded Gaussian noise and its sigma on request."""
     if params.get("noise") != "gauss":
         return [("power_mW", power), (f"{name}_{unit}", values)], provenance
@@ -270,33 +273,23 @@ def _power_scan(params, rng, power, values, unit: str, name: str, provenance):
     provenance["noise"] = f"gauss {fmt(frac)}"
     return [
         ("power_mW", power),
-        (f"{name}_{unit}", values + rng.normal(0.0, sigma)),
+        (f"{name}_{unit}", values + np.random.default_rng(seed).normal(0.0, sigma)),
         (f"sigma_{unit}", sigma),
     ], provenance
 
 
-def _scan_points(params, default: int) -> int:
-    points = params.get("points", default)
-    if points < 1:
-        raise ValueError("points must be at least 1")
-    return points
-
-
-def _generate_fwhm(args, params, preset, rng):
-    points = _scan_points(params, 26)
+def _generate_fwhm(params, preset, seed):
+    points = _count(params, "points", 26, 1)
     pmax = params.get("pmax_mW", 250.0)
     alpha = params.get("alpha_MHz_per_mW", preset.alpha_MHz_per_mW)
     gamma_all = params.get("gamma_all_MHz", preset.cavity.gamma_all_MHz)
     power = np.linspace(0.0, pmax, points)
-    provenance = {
-        "command": "generate", "model": "fwhm", "seed": args.seed,
-        "alpha_MHz_per_mW": fmt(alpha), "gamma_all_MHz": fmt(gamma_all),
-    }
-    return _power_scan(params, rng, power, gamma_all + alpha * power, "MHz", "fwhm", provenance)
+    provenance = {"alpha_MHz_per_mW": fmt(alpha), "gamma_all_MHz": fmt(gamma_all)}
+    return _power_scan(params, seed, power, gamma_all + alpha * power, "MHz", "fwhm", provenance)
 
 
-def _generate_noise(args, params, preset, rng):
-    points = _scan_points(params, 12)
+def _generate_noise(params, preset, seed):
+    points = _count(params, "points", 12, 1)
     pmax = params.get("pmax_mW", 250.0)
     alpha_noise = params.get("alpha_noise_cps_per_mW", preset.alpha_noise_cps_per_mW)
     alpha_tilde = params.get("alpha_tilde_per_mW", preset.alpha_tilde_per_mW)
@@ -305,18 +298,19 @@ def _generate_noise(args, params, preset, rng):
     law = noise.NoiseParams(alpha_noise, gamma_r, alpha_tilde)
     values = noise.noise_cavity_per_fsr(law, power)
     provenance = {
-        "command": "generate", "model": "noise", "seed": args.seed,
         "alpha_noise_cps_per_mW": fmt(alpha_noise),
         "alpha_tilde_per_mW": fmt(alpha_tilde), "gamma_r_ratio": fmt(gamma_r),
     }
-    return _power_scan(params, rng, power, values, "cps", "counts", provenance)
+    return _power_scan(params, seed, power, values, "cps", "counts", provenance)
 
 
-def _generate_comb(args, params, preset, rng):
+def _generate_comb(params, preset, seed):
     span_nm = params.get("span_nm", 2.0)
     step_nm = params.get("step_nm", 0.01)
     if not step_nm > 0:
         raise ValueError("step_nm must be positive")
+    if not 0 <= span_nm <= MAX_POINTS * step_nm:
+        raise ValueError(f"span_nm must lie in [0, {MAX_POINTS} * step_nm]")
     bpf_nm = params.get("bpf_nm", 0.03)
     power = params.get("power_mW", 100.0)
     center_nm = preset.wavelengths.converted_nm if preset.wavelengths else 1540.0
@@ -330,19 +324,21 @@ def _generate_comb(args, params, preset, rng):
         preset.cavity, preset.noise(), power, offsets - half_window, offsets + half_window
     )
     provenance = {
-        "command": "generate", "model": "comb", "seed": args.seed,
         "power_mW": fmt(power), "bpf_nm": fmt(bpf_nm),
         "center_nm": fmt(center_nm), "fsr_GHz": fmt(preset.cavity.fsr_MHz * 1e-3),
     }
     if params.get("noise") == "poisson":
         target = params.get("target_mean", 25.0)
-        scale = target / values.mean()
-        values = rng.poisson(values * scale).astype(float)
+        mean = values.mean()
+        if not mean > 0:
+            raise ValueError("poisson noise needs a comb with counts in band")
+        scale = target / mean
+        values = np.random.default_rng(seed).poisson(values * scale).astype(float)
         provenance["noise"] = f"poisson target_mean={fmt(target)}"
     return [("wavelength_nm", wavelengths), ("counts_cps", values)], provenance
 
 
-def _simulate_from(args, params):
+def _simulate_from(params, seed):
     """Source model and its coincidence histogram from the Monte Carlo parameters."""
     mu = params.get("mu", 0.55)
     eta_h = params.get("eta_herald", 0.1)
@@ -359,7 +355,7 @@ def _simulate_from(args, params):
         signal_efficiency=eta_s,
         noise_rate_per_bin=nu,
         bins=params.get("bins", 10_000_000),
-        seed=args.seed,
+        seed=seed,
     )
     histogram = photon_stats.simulate_coincidences(
         model,
@@ -369,10 +365,9 @@ def _simulate_from(args, params):
     return model, histogram
 
 
-def _generate_coincidence(args, params, preset, rng):
-    model, histogram = _simulate_from(args, params)
+def _generate_coincidence(params, preset, seed):
+    model, histogram = _simulate_from(params, seed)
     provenance = {
-        "command": "generate", "model": "coincidence", "seed": args.seed,
         "mu": fmt(model.mean_pairs_per_bin),
         "eta_herald": fmt(model.herald_efficiency),
         "eta_signal": fmt(model.signal_efficiency),
@@ -390,24 +385,21 @@ _GENERATORS = {
 }
 
 
-def cmd_generate(args, params) -> str:
+def cmd_generate(args, params):
     model = params.get("model")
     if model not in _GENERATORS:
         raise UsageError(
             f"unknown dataset model {model!r}; valid: {', '.join(sorted(_GENERATORS))}"
         )
-    rng = np.random.default_rng(args.seed)
-    columns, provenance = _GENERATORS[model](args, params, PRESETS[args.preset], rng)
-    if args.format == "json":
-        payload = {"provenance": provenance}
-        payload.update({name: np.asarray(col) for name, col in columns})
-        return render_json(payload)
-    return render_csv(columns, provenance)
+    columns, own = _GENERATORS[model](params, PRESETS[args.preset], args.seed)
+    provenance = {"command": "generate", "model": model, "seed": args.seed, **own}
+    payload = {"provenance": provenance, **{name: np.asarray(col) for name, col in columns}}
+    return payload, columns, provenance
 
 
-def cmd_g2(args, params) -> str:
+def cmd_g2(args, params):
     if params.get("mc"):
-        _, histogram = _simulate_from(args, params)
+        _, histogram = _simulate_from(params, args.seed)
         window = params.get("window_ns", histogram.resolution_ns)
         record = photon_stats.g2_from_histogram(histogram, window)
         payload = {
@@ -418,12 +410,8 @@ def cmd_g2(args, params) -> str:
             "low_statistics": histogram.low_statistics,
             "seed": args.seed,
         }
-        if args.format == "csv":
-            return render_csv(
-                [("delay_ns", histogram.delay_bins_ns), ("counts", histogram.counts)],
-                {k: fmt(v) if not isinstance(v, str) else v for k, v in payload.items()},
-            )
-        return render_json(payload)
+        columns = [("delay_ns", histogram.delay_bins_ns), ("counts", histogram.counts)]
+        return payload, columns, payload
 
     g2_in = params.get("g2_in", 3.819)
     payload: dict = {"g2_in": g2_in}
@@ -439,24 +427,24 @@ def cmd_g2(args, params) -> str:
             payload["g2_nocav"] = photon_stats.predict_nocavity_g2(g2_in, zeta, enhancement)
     if g2_in > 2.0:
         payload["zeta_classical"] = 1.0 / (g2_in - 2.0)
-    return _emit(args, payload)
+    return payload, None, None
 
 
-def cmd_design(args, params) -> str:
+def cmd_design(args, params):
     report = snr.nv_design_report(
         params.get("finesse", 45.0),
         params.get("fsr_GHz", 5.0),
         params.get("bpf_nm", 0.03),
         params.get("center_nm", 1587.0),
     )
-    return _emit(args, {
+    return {
         "finesse": report.finesse,
         "fsr_GHz": report.fsr_GHz,
         "bpf_GHz": report.bpf_GHz,
         "suppression_factor": report.suppression_factor,
         "over_tenfold": report.over_tenfold,
         "threshold": report.threshold,
-    })
+    }, None, None
 
 
 _COMMANDS = {
@@ -510,8 +498,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         params = _parse_params(args.command, args.param) if "param" in vars(args) else {}
-        text = _COMMANDS[args.command](args, params)
-        write_text(args.output, text)
+        payload, csv, provenance = _COMMANDS[args.command](args, params)
+        write_text(args.output, _render(args.format, payload, csv, provenance))
         return EXIT_OK
     except tuple(_ERRORS) as exc:
         label, code = next(entry for kind, entry in _ERRORS.items() if isinstance(exc, kind))

@@ -365,8 +365,6 @@ def extract_fsr(data: ScanSeries) -> tuple[float, float]:
     freqs, power = periodogram(ScanSeries(x, y, unit="GHz" if data.unit != "ns" else "ns"))
     half = len(x) // 2
     pos_power = power[1 : half + 1]
-    if pos_power.size < 4:
-        raise ValueError("series too short for spectral analysis")
     peak_index = int(np.argmax(pos_power)) + 1
     if power[peak_index] <= 1e-18 * max(float(np.sum(y * y)), 1.0):
         raise NoPeriodicity("series carries no spectral power after detrending")
@@ -377,7 +375,7 @@ def extract_fsr(data: ScanSeries) -> tuple[float, float]:
 
     bin_width = 1.0 / (len(x) * step)
     f_hat = freqs[peak_index]
-    if 1 <= peak_index < half:
+    if peak_index < half:
         p_lo, p_mid, p_hi = power[peak_index - 1 : peak_index + 2]
         denom = p_lo - 2.0 * p_mid + p_hi
         if denom != 0:

@@ -371,10 +371,13 @@ def simulate_coincidences(
     of clicks is histogrammed as soon as it is drawn, together with the
     tail of earlier clicks within ``k`` bins of it, so memory is bounded by
     one chunk of 2^18 clicks plus the span, and time grows with the number
-    of clicks, not with ``bins``.
+    of clicks, not with ``bins``.  No pair lies more than ``bins - 1``
+    bins apart, so a span wider than ``bins`` is rejected.
     """
     if not isinstance(delay_span_bins, (int, np.integer)) or delay_span_bins < 1:
         raise ValueError("delay_span_bins must be an integer of at least 1")
+    if delay_span_bins > model.bins:
+        raise ValueError("delay_span_bins must not exceed model.bins")
     if not 0.0 < resolution_ns < np.inf:
         raise ValueError("resolution_ns must be positive and finite")
     bins = int(model.bins)

@@ -134,6 +134,8 @@ def normalized_snr_curves(F_cold: float, grid_size: int = 256) -> tuple[SnrCurve
         raise ValueError("F_cold must be positive")
     if grid_size < 32:
         raise ValueError("grid_size must be at least 32")
+    if grid_size > 1_000_000:
+        raise ValueError("grid_size must be at most 1000000")
     B = np.pi**2 / 4.0
     alpha_tilde = F_cold * B / (4.0 * np.pi)
 

@@ -7,8 +7,10 @@ loaded, not even by the nonlinear fits, and that no thread pool is imported.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -21,7 +23,8 @@ from cavityqfc.dataio import read_scan_csv
 
 
 def _check_exit(result, expect):
-    assert result.returncode == expect, (
+    """Check the exit code; ``expect=None`` accepts any."""
+    assert expect is None or result.returncode == expect, (
         f"exit {result.returncode} != {expect}; stderr: {result.stderr}"
     )
     return result
@@ -408,3 +411,142 @@ class TestDeterminismAndErrors:
         bad = tmp_path / "degenerate.csv"
         bad.write_text("power_mW,fwhm_MHz\n" + "\n".join("1.0,%d" % i for i in range(3)) + "\n")
         run_cli("fit", "--input", str(bad), "--param", "model=fwhm", expect=3)
+
+
+class TestGoldenOutput:
+    """SHA-256 of the CSV stdout of the closed-form and seeded subcommands.
+
+    Pinned from the output of the code before every handler returned its
+    result to one writer; ``fit`` and ``fsr`` are left out because their
+    last digits come from ``lstsq`` and the FFT, which may differ between
+    BLAS builds.
+    """
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["design"], "956a9ecc7c0a7543fea31a450055c4de7e16f6a2c37117780bc049e00f3807b3"),
+            (["snr", "--param", "mode=curves"],
+             "0f936c611f322f4e84663adf5325b6dd7e96c288d4e9294e31a2e7d3e84dad74"),
+            (["snr", "--param", "mode=table"],
+             "f2cd8c03837df2d900eb17abcffb8edaafb5ed33beca45df43a7afbb2c65a8de"),
+            (["snr", "--param", "mode=min-finesse"],
+             "ca1b39ef0cba21ca84b2d7a120918997cf9960df29ac6c4daf5d76c37640e5e8"),
+            (["g2", "--param", "zeta=2.1", "--param", "enhancement=18"],
+             "bc19aecd968304982cd22dc211bc252390aa99b52d320ea09a5579c56189aa14"),
+            (["model"], "981f7de71532e3a4599eeee72bf1ed0ed36794779f201ebb13e92f137e557cb8"),
+            (["generate", "--param", "model=fwhm", "--param", "noise=gauss", "--seed", "7"],
+             "b8bc694179b2b1e6dd1c35f9e75f3608ffa9f88c34c111b3d9c2e1bdab4962c1"),
+            (["generate", "--param", "model=noise", "--param", "noise=gauss", "--seed", "8"],
+             "55ace25b6f6f86b7312e808ed5666a096e8c6fa6fc2d89c9c9e6bf46549c6770"),
+            (["generate", "--param", "model=comb", "--param", "noise=poisson", "--seed", "5"],
+             "5fd47169b6e276f6e23df42dc9852ecd1ca7faf23698d6bf4f4bf25da8408a0b"),
+        ],
+        ids=["design", "snr_curves", "snr_table", "snr_min_finesse", "g2_analytic", "model",
+             "generate_fwhm", "generate_noise", "generate_comb"],
+    )
+    def test_csv_stdout_digest(self, args, digest):
+        stdout = run_cli(*args, "--format", "csv").stdout
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
+HUGE = "1000000000000"
+
+
+class TestDomainLimits:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["model", "--param", f"samples={HUGE}"], "samples must be at most 1000000"),
+            (["snr", "--param", f"grid={HUGE}"], "grid_size must be at most 1000000"),
+            (["generate", "--param", "model=fwhm", "--param", f"points={HUGE}"],
+             "points must be at most 1000000"),
+            (["generate", "--param", "model=coincidence", "--param", f"span_bins={HUGE}"],
+             "delay_span_bins must not exceed model.bins"),
+            (["g2", "--param", "mc=1", "--param", "bins=1000", "--param", "span_bins=1001"],
+             "delay_span_bins must not exceed model.bins"),
+            # a negative span gave a header-only dataset; 2e9 steps would not fit in memory
+            (["generate", "--param", "model=comb", "--param", "span_nm=-1"],
+             "span_nm must lie in [0, 1000000 * step_nm]"),
+            (["generate", "--param", "model=comb", "--param", "step_nm=1e-9"],
+             "span_nm must lie in [0, 1000000 * step_nm]"),
+            (["generate", "--param", "model=comb", "--param", "noise=poisson",
+              "--param", "power_mW=0"], "poisson noise needs a comb with counts in band"),
+        ],
+        ids=["samples", "grid", "points", "generate_span_bins", "g2_span_bins",
+             "comb_negative_span", "comb_steps", "comb_poisson_no_counts"],
+    )
+    def test_limit_is_domain_error(self, args, message, fmt):
+        result = run_cli(*args, "--format", fmt, expect=4)
+        assert message in result.stderr
+        assert result.stdout == ""
+
+    def test_limits_are_inclusive(self):
+        assert cli._count({"samples": cli.MAX_POINTS}, "samples", 1201, 16) == cli.MAX_POINTS
+        run_cli("generate", "--param", "model=coincidence", "--param", "bins=50",
+                "--param", "span_bins=50")
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _check_csv(text):
+    """Every row has the header's width and every value cell is a finite number or boolean."""
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    header, body = rows[0], rows[1:]
+    assert body, "no data rows"
+    first = 1 if header == ["key", "value"] else 0
+    for row in body:
+        assert len(row) == len(header), row
+        for cell in row[first:]:
+            assert cell in ("true", "false") or math.isfinite(float(cell)), row
+
+
+# every mode a key can act in; the swept --param comes last, so it overrides
+_SWEEP_MODES = {
+    "fit": [["--input", "{fwhm}", "--param", "model=fwhm"],
+            ["--input", "{noise}", "--param", "model=noise"]],
+    "snr": [["--param", "mode=curves"], ["--param", "mode=table"],
+            ["--param", "mode=min-finesse"]],
+    "generate": [["--param", "model=fwhm", "--param", "noise=gauss"],
+                 ["--param", "model=noise", "--param", "noise=gauss"],
+                 ["--param", "model=comb", "--param", "noise=poisson"],
+                 ["--param", "model=coincidence", "--param", "bins=20000"]],
+    "g2": [[], ["--param", "mc=1", "--param", "bins=20000"]],
+}
+_SWEEP_VALUES = {float: ["0", "-1", "1e-300", "1e300"], cli._floats: ["0", "-1", "1e-300", "1e300"],
+                 int: ["0", "-1"], str: ["bogus"]}
+# keys whose limits stop a huge value before it is allocated; a huge bins has
+# no cheap limit (the walk takes hours, in bounded memory), so it is not tried
+_SWEEP_HUGE = {"samples", "grid", "points", "span_bins"}
+
+
+class TestInputContract:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("sweep")
+        for model in ("fwhm", "noise"):
+            run_cli("generate", "--param", f"model={model}", "--output", str(folder / model))
+        return {model: str(folder / model) for model in ("fwhm", "noise")}
+
+    @pytest.mark.parametrize("command", sorted(cli._SCHEMAS))
+    def test_every_param_edge_value(self, command, inputs):
+        faults = []
+        for mode in _SWEEP_MODES.get(command, [[]]):
+            mode = [arg.format(**inputs) for arg in mode]
+            for key, kind in cli._SCHEMAS[command].items():
+                for value in _SWEEP_VALUES[kind] + [HUGE] * (key in _SWEEP_HUGE):
+                    for fmt in ("json", "csv"):
+                        args = [command, *mode, "--param", f"{key}={value}", "--format", fmt]
+                        try:
+                            result = run_cli(*args, expect=None)
+                            assert result.returncode in (0, 2, 3, 4, 5, 6), result.stderr
+                            if result.returncode == 0 and fmt == "json":
+                                json.loads(result.stdout, parse_constant=_reject_constant)
+                            elif result.returncode == 0:
+                                _check_csv(result.stdout)
+                        except Exception as exc:  # collect every fault, not only the first
+                            faults.append(f"{' '.join(args)}: {type(exc).__name__}: {exc}")
+        assert faults == []

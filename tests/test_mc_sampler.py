@@ -172,7 +172,7 @@ class TestSamplerEdgeCases:
         assert histogram.counts[10] >= 0.99 * 2_000
         assert histogram.counts.sum() > 0
 
-    def test_shards_cover_every_bin_once(self):
+    def test_saturated_model_clicks_in_every_bin(self):
         # saturated model: every bin clicks in both arms (misses ~1e-12 per bin)
         bins = 1_003
         model = SourceModel(1e12, 1.0, 1.0, noise_rate_per_bin=50.0, bins=bins, seed=4)
@@ -184,7 +184,7 @@ class TestSamplerEdgeCases:
         counts = simulate_coincidences(model, delay_span_bins=5).counts
         assert np.array_equal(counts, bins - np.abs(np.arange(-5, 6)))
 
-    def test_shard_indices_sorted_and_in_range(self):
+    def test_click_indices_sorted_and_in_range(self):
         bins = 100_001
         for clicks in sample_clicks(SourceModel(*ACCEPTANCE, bins=bins, seed=5)):
             assert np.all(np.diff(clicks) > 0)

@@ -236,6 +236,9 @@ class TestSimulator:
             ({"resolution_ns": np.inf}, "resolution_ns"),
             ({"delay_span_bins": 2.7}, "delay_span_bins"),
             ({"delay_span_bins": 0}, "delay_span_bins"),
+            # no pair lies 1000 bins apart in 1000 bins; 10^12 would not fit in memory
+            ({"delay_span_bins": 1_001}, "delay_span_bins must not exceed model.bins"),
+            ({"delay_span_bins": 10**12}, "delay_span_bins must not exceed model.bins"),
         ],
     )
     def test_arguments_checked_before_sampling(self, monkeypatch, kwargs, message):
@@ -247,6 +250,12 @@ class TestSimulator:
         monkeypatch.setattr(photon_stats, "_click_chunks", no_sampling)
         with pytest.raises(ValueError, match=message):
             simulate_coincidences(SourceModel(0.55, 0.1, 0.1, bins=1_000, seed=1), **kwargs)
+
+    def test_span_as_wide_as_the_run(self):
+        histogram = simulate_coincidences(SourceModel(0.55, 0.5, 0.5, bins=40, seed=1),
+                                          delay_span_bins=40)
+        assert histogram.counts.shape == (81,)
+        assert histogram.counts[0] == histogram.counts[-1] == 0
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
