@@ -1,24 +1,15 @@
 """Command-line workbench.
 
-Subcommands
------------
-model     sampled transmission/conversion spectra for a list of pump powers
-fit       fit a scan file: resonance width vs power, or saturating noise
-snr       normalized SNR curves, the configuration table, or the minimum
-          finesse for cavity dominance
-fsr       free-spectral-range extraction from a periodic scan file
-generate  deterministic synthetic datasets (fwhm, noise, comb, coincidence)
-g2        analytic correlation chain and/or the Monte Carlo estimate
-design    anti-resonant SPDC-noise suppression report
+Each subcommand runs in one mode, picked by the ``--param`` key that
+``_SUBCOMMANDS`` names.  ``_MODES`` gives each mode its handler and the
+``--param`` keys that handler reads; any other key is a usage error.
 
 Every subcommand takes ``--output`` (default stdout) and ``--format
 {csv,json}``.  Each handler computes one result and returns it as
 ``(payload, csv, provenance)``; ``--format`` only chooses how ``main``
-writes it.  ``fit`` and ``fsr`` take ``--input``; ``generate`` and ``g2``
+writes it.  ``fit`` and ``fsr`` require ``--input``; ``generate`` and ``g2``
 take ``--seed`` (default 1234); ``model``, ``fit`` and ``generate`` take
-``--preset {1540,1522,nv}``; all but ``fsr`` take repeatable ``--param
-key=value`` overrides, validated per subcommand.  Any other flag is a usage
-error.
+``--preset {1540,1522,nv}``.  Any other flag is a usage error.
 
 Limits, checked before anything is allocated (exit 4): ``model samples``,
 ``snr grid`` and ``generate points`` at most 10^6, a comb scan at most
@@ -33,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -57,56 +49,52 @@ class UsageError(Exception):
 
 
 def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    values = [float(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError("no values")
+    return values
 
 
-_SCHEMAS: dict[str, dict[str, type | object]] = {
-    "model": {"powers": _floats, "span_MHz": float, "samples": int},
-    "fit": {"model": str, "gamma_r_ratio": float},
-    "snr": {"mode": str, "finesse": _floats, "fc": float, "fs": float,
-            "grid": int, "tolerance": float},
-    "generate": {
-        "model": str, "points": int, "pmax_mW": float,
-        "alpha_MHz_per_mW": float, "gamma_all_MHz": float,
-        "alpha_noise_cps_per_mW": float, "alpha_tilde_per_mW": float,
-        "gamma_r_ratio": float, "noise": str, "noise_frac": float,
-        "span_nm": float, "step_nm": float, "bpf_nm": float,
-        "power_mW": float, "target_mean": float,
-        "mu": float, "eta_herald": float, "eta_signal": float,
-        "nu": float, "zeta": float, "bins": int, "span_bins": int,
-        "resolution_ns": float,
-    },
-    "g2": {
-        "g2_in": float, "zeta": float, "enhancement": float,
-        "g2_out_obs": float, "mc": int,
-        "mu": float, "eta_herald": float, "eta_signal": float, "nu": float,
-        "bins": int, "span_bins": int, "resolution_ns": float,
-        "window_ns": float,
-    },
-    "design": {"finesse": float, "fsr_GHz": float, "bpf_nm": float, "center_nm": float},
-}
+def _noise(kind: str):
+    """Parser of the ``noise`` key of a mode that draws only ``kind`` noise."""
+    def parse(text: str) -> str:
+        if text != kind:
+            raise UsageError(f"noise must be {kind} for this model, got {text!r}")
+        return text
+    return parse
 
 
-def _parse_params(command: str, pairs: list[str]) -> dict:
-    schema = _SCHEMAS[command]
-    params: dict = {}
+def _parse_params(command: str, pairs: list[str]):
+    """Pick the mode of ``command`` from its ``--param`` pairs and parse the keys
+    that mode reads; return its handler and the values, the picking key's too."""
+    _, pick, mode = _SUBCOMMANDS[command]
+    items = []
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep:
             raise UsageError(f"--param expects key=value, got {pair!r}")
-        key = key.strip()
+        items.append((key.strip(), value.strip(), pair))
+    modes = _MODES[command]
+    mode = next((value for key, value, _ in reversed(items) if key == pick), mode)
+    if mode not in modes:
+        got = "none" if mode is None else f"{pick}={mode}"
+        raise UsageError(f"{command} takes --param {pick}={'|'.join(modes)}, got {got}")
+    handler, schema = modes[mode]
+    where = command if pick is None else f"{command} {pick}={mode}"
+    params: dict = {} if pick is None else {pick: mode}
+    for key, value, pair in items:
+        if key == pick:
+            continue
         if key not in schema:
-            raise UsageError(
-                f"unknown parameter {key!r} for {command!r}; "
-                f"valid: {', '.join(sorted(schema))}"
-            )
+            raise UsageError(f"unknown parameter {key!r} for {where!r}; "
+                             f"valid: {', '.join(sorted(schema)) or 'none'}")
         try:
-            params[key] = schema[key](value.strip())
+            params[key] = schema[key](value)
         except ValueError:
             raise UsageError(f"cannot parse --param {pair!r}") from None
         if schema[key] in (float, _floats) and not np.all(np.isfinite(params[key])):
-            raise ValueError(f"--param {key} must be finite, got {value.strip()!r}")
-    return params
+            raise ValueError(f"--param {key} must be finite, got {value!r}")
+    return handler, params
 
 
 def _render_kv_csv(pairs: dict, provenance: dict) -> str:
@@ -179,30 +167,23 @@ def cmd_model(args, params):
     return payload, columns, {"command": "model", "preset": preset.name}
 
 
-def cmd_fit(args, params):
-    if not args.input:
-        raise UsageError("fit requires --input")
-    model = params.get("model")
-    if model not in ("fwhm", "noise"):
-        raise UsageError("fit requires --param model=fwhm or model=noise")
-    series, provenance = read_scan_csv(args.input)
-    if model == "fwhm":
-        result = fitting.fit_linear(series)
-        parameters = {
-            "alpha_MHz_per_mW": result.parameters["slope"],
-            "gamma_all_MHz": result.parameters["intercept"],
-        }
-        errors = {
-            "alpha_MHz_per_mW": result.std_errors["slope"],
-            "gamma_all_MHz": result.std_errors["intercept"],
-        }
-    else:
-        gamma_r = params.get("gamma_r_ratio", PRESETS[args.preset].cavity.gamma_r_ratio)
-        result = fitting.fit_saturating_noise(series, gamma_r)
-        parameters = dict(result.parameters)
-        errors = dict(result.std_errors)
+def cmd_fit_fwhm(args, params):
+    result = fitting.fit_linear(read_scan_csv(args.input)[0])
+    return _fit_result(args, params, result, ["alpha_MHz_per_mW", "gamma_all_MHz"])
+
+
+def cmd_fit_noise(args, params):
+    gamma_r = params.get("gamma_r_ratio", PRESETS[args.preset].cavity.gamma_r_ratio)
+    result = fitting.fit_saturating_noise(read_scan_csv(args.input)[0], gamma_r)
+    return _fit_result(args, params, result, list(result.parameters))
+
+
+def _fit_result(args, params, result, names: list):
+    """A fit's result, its coefficients reported under ``names`` in their order."""
+    parameters = dict(zip(names, result.parameters.values()))
+    errors = dict(zip(names, result.std_errors.values()))
     payload = {
-        "model": model,
+        "model": params["model"],
         "input": args.input,
         "parameters": parameters,
         "std_errors": errors,
@@ -213,46 +194,44 @@ def cmd_fit(args, params):
     flat = dict(parameters)
     flat.update({f"stderr_{k}": v for k, v in errors.items()})
     flat["residual_norm"] = result.residual_norm
-    return payload, flat, {"command": "fit", "model": model}
+    return payload, flat, {"command": "fit", "model": params["model"]}
 
 
-def cmd_snr(args, params):
-    mode = params.get("mode", "curves")
-    if mode == "curves":
-        finesses = params.get("finesse", [8.0 / np.pi, 25.0])
-        grid = params.get("grid", 256)
-        curves = [snr.normalized_snr_curves(F, grid)[0] for F in finesses]
-        curves.append(snr.normalized_snr_curves(finesses[0], grid)[1])
-        payload = {"curves": [
-            {"label": c.label, "efficiencies": c.efficiencies, "snr": c.snr_values}
-            for c in curves
-        ]}
-        label_col = np.concatenate(
-            [np.full(len(c.efficiencies), i) for i, c in enumerate(curves)]
-        )
-        provenance = {"command": "snr", "mode": "curves"}
-        for i, c in enumerate(curves):
-            provenance[f"curve_{i}"] = c.label
-        return payload, [
-            ("curve", label_col),
-            ("efficiency", np.concatenate([c.efficiencies for c in curves])),
-            ("snr", np.concatenate([c.snr_values for c in curves])),
-        ], provenance
-    if mode == "table":
-        fc = params.get("fc", 74.0)
-        fs = params.get("fs", 1.0)
-        table = snr.snr_config_table(fc, fs)
-        return {"F_c": fc, "F_s": fs, "table": table}, None, None
-    if mode == "min-finesse":
-        tolerance = params.get("tolerance", 1e-3)
-        value = snr.min_finesse_for_dominance(tolerance)
-        return {"min_finesse": value, "tolerance": tolerance}, None, None
-    raise UsageError("snr mode must be curves, table or min-finesse")
+def cmd_snr_curves(args, params):
+    finesses = params.get("finesse", [8.0 / np.pi, 25.0])
+    grid = params.get("grid", 256)
+    curves = [snr.normalized_snr_curves(F, grid)[0] for F in finesses]
+    curves.append(snr.normalized_snr_curves(finesses[0], grid)[1])
+    payload = {"curves": [
+        {"label": c.label, "efficiencies": c.efficiencies, "snr": c.snr_values}
+        for c in curves
+    ]}
+    label_col = np.concatenate(
+        [np.full(len(c.efficiencies), i) for i, c in enumerate(curves)]
+    )
+    provenance = {"command": "snr", "mode": "curves"}
+    for i, c in enumerate(curves):
+        provenance[f"curve_{i}"] = c.label
+    return payload, [
+        ("curve", label_col),
+        ("efficiency", np.concatenate([c.efficiencies for c in curves])),
+        ("snr", np.concatenate([c.snr_values for c in curves])),
+    ], provenance
+
+
+def cmd_snr_table(args, params):
+    fc = params.get("fc", 74.0)
+    fs = params.get("fs", 1.0)
+    return {"F_c": fc, "F_s": fs, "table": snr.snr_config_table(fc, fs)}, None, None
+
+
+def cmd_snr_min_finesse(args, params):
+    tolerance = params.get("tolerance", 1e-3)
+    value = snr.min_finesse_for_dominance(tolerance)
+    return {"min_finesse": value, "tolerance": tolerance}, None, None
 
 
 def cmd_fsr(args, params):
-    if not args.input:
-        raise UsageError("fsr requires --input")
     series, provenance = read_scan_csv(args.input)
     value, err = fitting.extract_fsr(series)
     freqs, power = fitting.periodogram(series)
@@ -266,7 +245,7 @@ def cmd_fsr(args, params):
 
 def _power_scan(params, seed, power, values, unit: str, name: str, provenance):
     """Columns of a power scan, with seeded Gaussian noise and its sigma on request."""
-    if params.get("noise") != "gauss":
+    if "noise" not in params:
         return [("power_mW", power), (f"{name}_{unit}", values)], provenance
     frac = params.get("noise_frac", 0.05)
     sigma = frac * values
@@ -284,7 +263,7 @@ def _generate_fwhm(params, preset, seed):
     alpha = params.get("alpha_MHz_per_mW", preset.alpha_MHz_per_mW)
     gamma_all = params.get("gamma_all_MHz", preset.cavity.gamma_all_MHz)
     power = np.linspace(0.0, pmax, points)
-    provenance = {"alpha_MHz_per_mW": fmt(alpha), "gamma_all_MHz": fmt(gamma_all)}
+    provenance = {"alpha_MHz_per_mW": alpha, "gamma_all_MHz": gamma_all}
     return _power_scan(params, seed, power, gamma_all + alpha * power, "MHz", "fwhm", provenance)
 
 
@@ -298,8 +277,8 @@ def _generate_noise(params, preset, seed):
     law = noise.NoiseParams(alpha_noise, gamma_r, alpha_tilde)
     values = noise.noise_cavity_per_fsr(law, power)
     provenance = {
-        "alpha_noise_cps_per_mW": fmt(alpha_noise),
-        "alpha_tilde_per_mW": fmt(alpha_tilde), "gamma_r_ratio": fmt(gamma_r),
+        "alpha_noise_cps_per_mW": alpha_noise,
+        "alpha_tilde_per_mW": alpha_tilde, "gamma_r_ratio": gamma_r,
     }
     return _power_scan(params, seed, power, values, "cps", "counts", provenance)
 
@@ -324,10 +303,10 @@ def _generate_comb(params, preset, seed):
         preset.cavity, preset.noise(), power, offsets - half_window, offsets + half_window
     )
     provenance = {
-        "power_mW": fmt(power), "bpf_nm": fmt(bpf_nm),
-        "center_nm": fmt(center_nm), "fsr_GHz": fmt(preset.cavity.fsr_MHz * 1e-3),
+        "power_mW": power, "bpf_nm": bpf_nm,
+        "center_nm": center_nm, "fsr_GHz": preset.cavity.fsr_MHz * 1e-3,
     }
-    if params.get("noise") == "poisson":
+    if "noise" in params:
         target = params.get("target_mean", 25.0)
         mean = values.mean()
         if not mean > 0:
@@ -368,51 +347,39 @@ def _simulate_from(params, seed):
 def _generate_coincidence(params, preset, seed):
     model, histogram = _simulate_from(params, seed)
     provenance = {
-        "mu": fmt(model.mean_pairs_per_bin),
-        "eta_herald": fmt(model.herald_efficiency),
-        "eta_signal": fmt(model.signal_efficiency),
-        "nu": fmt(model.noise_rate_per_bin), "bins": model.bins,
-        "resolution_ns": fmt(histogram.resolution_ns),
+        "mu": model.mean_pairs_per_bin,
+        "eta_herald": model.herald_efficiency,
+        "eta_signal": model.signal_efficiency,
+        "nu": model.noise_rate_per_bin, "bins": model.bins,
+        "resolution_ns": histogram.resolution_ns,
     }
     return [("delay_ns", histogram.delay_bins_ns), ("counts", histogram.counts)], provenance
 
 
-_GENERATORS = {
-    "fwhm": _generate_fwhm,
-    "noise": _generate_noise,
-    "comb": _generate_comb,
-    "coincidence": _generate_coincidence,
-}
-
-
-def cmd_generate(args, params):
-    model = params.get("model")
-    if model not in _GENERATORS:
-        raise UsageError(
-            f"unknown dataset model {model!r}; valid: {', '.join(sorted(_GENERATORS))}"
-        )
-    columns, own = _GENERATORS[model](params, PRESETS[args.preset], args.seed)
-    provenance = {"command": "generate", "model": model, "seed": args.seed, **own}
+def cmd_generate(generator, args, params):
+    columns, own = generator(params, PRESETS[args.preset], args.seed)
+    provenance = {"command": "generate", "model": params["model"], "seed": args.seed, **own}
     payload = {"provenance": provenance, **{name: np.asarray(col) for name, col in columns}}
     return payload, columns, provenance
 
 
-def cmd_g2(args, params):
-    if params.get("mc"):
-        _, histogram = _simulate_from(params, args.seed)
-        window = params.get("window_ns", histogram.resolution_ns)
-        record = photon_stats.g2_from_histogram(histogram, window)
-        payload = {
-            "g2": record.g2, "stderr": record.stderr,
-            "window_ns": record.window_ns, "resolution_ns": record.resolution_ns,
-            "accidental_level": histogram.accidental_level,
-            "nonclassical": record.nonclassical,
-            "low_statistics": histogram.low_statistics,
-            "seed": args.seed,
-        }
-        columns = [("delay_ns", histogram.delay_bins_ns), ("counts", histogram.counts)]
-        return payload, columns, payload
+def cmd_g2_mc(args, params):
+    _, histogram = _simulate_from(params, args.seed)
+    window = params.get("window_ns", histogram.resolution_ns)
+    record = photon_stats.g2_from_histogram(histogram, window)
+    payload = {
+        "g2": record.g2, "stderr": record.stderr,
+        "window_ns": record.window_ns, "resolution_ns": record.resolution_ns,
+        "accidental_level": histogram.accidental_level,
+        "nonclassical": record.nonclassical,
+        "low_statistics": histogram.low_statistics,
+        "seed": args.seed,
+    }
+    columns = [("delay_ns", histogram.delay_bins_ns), ("counts", histogram.counts)]
+    return payload, columns, payload
 
+
+def cmd_g2(args, params):
     g2_in = params.get("g2_in", 3.819)
     payload: dict = {"g2_in": g2_in}
     if "g2_out_obs" in params:
@@ -447,14 +414,50 @@ def cmd_design(args, params):
     }, None, None
 
 
-_COMMANDS = {
-    "model": cmd_model,
-    "fit": cmd_fit,
-    "snr": cmd_snr,
-    "fsr": cmd_fsr,
-    "generate": cmd_generate,
-    "g2": cmd_g2,
-    "design": cmd_design,
+# subcommand: its --help line, the --param key that picks its mode (None: it
+# has one mode), and the mode taken without that key (None: the key is required)
+_SUBCOMMANDS = {
+    "model": ("sampled transmission and conversion spectra for pump powers", None, None),
+    "fit": ("fit a scan file: resonance width vs power, or saturating noise", "model", None),
+    "snr": ("normalized SNR curves, the configuration table, or the minimum finesse "
+            "for cavity dominance", "mode", "curves"),
+    "fsr": ("free-spectral-range extraction from a periodic scan file", None, None),
+    "generate": ("deterministic synthetic datasets", "model", None),
+    "g2": ("analytic correlation chain, or the Monte Carlo estimate", "mc", "0"),
+    "design": ("anti-resonant SPDC-noise suppression report", None, None),
+}
+
+_SCAN = {"points": int, "pmax_mW": float, "noise": _noise("gauss"), "noise_frac": float}
+_MONTE_CARLO = {"mu": float, "eta_herald": float, "eta_signal": float, "nu": float,
+                "zeta": float, "bins": int, "span_bins": int, "resolution_ns": float}
+
+# subcommand: {mode: (handler, {each --param key the handler reads: its parser})}
+_MODES: dict[str, dict] = {
+    "model": {None: (cmd_model, {"powers": _floats, "span_MHz": float, "samples": int})},
+    "fit": {"fwhm": (cmd_fit_fwhm, {}), "noise": (cmd_fit_noise, {"gamma_r_ratio": float})},
+    "snr": {
+        "curves": (cmd_snr_curves, {"finesse": _floats, "grid": int}),
+        "table": (cmd_snr_table, {"fc": float, "fs": float}),
+        "min-finesse": (cmd_snr_min_finesse, {"tolerance": float}),
+    },
+    "fsr": {None: (cmd_fsr, {})},
+    "generate": {
+        "fwhm": (partial(cmd_generate, _generate_fwhm),
+                 {**_SCAN, "alpha_MHz_per_mW": float, "gamma_all_MHz": float}),
+        "noise": (partial(cmd_generate, _generate_noise),
+                  {**_SCAN, "alpha_noise_cps_per_mW": float, "alpha_tilde_per_mW": float,
+                   "gamma_r_ratio": float}),
+        "comb": (partial(cmd_generate, _generate_comb),
+                 {"span_nm": float, "step_nm": float, "bpf_nm": float, "power_mW": float,
+                  "noise": _noise("poisson"), "target_mean": float}),
+        "coincidence": (partial(cmd_generate, _generate_coincidence), _MONTE_CARLO),
+    },
+    "g2": {
+        "0": (cmd_g2, {"g2_in": float, "g2_out_obs": float, "zeta": float, "enhancement": float}),
+        "1": (cmd_g2_mc, {**_MONTE_CARLO, "window_ns": float}),
+    },
+    "design": {None: (cmd_design, {"finesse": float, "fsr_GHz": float, "bpf_nm": float,
+                                   "center_nm": float})},
 }
 
 
@@ -469,27 +472,35 @@ _ERRORS = {
 }
 
 
+def _param_help(pick, default, modes: dict) -> str:
+    """The ``--param`` help of a subcommand: the keys of each of its modes."""
+    return "repeatable; " + "; ".join(
+        ("" if pick is None else f"{pick}={mode}{' (default)' * (mode == default)}: ")
+        + (", ".join(schema) or "no other key") for mode, (_, schema) in modes.items())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityqfc",
         description="Cavity-enhanced frequency-conversion workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _COMMANDS.items():
-        p = sub.add_parser(name, help=handler.__doc__)
+    for name, (line, pick, default) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=line, description=line)
         p.add_argument("--output", default=None)
         # dataset-producing commands write CSV by default, results JSON
         default_format = "csv" if name in ("generate", "model") else "json"
         p.add_argument("--format", choices=["csv", "json"], default=default_format)
         # the other flags only where the handler reads them
         if name in ("fit", "fsr"):
-            p.add_argument("--input", default=None)
+            p.add_argument("--input", required=True)
         if name in ("generate", "g2"):
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if name in ("model", "fit", "generate"):
             p.add_argument("--preset", choices=sorted(PRESETS), default=DEFAULT_PRESET)
-        if name != "fsr":
-            p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
+        if pick is not None or _MODES[name][None][1]:
+            p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
+                           help=_param_help(pick, default, _MODES[name]))
     return parser
 
 
@@ -497,8 +508,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params = _parse_params(args.command, args.param) if "param" in vars(args) else {}
-        payload, csv, provenance = _COMMANDS[args.command](args, params)
+        handler, params = _parse_params(args.command, vars(args).get("param", []))
+        payload, csv, provenance = handler(args, params)
         write_text(args.output, _render(args.format, payload, csv, provenance))
         return EXIT_OK
     except tuple(_ERRORS) as exc:

@@ -33,7 +33,7 @@ __all__ = [
     "read_scan_csv",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def fmt(value) -> str:

@@ -60,6 +60,8 @@ class TestEntryPoint:
             (["fit", "--input", "{bad}", "--param", "model=fwhm"], 3),
             (["g2", "--param", "g2_out_obs=5.0"], 4),
             (["fit", "--input", "/nonexistent/x.csv", "--param", "model=fwhm"], 6),
+            (["fit", "--param", "model=fwhm"], 2),
+            (["fsr"], 2),
         ],
     )
     def test_exit_code(self, tmp_path, args, expect):
@@ -321,7 +323,8 @@ class TestDeterminismAndErrors:
 
     @pytest.mark.parametrize(
         "args",
-        [["design", "--input", "x"], ["snr", "--seed", "1"], ["fsr", "--preset", "nv"]],
+        [["design", "--input", "x"], ["snr", "--seed", "1"],
+         ["fsr", "--input", "x", "--preset", "nv"]],
     )
     def test_unread_flag_is_usage_error(self, args):
         result = run_cli(*args, expect=2)
@@ -504,23 +507,28 @@ def _check_csv(text):
             assert cell in ("true", "false") or math.isfinite(float(cell)), row
 
 
-# every mode a key can act in; the swept --param comes last, so it overrides
-_SWEEP_MODES = {
-    "fit": [["--input", "{fwhm}", "--param", "model=fwhm"],
-            ["--input", "{noise}", "--param", "model=noise"]],
-    "snr": [["--param", "mode=curves"], ["--param", "mode=table"],
-            ["--param", "mode=min-finesse"]],
-    "generate": [["--param", "model=fwhm", "--param", "noise=gauss"],
-                 ["--param", "model=noise", "--param", "noise=gauss"],
-                 ["--param", "model=comb", "--param", "noise=poisson"],
-                 ["--param", "model=coincidence", "--param", "bins=20000"]],
-    "g2": [[], ["--param", "mc=1", "--param", "bins=20000"]],
+# what a mode needs besides its picking key to run; the swept --param comes
+# last, so it overrides
+_SWEEP_EXTRA = {
+    ("fit", "fwhm"): ["--input", "{fwhm}"],
+    ("fit", "noise"): ["--input", "{noise}"],
+    ("generate", "fwhm"): ["--param", "noise=gauss"],
+    ("generate", "noise"): ["--param", "noise=gauss"],
+    ("generate", "comb"): ["--param", "noise=poisson"],
+    ("generate", "coincidence"): ["--param", "bins=20000"],
+    ("g2", "1"): ["--param", "bins=20000"],
 }
-_SWEEP_VALUES = {float: ["0", "-1", "1e-300", "1e300"], cli._floats: ["0", "-1", "1e-300", "1e300"],
-                 int: ["0", "-1"], str: ["bogus"]}
+_SWEEP_VALUES = {float: ["0", "-1", "1e-300", "1e300"],
+                 cli._floats: ["0", "-1", "1e-300", "1e300", ""], int: ["0", "-1"]}
 # keys whose limits stop a huge value before it is allocated; a huge bins has
 # no cheap limit (the walk takes hours, in bounded memory), so it is not tried
 _SWEEP_HUGE = {"samples", "grid", "points", "span_bins"}
+
+
+def _mode_args(command, mode):
+    """The arguments that pick ``mode`` of ``command``."""
+    pick = cli._SUBCOMMANDS[command][1]
+    return [] if pick is None else ["--param", f"{pick}={mode}"]
 
 
 class TestInputContract:
@@ -531,15 +539,20 @@ class TestInputContract:
             run_cli("generate", "--param", f"model={model}", "--output", str(folder / model))
         return {model: str(folder / model) for model in ("fwhm", "noise")}
 
-    @pytest.mark.parametrize("command", sorted(cli._SCHEMAS))
+    @pytest.mark.parametrize(
+        "command", sorted(c for c, modes in cli._MODES.items()
+                          if any(schema for _, schema in modes.values()))
+    )
     def test_every_param_edge_value(self, command, inputs):
         faults = []
-        for mode in _SWEEP_MODES.get(command, [[]]):
-            mode = [arg.format(**inputs) for arg in mode]
-            for key, kind in cli._SCHEMAS[command].items():
-                for value in _SWEEP_VALUES[kind] + [HUGE] * (key in _SWEEP_HUGE):
+        for mode, (_, schema) in cli._MODES[command].items():
+            extra = [arg.format(**inputs) for arg in _SWEEP_EXTRA.get((command, mode), [])]
+            for key, kind in schema.items():
+                values = _SWEEP_VALUES.get(kind, ["bogus"]) + [HUGE] * (key in _SWEEP_HUGE)
+                for value in values:
                     for fmt in ("json", "csv"):
-                        args = [command, *mode, "--param", f"{key}={value}", "--format", fmt]
+                        args = [command, *_mode_args(command, mode), *extra,
+                                "--param", f"{key}={value}", "--format", fmt]
                         try:
                             result = run_cli(*args, expect=None)
                             assert result.returncode in (0, 2, 3, 4, 5, 6), result.stderr
@@ -550,3 +563,117 @@ class TestInputContract:
                         except Exception as exc:  # collect every fault, not only the first
                             faults.append(f"{' '.join(args)}: {type(exc).__name__}: {exc}")
         assert faults == []
+
+
+class TestModeTable:
+    def test_accepted_keys(self):
+        # (subcommand, mode, key) triples, the picking key counted in each mode
+        triples = [(command, mode, key) for command, modes in cli._MODES.items()
+                   for mode, (_, schema) in modes.items()
+                   for key in [*schema, cli._SUBCOMMANDS[command][1]] if key is not None]
+        assert len(triples) == 64
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["generate", "--param", "model=comb", "--param", "bins=-5",
+              "--param", "points=50"], "unknown parameter 'bins' for 'generate model=comb'"),
+            (["snr", "--param", "mode=table", "--param", "grid=1"],
+             "unknown parameter 'grid' for 'snr mode=table'"),
+            (["fit", "--input", "x.csv", "--param", "model=fwhm", "--param",
+              "gamma_r_ratio=0.7"], "unknown parameter 'gamma_r_ratio' for 'fit model=fwhm'"),
+            (["g2", "--param", "bins=1000"], "unknown parameter 'bins' for 'g2 mc=0'"),
+            (["g2", "--param", "mc=1", "--param", "zeta=2", "--param", "g2_in=3"],
+             "unknown parameter 'g2_in' for 'g2 mc=1'"),
+            (["generate", "--param", "model=fwhm", "--param", "noise=poisson"],
+             "noise must be gauss for this model, got 'poisson'"),
+            (["g2", "--param", "mc=-1"], "g2 takes --param mc=0|1, got mc=-1"),
+        ],
+        ids=["comb_bins", "snr_table_grid", "fit_fwhm_gamma_r", "g2_analytic_bins",
+             "g2_mc_g2_in", "fwhm_poisson", "mc_negative"],
+    )
+    def test_key_the_mode_does_not_read_is_usage_error(self, args, message):
+        result = run_cli(*args, expect=2)
+        assert message in result.stderr
+        assert result.stdout == ""
+        if "unknown parameter" in message:
+            command, picked = message.split("'")[3].split()
+            _, schema = cli._MODES[command][picked.partition("=")[2]]
+            assert result.stderr.endswith(f"valid: {', '.join(sorted(schema)) or 'none'}\n")
+
+    @pytest.mark.parametrize("mc", ["0", "1", "2", "-1", "01", "true", ""])
+    def test_mc_is_zero_or_one(self, mc):
+        # zeta is a key of both modes; mc=1 runs the Monte Carlo, mc=0 the closed forms
+        result = run_cli("g2", "--param", f"mc={mc}", "--param", "zeta=2",
+                         expect=0 if mc in ("0", "1") else 2)
+        if mc in ("0", "1"):
+            assert ("g2" in json.loads(result.stdout)) == (mc == "1")
+        else:
+            assert f"g2 takes --param mc=0|1, got mc={mc}" in result.stderr
+
+    @pytest.mark.parametrize(
+        "model, noise, expect",
+        [("fwhm", "gauss", 0), ("noise", "gauss", 0), ("comb", "poisson", 0),
+         ("fwhm", "poisson", 2), ("noise", "poisson", 2), ("comb", "gauss", 2),
+         ("fwhm", "none", 2), ("comb", "bogus", 2)],
+    )
+    def test_noise_kind_per_model(self, model, noise, expect):
+        result = run_cli("generate", "--param", f"model={model}", "--param", f"noise={noise}",
+                         expect=expect)
+        assert (result.stdout.count("# noise = ") == 1) if expect == 0 else (
+            "noise must be" in result.stderr)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["fit", "--input", "x.csv"], "fit takes --param model=fwhm|noise, got none"),
+         (["generate"], "generate takes --param model=fwhm|noise|comb|coincidence, got none"),
+         (["generate", "--param", "model=warp"], ", got model=warp"),
+         (["snr", "--param", "mode=bogus"],
+          "snr takes --param mode=curves|table|min-finesse, got mode=bogus")],
+    )
+    def test_missing_or_unknown_mode_is_usage_error(self, args, message):
+        assert message in run_cli(*args, expect=2).stderr
+
+    def test_generate_help_names_every_key(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")  # narrower, argparse splits long keys
+        text = run_cli("generate", "--help").stdout
+        for mode, (_, schema) in cli._MODES["generate"].items():
+            assert f"model={mode}" in text
+            for key in schema:
+                assert key in text, (mode, key)
+
+    def test_every_subcommand_has_a_help_line(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        # argparse wraps the lines at spaces and after hyphens
+        text = " ".join(run_cli("--help").stdout.split()).replace("- ", "-")
+        for command, (line, _, _) in cli._SUBCOMMANDS.items():
+            assert f"{command} {line}" in text
+
+
+class TestGenerateProvenance:
+    @pytest.mark.parametrize(
+        "args",
+        [["--param", "model=fwhm", "--param", "noise=gauss"],
+         ["--param", "model=noise"],
+         ["--param", "model=comb", "--param", "noise=poisson"],
+         ["--param", "model=coincidence", "--param", "bins=20000", "--param", "zeta=2"]],
+        ids=["fwhm", "noise", "comb", "coincidence"],
+    )
+    def test_json_numbers_match_csv_lines(self, args):
+        from cavityqfc.dataio import fmt
+
+        provenance = json.loads(run_cli("generate", *args, "--format", "json").stdout)["provenance"]
+        lines = [line[2:].split(" = ", 1)
+                 for line in run_cli("generate", *args).stdout.splitlines()
+                 if line.startswith("# ")]
+        assert sorted(key for key, _ in lines) == sorted(provenance)
+        numeric = 0
+        for key, text in lines:
+            value = provenance[key]
+            if key in ("command", "model", "noise"):
+                assert value == text
+            else:
+                assert isinstance(value, (int, float)) and not isinstance(value, bool), key
+                assert fmt(value) == text, key
+                numeric += 1
+        assert numeric >= 3
