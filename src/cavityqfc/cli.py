@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -94,6 +94,13 @@ def _parse_params(command: str, pairs: list[str]):
             raise UsageError(f"cannot parse --param {pair!r}") from None
         if schema[key] in (float, _floats) and not np.all(np.isfinite(params[key])):
             raise ValueError(f"--param {key} must be finite, got {value!r}")
+    for key, needed in _NEEDS.items():
+        if key in params and needed not in params:
+            raise UsageError(f"--param {key} is read only with --param {needed} "
+                             f"for {where!r}")
+    if "nu" in params and "zeta" in params:
+        raise UsageError(f"--param nu and --param zeta both set the noise rate for {where!r}; "
+                         "give one")
     return handler, params
 
 
@@ -431,6 +438,9 @@ _SCAN = {"points": int, "pmax_mW": float, "noise": _noise("gauss"), "noise_frac"
 _MONTE_CARLO = {"mu": float, "eta_herald": float, "eta_signal": float, "nu": float,
                 "zeta": float, "bins": int, "span_bins": int, "resolution_ns": float}
 
+# a key that its handler reads only when another key is given
+_NEEDS = {"noise_frac": "noise", "target_mean": "noise", "enhancement": "zeta"}
+
 # subcommand: {mode: (handler, {each --param key the handler reads: its parser})}
 _MODES: dict[str, dict] = {
     "model": {None: (cmd_model, {"powers": _floats, "span_MHz": float, "samples": int})},
@@ -479,6 +489,7 @@ def _param_help(pick, default, modes: dict) -> str:
         + (", ".join(schema) or "no other key") for mode, (_, schema) in modes.items())
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityqfc",
@@ -499,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("model", "fit", "generate"):
             p.add_argument("--preset", choices=sorted(PRESETS), default=DEFAULT_PRESET)
         if pick is not None or _MODES[name][None][1]:
-            p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
+            p.add_argument("--param", action="append", metavar="KEY=VALUE",
                            help=_param_help(pick, default, _MODES[name]))
     return parser
 
@@ -508,7 +519,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        handler, params = _parse_params(args.command, vars(args).get("param", []))
+        handler, params = _parse_params(args.command, vars(args).get("param") or [])
         payload, csv, provenance = handler(args, params)
         write_text(args.output, _render(args.format, payload, csv, provenance))
         return EXIT_OK

@@ -6,8 +6,10 @@ header row, ``.`` decimal separator, units embedded in the column names
 Each column is written by one rule chosen from its dtype: ``%.12g`` for
 floats, ``%d`` for integers, ``true``/``false`` for booleans; finiteness is
 checked once per column. JSON arrays are written as the ``repr`` of each
-element as a float, so integer arrays appear as ``1.0``. Identical inputs
-produce byte-identical files.
+element as a float, so integer arrays appear as ``1.0``. Both formats
+format each distinct value of a column once, keyed by its bit pattern, and
+repeat the text where the value recurs; the bytes are those of formatting
+every element. Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import json
 import math
 import re
 import sys
-from itertools import chain
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +70,22 @@ _CSV_SPEC = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%s"}
 _ARRAY_SLOT = re.compile(r'^(( *).*)"\\u0000(\d+)"(?=,?$)', re.MULTILINE)
 
 
+def _format_once(a: np.ndarray, to_text) -> tuple[str, ...] | None:
+    """``to_text`` of each element of the 1-D array ``a``, called once per
+    distinct bit pattern, so ``-0.0`` and ``0.0`` stay apart; ``None`` when no
+    element repeats (or the floats are wider than any unsigned integer)."""
+    if a.dtype.kind == "f" and a.itemsize > 8:
+        return None
+    keys = a.view(f"u{a.itemsize}") if a.dtype.kind == "f" else a
+    ordered = np.sort(keys)  # a cheaper test for repeats than np.unique_inverse
+    if (ordered[1:] != ordered[:-1]).all():
+        return None
+    distinct, inverse = np.unique_inverse(keys)
+    texts = list(map(to_text, distinct.view(a.dtype).tolist()))
+    # a repeat means at least two elements, so itemgetter returns a tuple
+    return itemgetter(*inverse.tolist())(texts)
+
+
 def render_csv(columns: list[tuple[str, np.ndarray]], provenance: dict | None = None) -> str:
     """Render named columns with ``#`` provenance lines and a header row.
 
@@ -78,19 +97,51 @@ def render_csv(columns: list[tuple[str, np.ndarray]], provenance: dict | None = 
     arrays = [np.asarray(col) for _, col in columns]
     if any(len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("all columns must have equal length")
-    cells, bad = [], []
+    cells, specs, bad = [], [], []
     for j, a in enumerate(arrays):
         if a.dtype.kind not in _CSV_SPEC:
             raise TypeError(f"cannot write a column of dtype {a.dtype} as CSV")
         if a.dtype.kind == "f" and not np.isfinite(a).all():
             bad.append((int(np.argmin(np.isfinite(a))), j))
-        cells.append(np.where(a, "true", "false").tolist() if a.dtype.kind == "b" else a.tolist())
+        spec = _CSV_SPEC[a.dtype.kind]
+        texts = (np.where(a, "true", "false").tolist() if a.dtype.kind == "b"
+                 else _format_once(a, spec.__mod__))
+        # a column with no repeated value keeps its spec in the row format, so
+        # it is formatted in the pass that builds the rows, not a pass of its own
+        cells.append(a.tolist() if texts is None else texts)
+        specs.append(spec if texts is None else "%s")
     if bad:
         row, j = min(bad)
         raise NumericFailure(f"result is not a finite number: {float(arrays[j][row])!r}")
-    row_format = ",".join(_CSV_SPEC[a.dtype.kind] for a in arrays)
+    row_format = ",".join(specs)
     lines.extend(map(row_format.__mod__, zip(*cells)))
     return "\n".join(lines) + "\n"
+
+
+def _stash(obj, arrays: list):
+    """``obj`` with numpy scalars made Python numbers and each 1-D array made a
+    placeholder string; the array's element texts are appended to ``arrays``.
+
+    A module function, not a closure that calls itself: such a closure is a
+    reference cycle, which would keep ``arrays`` alive until the next
+    garbage collection."""
+    if isinstance(obj, dict):
+        return {key: _stash(value, arrays) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_stash(value, arrays) for value in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if not isinstance(obj, np.ndarray):
+        return obj
+    if obj.ndim != 1 or obj.dtype.kind not in _CSV_SPEC:
+        raise TypeError(f"cannot write a {obj.ndim}-D {obj.dtype} array as JSON")
+    values = obj.astype(float)
+    if not np.isfinite(values).all():
+        # json.dumps then rejects the first bad value where it sits
+        return float(values[np.argmin(np.isfinite(values))])
+    texts = _format_once(values, float.__repr__)
+    arrays.append(map(float.__repr__, values.tolist()) if texts is None else texts)
+    return f"\0{len(arrays) - 1}" if values.size else []
 
 
 def render_json(payload: dict) -> str:
@@ -99,35 +150,17 @@ def render_json(payload: dict) -> str:
     Output is strict JSON (RFC 8259): a NaN or infinite value raises
     :class:`~cavityqfc.errors.NumericFailure` instead of printing ``NaN``.
     """
-    arrays: list[list[float]] = []
-
-    def stash(obj):
-        if isinstance(obj, dict):
-            return {key: stash(value) for key, value in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [stash(value) for value in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        if not isinstance(obj, np.ndarray):
-            return obj
-        if obj.ndim != 1 or obj.dtype.kind not in _CSV_SPEC:
-            raise TypeError(f"cannot write a {obj.ndim}-D {obj.dtype} array as JSON")
-        values = obj.astype(float)
-        if not np.isfinite(values).all():
-            # json.dumps then rejects the first bad value where it sits
-            return float(values[np.argmin(np.isfinite(values))])
-        arrays.append(values.tolist())
-        return f"\0{len(arrays) - 1}" if values.size else []
+    arrays: list = []
 
     def expand(slot: re.Match) -> str:
-        line, indent, values = slot[1], slot[2], arrays[int(slot[3])]
-        items = f",\n  {indent}".join(map(float.__repr__, values))
+        line, indent, texts = slot[1], slot[2], arrays[int(slot[3])]
+        items = f",\n  {indent}".join(texts)
         return f"{line}[\n  {indent}{items}\n{indent}]"
 
     body = {"schema_version": SCHEMA_VERSION}
     body.update(payload)
     try:
-        text = json.dumps(stash(body), sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(_stash(body, arrays), sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NumericFailure(f"result is not valid JSON: {exc}") from None
     return _ARRAY_SLOT.sub(expand, text) + "\n"
@@ -148,45 +181,41 @@ def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
 
     Returns the series (third column, when present, is the per-point
     standard deviation) and the provenance key/value pairs from the ``#``
-    lines.
+    lines.  Blank and ``#`` lines may stand anywhere.  The data block is
+    parsed in one pass; only a faulty file is walked again, to name the line.
     """
-    raw = Path(path).read_text(encoding="utf-8")
+    texts = list(map(str.strip, Path(path).read_text(encoding="utf-8").splitlines()))
     provenance: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+    for text in texts:
+        if text[:1] == "#":
+            key, sep, value = text.lstrip("#").strip().partition("=")
+            if sep:
                 provenance[key.strip()] = value.strip()
-            continue
-        fields = stripped.split(",")
-        if header is None:
-            header = [f.strip() for f in fields]
-            if len(header) < 2:
-                raise ParseError("need at least two columns", lineno)
-            continue
-        if len(fields) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(fields)}", lineno
-            )
-        rows.append((lineno, fields))
-    if header is None or not rows:
+    # the 0-based index of the header line and of each data row
+    kept = [i for i, text in enumerate(texts) if text and text[0] != "#"]
+    if not kept:
         raise ParseError(f"{path}: no data rows")
+    header_at, *row_at = kept
+    header = [f.strip() for f in texts[header_at].split(",")]
+    if len(header) < 2:
+        raise ParseError("need at least two columns", header_at + 1)
+    if not row_at:
+        raise ParseError(f"{path}: no data rows")
+    rows = [texts[i] for i in row_at]
+    commas = list(map(str.count, rows, repeat(",")))
+    if commas.count(len(header) - 1) != len(rows):
+        k = next(k for k, n in enumerate(commas) if n != len(header) - 1)
+        raise ParseError(f"expected {len(header)} fields, got {commas[k] + 1}", row_at[k] + 1)
     try:
         # float() ignores the whitespace around a field, as str.strip() does
-        flat = list(map(float, chain.from_iterable(fields for _, fields in rows)))
+        flat = list(map(float, ",".join(rows).split(",")))
     except ValueError:
-        for lineno, fields in rows:
+        for k, row in enumerate(rows):
             try:
-                list(map(float, fields))
+                list(map(float, row.split(",")))
             except ValueError:
-                fields = [f.strip() for f in fields]
-                raise ParseError(f"non-numeric value in {fields!r}", lineno) from None
+                fields = [f.strip() for f in row.split(",")]
+                raise ParseError(f"non-numeric value in {fields!r}", row_at[k] + 1) from None
         raise
     data = np.array(flat).reshape(len(rows), len(header))
     unit = _abscissa_unit(header[0])
@@ -194,16 +223,15 @@ def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
     # ScanSeries checks the same rules but knows no line numbers
     nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if nonfinite.size:
-        lineno, fields = rows[nonfinite[0]]
-        fields = [f.strip() for f in fields]
-        raise ParseError(f"values must be finite, got {fields!r}", lineno)
+        k = nonfinite[0]
+        fields = [f.strip() for f in rows[k].split(",")]
+        raise ParseError(f"values must be finite, got {fields!r}", row_at[k] + 1)
     falling = np.flatnonzero(np.diff(data[:, 0]) <= 0)
     if falling.size:
-        (_, before), (lineno, fields) = rows[falling[0]], rows[falling[0] + 1]
+        k = falling[0] + 1
+        before, after = (rows[j].split(",")[0].strip() for j in (k - 1, k))
         raise ParseError(
-            f"abscissa must be strictly increasing, got {fields[0].strip()} "
-            f"after {before[0].strip()}",
-            lineno,
+            f"abscissa must be strictly increasing, got {after} after {before}", row_at[k] + 1
         )
     try:
         series = ScanSeries(data[:, 0], data[:, 1], sigma, unit)

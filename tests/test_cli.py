@@ -71,6 +71,28 @@ class TestEntryPoint:
         assert result.stdout if expect == 0 else result.stderr
 
 
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_call_sees_nothing_of_the_one_before(self):
+        # every run_cli call parses with the same parser, so the later calls
+        # must read only their own --param list and the default --seed
+        first = run_cli("generate", "--param", "model=comb", "--param", "step_nm=0.5",
+                        "--param", "noise=poisson", "--seed", "7")
+        assert "# seed = 7" in first.stdout
+        mc = json.loads(run_cli("g2", "--param", "mc=1", "--param", "bins=20000").stdout)
+        assert mc["seed"] == cli.DEFAULT_SEED
+        second = run_cli("generate", "--param", "model=fwhm")
+        assert second.stdout == run_module("generate", "--param", "model=fwhm").stdout
+        assert "# seed = 1234" in second.stdout
+        assert run_cli("design").stdout == run_module("design").stdout
+        parser = cli.build_parser()
+        assert parser.parse_args(["generate", "--param", "model=comb"]).param == ["model=comb"]
+        again = parser.parse_args(["generate"])
+        assert again.param is None and again.seed == cli.DEFAULT_SEED
+
+
 class TestImportCost:
     def test_no_scipy_module_is_loaded(self):
         code = textwrap.dedent("""
@@ -516,6 +538,7 @@ _SWEEP_EXTRA = {
     ("generate", "noise"): ["--param", "noise=gauss"],
     ("generate", "comb"): ["--param", "noise=poisson"],
     ("generate", "coincidence"): ["--param", "bins=20000"],
+    ("g2", "0"): ["--param", "zeta=2"],
     ("g2", "1"): ["--param", "bins=20000"],
 }
 _SWEEP_VALUES = {float: ["0", "-1", "1e-300", "1e300"],
@@ -600,6 +623,44 @@ class TestModeTable:
             command, picked = message.split("'")[3].split()
             _, schema = cli._MODES[command][picked.partition("=")[2]]
             assert result.stderr.endswith(f"valid: {', '.join(sorted(schema)) or 'none'}\n")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["generate", "--param", "model=fwhm", "--param", "noise_frac=-1"],
+             "--param noise_frac is read only with --param noise for 'generate model=fwhm'"),
+            (["generate", "--param", "model=noise", "--param", "noise_frac=0.1"],
+             "--param noise_frac is read only with --param noise for 'generate model=noise'"),
+            (["generate", "--param", "model=comb", "--param", "target_mean=-5"],
+             "--param target_mean is read only with --param noise for 'generate model=comb'"),
+            (["g2", "--param", "enhancement=-18"],
+             "--param enhancement is read only with --param zeta for 'g2 mc=0'"),
+            (["generate", "--param", "model=coincidence", "--param", "bins=20000",
+              "--param", "nu=0.01", "--param", "zeta=-3"],
+             "--param nu and --param zeta both set the noise rate for 'generate model=coincidence'"),
+            (["g2", "--param", "mc=1", "--param", "bins=20000", "--param", "zeta=2",
+              "--param", "nu=0.01"],
+             "--param nu and --param zeta both set the noise rate for 'g2 mc=1'"),
+        ],
+        ids=["fwhm_noise_frac", "noise_noise_frac", "comb_target_mean", "g2_enhancement",
+             "coincidence_nu_zeta", "g2_mc_nu_zeta"],
+    )
+    def test_key_the_other_keys_leave_unread_is_usage_error(self, args, message):
+        result = run_cli(*args, expect=2)
+        assert message in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["generate", "--param", "model=fwhm", "--param", "noise=gauss", "--param", "noise_frac=0.1"],
+         ["generate", "--param", "model=comb", "--param", "noise=poisson",
+          "--param", "target_mean=5"],
+         ["g2", "--param", "zeta=2", "--param", "enhancement=18"],
+         ["generate", "--param", "model=coincidence", "--param", "bins=20000", "--param", "nu=0.01"]],
+        ids=["fwhm_noise_frac", "comb_target_mean", "g2_enhancement", "coincidence_nu"],
+    )
+    def test_key_with_the_key_it_needs_runs(self, args):
+        run_cli(*args)
 
     @pytest.mark.parametrize("mc", ["0", "1", "2", "-1", "01", "true", ""])
     def test_mc_is_zero_or_one(self, mc):

@@ -49,15 +49,30 @@ _ELEMENTS = {
     "uint64": st.integers(0, 2**64 - 1),
     "int8": st.integers(-128, 127),
     "bool": st.booleans(),
+    "longdouble": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+# small pools, so that a column drawn from one repeats its values
+_POOLS = {
+    "float64": [0.0, -0.0, 5e-324, -5e-324, 0.1, -2.5, 1e16],
+    "float32": [0.0, -0.0, 1e-45, 0.1, -2.5],
+    "int64": [0, -1, 7, 2**63 - 1],
+    "uint64": [0, 1, 2**64 - 1],
+    "int8": [-128, 0, 127],
+    "bool": [True, False],
+    "longdouble": [0.0, -0.0, 5e-324, 0.1],
 }
 
 
 def columns_of(n):
-    """One 1-D array of ``n`` elements of any dtype the renderers write."""
-    return st.sampled_from(sorted(_ELEMENTS)).flatmap(
-        lambda dtype: st.lists(_ELEMENTS[dtype], min_size=n, max_size=n).map(
-            lambda values: np.array(values, dtype=dtype)
-        )
+    """One 1-D array of ``n`` elements of any dtype the renderers write, drawn
+    freely or from the dtype's small pool."""
+    return st.tuples(st.sampled_from(sorted(_ELEMENTS)), st.booleans()).flatmap(
+        lambda pick: st.lists(
+            st.sampled_from(_POOLS[pick[0]]) if pick[1] else _ELEMENTS[pick[0]],
+            min_size=n, max_size=n,
+        ).map(lambda values: np.array(values, dtype=pick[0]))
     )
 
 
@@ -113,6 +128,16 @@ def test_render_json_writes_nested_arrays_like_the_reference():
     assert render_json(payload) == reference_render_json(payload)
 
 
+def test_signed_zeros_repeat_with_their_signs():
+    zeros = np.array([0.0, -0.0, 0.0, -0.0])
+    columns = [("z", zeros), ("n", np.arange(4) % 2)]
+    csv_text, json_text = render_csv(columns), render_json({"z": zeros})
+    assert csv_text == reference_render_csv(columns)
+    assert json_text == reference_render_json({"z": zeros})
+    assert csv_text.splitlines()[1:] == ["0,0", "-0,1", "0,0", "-0,1"]
+    assert np.signbit(json.loads(json_text)["z"]).tolist() == [False, True, False, True]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("row, col", [(0, 0), (3, 1), (5, 2)])
 def test_render_csv_rejects_nonfinite_like_the_reference(bad, row, col):
@@ -166,6 +191,24 @@ def test_read_scan_csv_reports_the_bad_line_deep_in_a_file(tmp_path, bad_line, m
         read_scan_csv(str(path))
     assert raised.value.line == 1501
     assert str(raised.value).startswith("line 1501: ")
+
+
+def test_read_scan_csv_skips_comment_and_blank_lines_among_the_rows(tmp_path):
+    plain, mixed = tmp_path / "plain.csv", tmp_path / "mixed.csv"
+    lines = _scan_lines(40)
+    plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines[20:20] = ["# pump realigned", "", "  ", "  # again"]
+    mixed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    series, provenance = read_scan_csv(str(mixed))
+    want, want_provenance = read_scan_csv(str(plain))
+    assert provenance == want_provenance == {"command": "test"}
+    assert np.array_equal(series.abscissa, want.abscissa)
+    assert np.array_equal(series.values, want.values)
+    lines.insert(30, "7, abc")
+    mixed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape("non-numeric value in ['7', 'abc']")) as raised:
+        read_scan_csv(str(mixed))
+    assert raised.value.line == 31
 
 
 _WORD = st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=12)
