@@ -81,26 +81,31 @@ def _parse_params(command: str, pairs: list[str]):
         raise UsageError(f"{command} takes --param {pick}={'|'.join(modes)}, got {got}")
     handler, schema = modes[mode]
     where = command if pick is None else f"{command} {pick}={mode}"
-    params: dict = {} if pick is None else {pick: mode}
-    for key, value, pair in items:
-        if key == pick:
-            continue
+    items = [item for item in items if item[0] != pick]
+    # checked in phases, so the exit code does not depend on the pairs' order
+    for key, _, _ in items:
         if key not in schema:
             raise UsageError(f"unknown parameter {key!r} for {where!r}; "
                              f"valid: {', '.join(sorted(schema)) or 'none'}")
-        try:
-            params[key] = schema[key](value)
-        except ValueError:
-            raise UsageError(f"cannot parse --param {pair!r}") from None
-        if schema[key] in (float, _floats) and not np.all(np.isfinite(params[key])):
-            raise ValueError(f"--param {key} must be finite, got {value!r}")
+    given = {key for key, _, _ in items}
     for key, needed in _NEEDS.items():
-        if key in params and needed not in params:
+        if key in given and needed not in given:
             raise UsageError(f"--param {key} is read only with --param {needed} "
                              f"for {where!r}")
-    if "nu" in params and "zeta" in params:
+    if {"nu", "zeta"} <= given:
         raise UsageError(f"--param nu and --param zeta both set the noise rate for {where!r}; "
                          "give one")
+    parsed = []
+    for key, value, pair in items:
+        try:
+            parsed.append((key, value, schema[key](value)))
+        except ValueError:
+            raise UsageError(f"cannot parse --param {pair!r}") from None
+    for key, value, number in parsed:
+        if schema[key] in (float, _floats) and not np.all(np.isfinite(number)):
+            raise ValueError(f"--param {key} must be finite, got {value!r}")
+    params: dict = {} if pick is None else {pick: mode}
+    params.update((key, number) for key, _, number in parsed)  # the last of a key wins
     return handler, params
 
 
@@ -207,8 +212,9 @@ def _fit_result(args, params, result, names: list):
 def cmd_snr_curves(args, params):
     finesses = params.get("finesse", [8.0 / np.pi, 25.0])
     grid = params.get("grid", 256)
-    curves = [snr.normalized_snr_curves(F, grid)[0] for F in finesses]
-    curves.append(snr.normalized_snr_curves(finesses[0], grid)[1])
+    pairs = [snr.normalized_snr_curves(F, grid) for F in finesses]
+    # the no-cavity curve does not depend on the finesse
+    curves = [cavity for cavity, _ in pairs] + [pairs[0][1]]
     payload = {"curves": [
         {"label": c.label, "efficiencies": c.efficiencies, "snr": c.snr_values}
         for c in curves

@@ -176,13 +176,27 @@ def _abscissa_unit(column_name: str) -> str:
     )
 
 
+def _numbers(text: str) -> list[float]:
+    """The comma-separated numbers of ``text``.  ``float`` ignores the
+    whitespace around each, as ``str.strip`` does, but would also read ``1_0``
+    and non-ASCII digits, which no file that ``render_csv`` writes holds."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("underscore or non-ASCII character")
+    return list(map(float, text.split(",")))
+
+
+def _fields(row: str) -> list[str]:
+    return [f.strip() for f in row.split(",")]
+
+
 def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
     """Read a two- or three-column scan file.
 
     Returns the series (third column, when present, is the per-point
     standard deviation) and the provenance key/value pairs from the ``#``
-    lines.  Blank and ``#`` lines may stand anywhere.  The data block is
-    parsed in one pass; only a faulty file is walked again, to name the line.
+    lines.  Blank and ``#`` lines may stand anywhere.  Data rows hold ASCII
+    text without ``_``.  The data block is parsed in one pass; only a faulty
+    file is walked again, to name the line.
     """
     texts = list(map(str.strip, Path(path).read_text(encoding="utf-8").splitlines()))
     provenance: dict[str, str] = {}
@@ -196,7 +210,7 @@ def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
     if not kept:
         raise ParseError(f"{path}: no data rows")
     header_at, *row_at = kept
-    header = [f.strip() for f in texts[header_at].split(",")]
+    header = _fields(texts[header_at])
     if len(header) < 2:
         raise ParseError("need at least two columns", header_at + 1)
     if not row_at:
@@ -207,34 +221,31 @@ def read_scan_csv(path: str) -> tuple[ScanSeries, dict[str, str]]:
         k = next(k for k, n in enumerate(commas) if n != len(header) - 1)
         raise ParseError(f"expected {len(header)} fields, got {commas[k] + 1}", row_at[k] + 1)
     try:
-        # float() ignores the whitespace around a field, as str.strip() does
-        flat = list(map(float, ",".join(rows).split(",")))
+        flat = _numbers(",".join(rows))
     except ValueError:
         for k, row in enumerate(rows):
             try:
-                list(map(float, row.split(",")))
+                _numbers(row)
             except ValueError:
-                fields = [f.strip() for f in row.split(",")]
-                raise ParseError(f"non-numeric value in {fields!r}", row_at[k] + 1) from None
+                raise ParseError(f"non-numeric value in {_fields(row)!r}", row_at[k] + 1) from None
         raise
     data = np.array(flat).reshape(len(rows), len(header))
     unit = _abscissa_unit(header[0])
     sigma = data[:, 2] if data.shape[1] >= 3 else None
-    # ScanSeries checks the same rules but knows no line numbers
+    # the rules of ScanSeries, checked here to name the first faulty line
     nonfinite = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if nonfinite.size:
         k = nonfinite[0]
-        fields = [f.strip() for f in rows[k].split(",")]
-        raise ParseError(f"values must be finite, got {fields!r}", row_at[k] + 1)
+        raise ParseError(f"values must be finite, got {_fields(rows[k])!r}", row_at[k] + 1)
     falling = np.flatnonzero(np.diff(data[:, 0]) <= 0)
     if falling.size:
         k = falling[0] + 1
-        before, after = (rows[j].split(",")[0].strip() for j in (k - 1, k))
+        before, after = (_fields(rows[j])[0] for j in (k - 1, k))
         raise ParseError(
             f"abscissa must be strictly increasing, got {after} after {before}", row_at[k] + 1
         )
-    try:
-        series = ScanSeries(data[:, 0], data[:, 1], sigma, unit)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    return series, provenance
+    nonpositive = np.flatnonzero(data[:, 2:3] <= 0)  # empty without a sigma column
+    if nonpositive.size:
+        k = nonpositive[0]
+        raise ParseError(f"sigma must be positive, got {_fields(rows[k])!r}", row_at[k] + 1)
+    return ScanSeries(data[:, 0], data[:, 1], sigma, unit), provenance

@@ -6,6 +6,9 @@ that callers, and in particular the command-line front end, need to tell
 apart.
 """
 
+__all__ = ["WorkbenchError", "ParseError", "NumericFailure", "SingularFit", "ShapeError",
+           "SamplingError", "NoPeriodicity", "CoverageError"]
+
 
 class WorkbenchError(Exception):
     """Base class for toolkit-specific failures."""

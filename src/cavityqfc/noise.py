@@ -53,16 +53,14 @@ class NoiseParams:
         Cavity extraction ratio shared with the conversion model.
     alpha_tilde_per_mW : float
         Pump coupling coefficient shared with the conversion model (1/mW).
-    beta_tilde : float, optional
-        Intracavity phonon-SFG coupling coefficient in counts/(s mW GHz).
-        Required only by the spectral-density operations; build the value
-        from a cavity with :meth:`from_cavity`.
+
+    The comb coupling ``beta_tilde`` is not a field: the spectral-density
+    operations derive it from ``alpha_noise`` and the cavity linewidth.
     """
 
     alpha_noise_cps_per_mW: float
     gamma_r_ratio: float
     alpha_tilde_per_mW: float
-    beta_tilde: float | None = None
 
     def __post_init__(self):
         _require_finite(self)
@@ -72,8 +70,6 @@ class NoiseParams:
             raise ValueError("gamma_r_ratio must lie in [0, 1]")
         if self.alpha_tilde_per_mW < 0:
             raise ValueError("alpha_tilde_per_mW must be non-negative")
-        if self.beta_tilde is not None and self.beta_tilde < 0:
-            raise ValueError("beta_tilde must be non-negative")
 
     @classmethod
     def from_cavity(
@@ -82,23 +78,8 @@ class NoiseParams:
         alpha_noise_cps_per_mW: float,
         alpha_tilde_per_mW: float,
     ) -> "NoiseParams":
-        """Build parameters with ``beta_tilde`` fixed by the cavity.
-
-        The cold cavity enhances the phonon sum-frequency generation so
-        that ``beta_tilde = F_cold * alpha_noise / (4*pi*FSR)``.
-        """
-        beta = beta_tilde_from(cav.finesse, alpha_noise_cps_per_mW, cav.fsr_MHz * 1e-3)
-        return cls(
-            alpha_noise_cps_per_mW=alpha_noise_cps_per_mW,
-            gamma_r_ratio=cav.gamma_r_ratio,
-            alpha_tilde_per_mW=alpha_tilde_per_mW,
-            beta_tilde=beta,
-        )
-
-    def _require_beta(self) -> float:
-        if self.beta_tilde is None:
-            raise ValueError("beta_tilde is unset; construct via NoiseParams.from_cavity")
-        return self.beta_tilde
+        """Build parameters with the extraction ratio of ``cav``."""
+        return cls(alpha_noise_cps_per_mW, cav.gamma_r_ratio, alpha_tilde_per_mW)
 
 
 @dataclass(frozen=True)
@@ -125,6 +106,13 @@ def _pump_power(power_mW) -> np.ndarray:
     return power
 
 
+def _beta_tilde(noise: NoiseParams, gamma_all_MHz: float) -> float:
+    """Comb coupling of a cavity of linewidth ``gamma_all`` in counts/(s mW GHz)."""
+    if not 0.0 < gamma_all_MHz < np.inf:
+        raise ValueError("gamma_all_MHz must be positive and finite")
+    return noise.alpha_noise_cps_per_mW / (4.0 * np.pi * gamma_all_MHz * 1e-3)
+
+
 def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MHz: float):
     """AS spectral density of a single cavity resonance (counts/s/GHz).
 
@@ -133,10 +121,13 @@ def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MH
 
         S(d) = gamma_r_ratio * beta_tilde * P / ((1 + alpha_tilde*P)^2/4 + d^2)
 
-    Power and detuning broadcast against each other; scalars give a float.
+    The comb coupling ``beta_tilde = F * alpha_noise / (4*pi*FSR)`` of
+    :func:`beta_tilde_from` is ``alpha_noise / (4*pi*gamma_all)`` because
+    ``F = FSR / gamma_all``.  Power and detuning broadcast against each
+    other; scalars give a float.
     """
     power = _pump_power(power_mW)
-    beta = noise._require_beta()
+    beta = _beta_tilde(noise, gamma_all_MHz)
     d = np.asarray(detuning_MHz, dtype=float) / gamma_all_MHz
     coupling = noise.alpha_tilde_per_mW * power
     out = noise.gamma_r_ratio * beta * power / (0.25 * (1.0 + coupling) ** 2 + d * d)
@@ -152,7 +143,7 @@ def as_total_rate(noise: NoiseParams, power_mW, gamma_all_MHz: float):
     a scalar gives a float.
     """
     power = _pump_power(power_mW)
-    beta = noise._require_beta()
+    beta = _beta_tilde(noise, gamma_all_MHz)
     coupling = noise.alpha_tilde_per_mW * power
     gamma_all_GHz = gamma_all_MHz * 1e-3
     out = 2.0 * np.pi * noise.gamma_r_ratio * gamma_all_GHz * beta * power / (1.0 + coupling)

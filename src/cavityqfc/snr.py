@@ -16,7 +16,7 @@ a cold finesse of at least ``8/pi`` keeps it on top everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +65,11 @@ class DesignReport:
     fsr_GHz: float
     bpf_GHz: float
     suppression_factor: float
-    over_tenfold: bool
-    threshold: float = field(default=10.0)
+    threshold: float = 10.0
+
+    @property
+    def over_tenfold(self) -> bool:
+        return bool(self.suppression_factor > self.threshold)
 
 
 def _sinc(x):
@@ -231,10 +234,4 @@ def nv_design_report(
     """
     bpf_GHz = bandwidth_nm_to_GHz(bpf_nm, center_nm)
     factor = spdc_antiresonant_suppression(F, fsr_GHz, bpf_GHz)
-    return DesignReport(
-        finesse=F,
-        fsr_GHz=fsr_GHz,
-        bpf_GHz=bpf_GHz,
-        suppression_factor=factor,
-        over_tenfold=bool(factor > 10.0),
-    )
+    return DesignReport(finesse=F, fsr_GHz=fsr_GHz, bpf_GHz=bpf_GHz, suppression_factor=factor)

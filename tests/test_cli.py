@@ -9,6 +9,7 @@ loaded, not even by the nonlinear fits, and that no thread pool is imported.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -255,6 +256,18 @@ class TestSnrCommand:
         assert f25["snr"][0] == pytest.approx(25 * np.pi / 2, rel=1e-9)
         assert f25["snr"][-1] == pytest.approx(25 * np.pi / 8, rel=1e-9)
         assert payload["curves"][2]["snr"][-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_curves_compute_each_finesse_once(self, monkeypatch):
+        calls = []
+
+        def counted(F, grid_size):
+            calls.append(F)
+            return curves(F, grid_size)
+
+        curves = cli.snr.normalized_snr_curves
+        monkeypatch.setattr(cli.snr, "normalized_snr_curves", counted)
+        run_cli("snr", "--param", "mode=curves", "--param", "finesse=2.546,25")
+        assert calls == [2.546, 25.0]
 
 
 class TestG2Command:
@@ -661,6 +674,34 @@ class TestModeTable:
     )
     def test_key_with_the_key_it_needs_runs(self, args):
         run_cli(*args)
+
+    @pytest.mark.parametrize(
+        "command, pairs, expect, message",
+        [
+            # unknown key, then finite: the unknown key wins in every order
+            ("generate", ["model=fwhm", "noise_frac=nan", "bogus=1"], 2,
+             "unknown parameter 'bogus'"),
+            # a key read only with another key, before finiteness
+            ("generate", ["model=fwhm", "noise_frac=nan"], 2,
+             "--param noise_frac is read only with --param noise"),
+            # parsing before finiteness
+            ("snr", ["finesse=nan", "grid=abc"], 2, "cannot parse --param 'grid=abc'"),
+        ],
+        ids=["unknown_before_finite", "needs_before_finite", "parse_before_finite"],
+    )
+    def test_exit_code_does_not_depend_on_the_order_of_the_pairs(
+        self, command, pairs, expect, message
+    ):
+        for order in itertools.permutations(pairs):
+            args = [arg for pair in order for arg in ("--param", pair)]
+            result = run_cli(command, *args, expect=expect)
+            assert message in result.stderr
+
+    def test_duplicate_key_last_wins_and_every_value_is_checked(self):
+        result = run_cli("design", "--param", "finesse=1", "--param", "finesse=45")
+        assert json.loads(result.stdout)["finesse"] == 45.0
+        run_cli("design", "--param", "finesse=nan", "--param", "finesse=45", expect=4)
+        run_cli("design", "--param", "finesse=abc", "--param", "finesse=nan", expect=2)
 
     @pytest.mark.parametrize("mc", ["0", "1", "2", "-1", "01", "true", ""])
     def test_mc_is_zero_or_one(self, mc):

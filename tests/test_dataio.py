@@ -179,6 +179,9 @@ def _scan_lines(n):
     "bad_line, message",
     [("1,2,3", "expected 2 fields, got 3"), ("7", "expected 2 fields, got 1"),
      ("7, abc", "non-numeric value in ['7', 'abc']"), ("nan?,1", "non-numeric"),
+     # float() reads both as numbers; render_csv writes neither
+     ("1_0,1", "non-numeric value in ['1_0', '1']"),
+     ("\u0661,1", "non-numeric value in ['\u0661', '1']"),
      ("nan,1", "values must be finite, got ['nan', '1']"),
      ("0,1", "abscissa must be strictly increasing, got 0 after 1496.5")],
 )
@@ -191,6 +194,18 @@ def test_read_scan_csv_reports_the_bad_line_deep_in_a_file(tmp_path, bad_line, m
         read_scan_csv(str(path))
     assert raised.value.line == 1501
     assert str(raised.value).startswith("line 1501: ")
+
+
+@pytest.mark.parametrize("sigma", ["0", "-0.5", "-0"])
+def test_read_scan_csv_names_the_line_of_a_nonpositive_sigma(tmp_path, sigma):
+    lines = ["x_mW,y,sigma"] + [f"{i}.5,{2 * i},0.1" for i in range(2000)]
+    lines[1500] = f"1499.5,2998,{sigma}"
+    path = tmp_path / "scan.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as raised:
+        read_scan_csv(str(path))
+    message = f"sigma must be positive, got ['1499.5', '2998', '{sigma}']"
+    assert str(raised.value) == f"line 1501: {message}"
 
 
 def test_read_scan_csv_skips_comment_and_blank_lines_among_the_rows(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the anti-Stokes noise model, with quadrature oracles."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from cavityqfc import (
+    PRESETS,
     CavityParams,
     NoiseParams,
     as_spectral_density,
@@ -41,10 +44,14 @@ def quad_total(noise, power, gamma_all_MHz):
 
 class TestSpectralDensity:
     def test_peak_value_without_broadening(self):
-        flat = NoiseParams(230.0, 0.7, 0.0, beta_tilde=260.0)
-        assert as_spectral_density(flat, 2.0, 0.0, 70.4) == pytest.approx(
-            4 * 0.7 * 260.0 * 2.0, rel=1e-14
-        )
+        # the derived coupling is the cold-cavity beta_tilde = F*alpha_noise/(4*pi*FSR)
+        for preset in PRESETS.values():
+            cav, alpha = preset.cavity, preset.alpha_noise_cps_per_mW
+            flat = NoiseParams(alpha, cav.gamma_r_ratio, 0.0)
+            beta = beta_tilde_from(cav.finesse, alpha, cav.fsr_MHz * 1e-3)
+            assert as_spectral_density(flat, 2.0, 0.0, cav.gamma_all_MHz) == pytest.approx(
+                4 * cav.gamma_r_ratio * beta * 2.0, rel=1e-15
+            )
 
     def test_half_width_at_half_maximum(self):
         power = 144.0
@@ -71,10 +78,19 @@ class TestSpectralDensity:
                 noise_cavity_per_fsr(NOISE, power), rel=1e-12
             )
 
-    def test_beta_required(self):
+    def test_beta_derived_from_gamma_all(self):
+        # no cavity is needed to build the parameters: the linewidth argument fixes beta_tilde
         bare = NoiseParams(230.0, 0.7, 1.0 / 144.0)
-        with pytest.raises(ValueError):
-            as_spectral_density(bare, 1.0, 0.0, 70.4)
+        assert bare == NOISE
+        narrow = as_spectral_density(bare, 1.0, 0.0, 35.2)
+        assert narrow == pytest.approx(2.0 * as_spectral_density(bare, 1.0, 0.0, 70.4), rel=1e-15)
+
+    @pytest.mark.parametrize("gamma_all", [0.0, -70.4, np.nan, np.inf])
+    def test_linewidth_must_be_positive_and_finite(self, gamma_all):
+        for law in (lambda: as_spectral_density(NOISE, 1.0, 0.0, gamma_all),
+                    lambda: as_total_rate(NOISE, 1.0, gamma_all)):
+            with pytest.raises(ValueError, match="gamma_all_MHz must be positive and finite"):
+                law()
 
 
 class TestRates:
@@ -330,20 +346,27 @@ class TestNoiseParams:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(
-        "field", ["alpha_noise_cps_per_mW", "gamma_r_ratio", "alpha_tilde_per_mW", "beta_tilde"]
+        "field", ["alpha_noise_cps_per_mW", "gamma_r_ratio", "alpha_tilde_per_mW"]
     )
     def test_nonfinite_field_rejected(self, field, bad):
         valid = dict(alpha_noise_cps_per_mW=230.0, gamma_r_ratio=0.7,
-                     alpha_tilde_per_mW=1.0 / 144.0, beta_tilde=NOISE.beta_tilde)
+                     alpha_tilde_per_mW=1.0 / 144.0)
         NoiseParams(**valid)
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             NoiseParams(**{**valid, field: bad})
 
     def test_from_cavity_consistency(self):
         built = NoiseParams.from_cavity(CAV, 230.0, 1.0 / 144.0)
+        assert built == NoiseParams(230.0, CAV.gamma_r_ratio, 1.0 / 144.0)
+        # the comb coupling the density uses is the one beta_tilde_from gives the cavity
         expected = beta_tilde_from(CAV.finesse, 230.0, CAV.fsr_MHz * 1e-3)
-        assert built.beta_tilde == pytest.approx(expected, rel=1e-9)
-        assert built.gamma_r_ratio == CAV.gamma_r_ratio
+        peak = as_spectral_density(built, 1.0, 0.0, CAV.gamma_all_MHz)
+        assert peak == pytest.approx(4 * CAV.gamma_r_ratio * expected / (1 + 1.0 / 144.0) ** 2,
+                                     rel=1e-15)
+
+    def test_has_three_fields(self):
+        names = [f.name for f in fields(NoiseParams)]
+        assert names == ["alpha_noise_cps_per_mW", "gamma_r_ratio", "alpha_tilde_per_mW"]
 
 
 @given(

@@ -1,9 +1,12 @@
 """Tests for the SNR comparison and design operations."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from cavityqfc import (
+    DesignReport,
     NoiseParams,
     PumpDrive,
     SnrCurve,
@@ -166,6 +169,13 @@ class TestDesignReport:
         report = nv_design_report(1.0, 5.0, 0.03, 1587.0)
         assert report.suppression_factor == pytest.approx(1.0, abs=0.2)
         assert not report.over_tenfold
+
+    def test_over_tenfold_compares_with_the_threshold(self):
+        report = nv_design_report(45.0, 5.0, 0.03, 1587.0)
+        assert report.threshold == 10.0
+        stricter = replace(report, threshold=report.suppression_factor)
+        assert report.over_tenfold and not stricter.over_tenfold
+        assert "over_tenfold" not in {f.name for f in fields(DesignReport)}
 
     def test_wider_window_weaker_suppression(self):
         narrow = nv_design_report(45.0, 5.0, 0.03, 1587.0)
