@@ -75,10 +75,11 @@ def _parse_params(command: str, pairs: list[str]):
             raise UsageError(f"--param expects key=value, got {pair!r}")
         items.append((key.strip(), value.strip(), pair))
     modes = _MODES[command]
-    mode = next((value for key, value, _ in reversed(items) if key == pick), mode)
-    if mode not in modes:
-        got = "none" if mode is None else f"{pick}={mode}"
-        raise UsageError(f"{command} takes --param {pick}={'|'.join(modes)}, got {got}")
+    # every value of the picking key is checked; the last one picks the mode
+    for mode in [value for key, value, _ in items if key == pick] or [mode]:
+        if mode not in modes:
+            got = "none" if mode is None else f"{pick}={mode}"
+            raise UsageError(f"{command} takes --param {pick}={'|'.join(modes)}, got {got}")
     handler, schema = modes[mode]
     where = command if pick is None else f"{command} {pick}={mode}"
     items = [item for item in items if item[0] != pick]

@@ -17,10 +17,12 @@ The simulator sums the pair number out in closed form, giving the
 probabilities of the four per-bin outcomes (no click, herald only, signal
 only, both).  It places the clicking bins by geometric skip-ahead, each
 gap drawn from one standard exponential by inversion, and draws one
-uniform per clicking bin to pick its outcome.  Each chunk of clicking
-bins is histogrammed as soon as it is drawn, against itself and the tail
-of earlier clicks within the delay span, so memory is bounded by one
-chunk of 2^18 clicks, not by the run.  The delay histogram walks
+uniform per clicking bin to pick its outcome.  The gaps of up to 2^18
+clicking bins are drawn at a time into one reused buffer; the clicks are
+then split into outcomes and histogrammed 2^15 at a time, against
+themselves and the tail of earlier clicks within the delay span.  Memory
+is bounded by that 2 MB buffer, one piece of 2^15 clicks and the span,
+not by the run.  The delay histogram walks
 the shorter of the sorted herald and signal click lists: one
 ``searchsorted`` per click finds the start of its window in the other
 list, and rank passes then pair every still-open window with its next
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18  # clicking bins placed per skip-ahead draw
+_PIECE = 1 << 15  # clicks split into outcomes and yielded at a time
 _LOW_STATISTICS_BINS = 10_000
 
 
@@ -105,8 +108,14 @@ class SourceModel:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.noise_rate_per_bin < 0:
             raise ValueError("noise_rate_per_bin must be non-negative")
-        if self.bins < 1:
-            raise ValueError("bins must be positive")
+        if not _is_integer(self.bins) or self.bins < 1:
+            raise ValueError(f"bins must be an integer of at least 1, got {self.bins!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -279,7 +288,7 @@ def _click_probabilities(model: SourceModel) -> tuple[float, float, float]:
 
 
 def _click_chunks(model: SourceModel):
-    """Yield the sorted herald and signal clicks of each chunk, in bin order.
+    """Yield the sorted herald and signal clicks, in bin order, a piece at a time.
 
     Clicking bins are placed by geometric skip-ahead, up to ``_CHUNK`` per
     chunk; one uniform on ``[0, q)`` per clicking bin then picks
@@ -290,6 +299,15 @@ def _click_chunks(model: SourceModel):
     the same clicks as ``rng.geometric`` would.  From ``q = 1/3`` numpy
     switches to a search method, so realizations there differ from
     ``rng.geometric``'s while remaining exact samples of the same law.
+
+    The stream gives a chunk's gaps first and then its uniforms, so
+    ``_CHUNK`` decides which uniform goes with which click: shrinking it
+    would change every seed's realization.  The gaps are drawn into one
+    float buffer of the first chunk's size (the largest, 2 MB at most) and
+    turned into int64 clicks in place.  Each piece of up to ``_PIECE``
+    clicks then draws its uniforms into one reused buffer just before it
+    is split and yielded; the generator draws only when resumed, so the
+    stream's order is unchanged.
     """
     q, p10, p01 = _click_probabilities(model)
     bins = int(model.bins)
@@ -298,34 +316,34 @@ def _click_chunks(model: SourceModel):
     # the first child of the seed's SeedSequence, so that each seed keeps the
     # realization it has given since the sampler was written
     rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(1)[0])
+    gaps = uniforms = None
     last = -1
     while q > 0.0 and last < bins - 1:
         expected = q * (bins - 1 - last)
         size = int(min(_CHUNK, expected + 6.0 * np.sqrt(expected) + 16.0))
-        draws = rng.standard_exponential(size)
+        if gaps is None:  # the first chunk is the largest
+            gaps = np.empty(size)
+            uniforms = np.empty(min(size, _PIECE))
+        draws = rng.standard_exponential(out=gaps[:size])
         with np.errstate(over="ignore"):  # E / rate is inf for subnormal rates
             np.divide(draws, rate, out=draws)
         # gaps beyond the last bin end the walk; clipping them keeps cumsum in range
         np.minimum(draws, bins, out=draws)
-        clicks = draws.astype(np.int64)  # truncation is floor for these draws
+        clicks = draws.view(np.int64)
+        np.copyto(clicks, draws, casting="unsafe")  # truncation is floor for these draws
         clicks += 1
         clicks[0] += last
         np.cumsum(clicks, out=clicks)
         clicks = clicks[: np.searchsorted(clicks, bins)]
         last = int(clicks[-1]) if clicks.size == size else bins - 1
-        u = rng.random(out=draws[: clicks.size])
-        u *= q
-        herald_mask = (u < p10) | (u >= p10 + p01)
-        signal_mask = u >= p10
-        # freed first, so that herald and signal take its memory: the heap stays
-        # smaller, and so do the page faults of growing it again on the next run
-        del draws, u
-        # np.compress, unlike a boolean index, does not slow down on masks
-        # that are true at random about half the time
-        herald = np.compress(herald_mask, clicks)
-        signal = np.compress(signal_mask, clicks)
-        del clicks, herald_mask, signal_mask  # freed before the consumer's histogram runs
-        yield herald, signal
+        for start in range(0, clicks.size, _PIECE):
+            piece = clicks[start : start + _PIECE]
+            u = rng.random(out=uniforms[: piece.size])
+            u *= q
+            # np.compress, unlike a boolean index, does not slow down on masks
+            # that are true at random about half the time
+            yield (np.compress((u < p10) | (u >= p10 + p01), piece),
+                   np.compress(u >= p10, piece))
 
 
 def _delay_histogram(herald: np.ndarray, signal: np.ndarray, k: int) -> np.ndarray:
@@ -367,12 +385,13 @@ def simulate_coincidences(
     """Simulate a coincidence histogram over delays ``[-k, +k]`` bins.
 
     All ``model.bins`` time bins are drawn from one random stream seeded by
-    ``model.seed``, so a seed always gives the same histogram.  Each chunk
-    of clicks is histogrammed as soon as it is drawn, together with the
-    tail of earlier clicks within ``k`` bins of it, so memory is bounded by
-    one chunk of 2^18 clicks plus the span, and time grows with the number
-    of clicks, not with ``bins``.  No pair lies more than ``bins - 1``
-    bins apart, so a span wider than ``bins`` is rejected.
+    ``model.seed``, so a seed always gives the same histogram.  Each piece
+    of 2^15 clicks is histogrammed as soon as it is drawn, together with
+    the tail of earlier clicks within ``k`` bins of it, so memory is
+    bounded by the 2 MB gap buffer of one 2^18-click chunk, one piece and
+    the span, and time grows with the number of clicks, not with ``bins``.
+    No pair lies more than ``bins - 1`` bins apart, so a span wider than
+    ``bins`` is rejected.
     """
     if not isinstance(delay_span_bins, (int, np.integer)) or delay_span_bins < 1:
         raise ValueError("delay_span_bins must be an integer of at least 1")
@@ -385,17 +404,16 @@ def simulate_coincidences(
     counts = np.zeros(2 * k + 1, dtype=np.int64)
     tail_h = tail_s = np.empty(0, dtype=np.int64)
     for herald, signal in _click_chunks(model):
-        # every pair with at least one member in this chunk, each counted once
+        # every pair with at least one member in this piece, each counted once
         counts += _delay_histogram(herald, np.concatenate((tail_s, signal)), k)
         counts += _delay_histogram(tail_h, signal, k)
-        # later clicks lie past this chunk's last, so only the clicks within
-        # k bins of it can pair again; the tail may reach back over chunks
+        # later clicks lie past this piece's last, so only the clicks within
+        # k bins of it can pair again; the tail may reach back over pieces
         cut = max(herald[-1:].tolist() + signal[-1:].tolist(), default=-1) - k
         tail_h, tail_s = (
             np.concatenate([c[c.searchsorted(cut, "right") :] for c in (old, new)])
             for old, new in ((tail_h, herald), (tail_s, signal))
         )
-        del herald, signal  # freed before the next chunk is drawn, which then reuses them
     delays = np.arange(-k, k + 1, dtype=float) * resolution_ns
     off_peak = np.concatenate([counts[:k], counts[k + 1 :]])
     return CoincidenceHistogram(

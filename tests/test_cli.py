@@ -736,6 +736,14 @@ class TestModeTable:
     def test_missing_or_unknown_mode_is_usage_error(self, args, message):
         assert message in run_cli(*args, expect=2).stderr
 
+    def test_every_value_of_the_mode_key_is_checked(self):
+        # a later valid value does not hide an earlier bad one
+        result = run_cli("snr", "--param", "mode=bogus", "--param", "mode=table", expect=2)
+        assert "got mode=bogus" in result.stderr
+        # of valid values the last still picks the mode
+        payload = json.loads(run_cli("snr", "--param", "mode=table", "--param", "mode=curves").stdout)
+        assert "curves" in payload and "table" not in payload
+
     def test_generate_help_names_every_key(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "100")  # narrower, argparse splits long keys
         text = run_cli("generate", "--help").stdout

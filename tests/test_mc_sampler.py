@@ -4,9 +4,9 @@ The histogram is compared with brute-force pair counting, and the sampler's
 outcome frequencies with an independent per-photon-number reference that
 draws the thermal pair number and tests each detector separately, so the
 closed-form click probabilities are not validated against themselves.  The
-chunk-by-chunk simulation is compared with brute-force counting over its
+piece-by-piece simulation is compared with brute-force counting over its
 joined clicks, and its traced memory peak with its own at a quarter of the
-bins.
+bins and with a fixed bound.
 """
 
 import tracemalloc
@@ -211,25 +211,47 @@ class TestChunkedSimulation:
         # chunks of 3 clicks span fewer than 30 bins, so a tail reaches back
         # over several chunks; the histogram must count every pair once
         monkeypatch.setattr(photon_stats, "_CHUNK", chunk)
+        self.assert_joins_exactly(params, k)
+
+    @pytest.mark.parametrize("piece", [2, 7])
+    @pytest.mark.parametrize("k", [1, 30])
+    @pytest.mark.parametrize("params", [ACCEPTANCE, LOW_EFFICIENCY], ids=["dense", "sparse"])
+    def test_pieces_join_exactly(self, monkeypatch, params, k, piece):
+        # pieces of 2 or 7 clicks end inside each 50-click chunk and at its
+        # end, so tails cross piece and chunk boundaries alike
+        monkeypatch.setattr(photon_stats, "_CHUNK", 50)
+        monkeypatch.setattr(photon_stats, "_PIECE", piece)
+        self.assert_joins_exactly(params, k)
+
+    @staticmethod
+    def assert_joins_exactly(params, k):
         model = SourceModel(*params, bins=20_000, seed=11)
-        chunks = list(_click_chunks(model))
-        assert len(chunks) >= 3
-        herald, signal = (np.concatenate(arm) for arm in zip(*chunks))
+        pieces = list(_click_chunks(model))
+        assert len(pieces) >= 3
+        herald, signal = (np.concatenate(arm) for arm in zip(*pieces))
         counts = simulate_coincidences(model, delay_span_bins=k).counts
         assert np.array_equal(counts, brute_force_histogram(herald, signal, k))
+
+    @staticmethod
+    def traced_peak(bins):
+        tracemalloc.start()
+        try:
+            simulate_coincidences(SourceModel(*ACCEPTANCE, bins=bins, seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_memory_does_not_grow_with_bins(self):
         # the clicks of a run are never held whole: four times the bins
         # must not raise the traced peak by half
-        peaks = []
-        for bins in (5_000_000, 20_000_000):
-            tracemalloc.start()
-            try:
-                simulate_coincidences(SourceModel(*ACCEPTANCE, bins=bins, seed=1))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [self.traced_peak(bins) for bins in (5_000_000, 20_000_000)]
         assert peaks[1] <= 1.5 * peaks[0], f"traced peaks {peaks} bytes"
+
+    def test_memory_is_one_gap_buffer_and_a_piece(self):
+        # a 2 MB gap buffer, one piece of clicks and the span come to about
+        # 4 MB; whole-chunk click, uniform and outcome arrays would need 9
+        peak = self.traced_peak(20_000_000)
+        assert peak < 5 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 def geometric_clicks(model):

@@ -267,6 +267,22 @@ class TestSimulator:
         with pytest.raises(ValueError):
             SourceModel(0.55, 0.1, 0.1, bins=0)
 
+    @pytest.mark.parametrize("bins", [2.5, True, 10**7 + 0.5, 1e7, np.float64(100.0), -3])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        # the run would truncate a fractional or boolean bin count, so it is refused
+        with pytest.raises(ValueError, match="bins"):
+            SourceModel(0.55, 0.1, 0.1, bins=bins)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # rejected at construction, not later inside the random stream's seeding
+        with pytest.raises(ValueError, match="seed"):
+            SourceModel(0.55, 0.1, 0.1, bins=1_000, seed=seed)
+
+    def test_numpy_integers_are_accepted(self):
+        model = SourceModel(0.55, 0.1, 0.1, bins=np.int64(1_000), seed=np.uint32(2**32 - 1))
+        assert simulate_coincidences(model, delay_span_bins=5).counts.shape == (11,)
+
 
 class TestG2FromHistogram:
     @staticmethod
