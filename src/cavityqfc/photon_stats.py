@@ -17,19 +17,16 @@ The simulator sums the pair number out in closed form, giving the
 probabilities of the four per-bin outcomes (no click, herald only, signal
 only, both).  It places the clicking bins by geometric skip-ahead, each
 gap drawn from one standard exponential by inversion, and draws one
-uniform per clicking bin to pick its outcome.  The gaps of up to 2^18
-clicking bins are drawn at a time into one reused buffer; the clicks are
-then split into outcomes and histogrammed 2^15 at a time, against
-themselves and the tail of earlier clicks within the delay span.  Memory
-is bounded by that 2 MB buffer, one piece of 2^15 clicks and the span,
-not by the run.  The delay histogram walks
-the shorter of the sorted herald and signal click lists: one
-``searchsorted`` per click finds the start of its window in the other
-list, and rank passes then pair every still-open window with its next
-click until the delay exceeds the span.  The result is an exact sample of
-the per-bin model, at a cost that grows with the number of clicks and
-pairs rather than the number of bins.  Each seed gives one realization.
-Where fewer than a third of the bins click, the gaps are the ones numpy's
+uniform per clicking bin to label its outcome.  Gaps are drawn 2^18 at a
+time into one reused 2 MB buffer, and the labelled clicks histogrammed
+2^15 at a time with the earlier clicks within the delay span, so memory
+is bounded by that buffer, one piece and the span, not by the run.  The
+histogram never splits the stream by arm: pass ``j`` pairs every click
+with the ``j``-th click before it and reads the delay and both labels
+from one integer code.  The result is an exact sample of the per-bin
+model, at a cost that grows with the clicks and with the pairs of clicks
+from either arm within the span, not with the number of bins.  Where
+fewer than a third of the bins click, the gaps are the ones numpy's
 ``Generator.geometric`` draws from the same stream, so each seed keeps the
 realization it has always had; from a third up the realizations are new.
 """
@@ -63,7 +60,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18  # clicking bins placed per skip-ahead draw
-_PIECE = 1 << 15  # clicks split into outcomes and yielded at a time
+_PIECE = 1 << 15  # clicks labelled and yielded at a time
+_SHRINK = 0.5  # share of later clicks still pairing below which passes index them
+_MAX_BINS = 1 << 44  # last + 2^18 * (bins + 1) and 16 * bins stay inside int64
 _LOW_STATISTICS_BINS = 10_000
 
 
@@ -108,8 +107,8 @@ class SourceModel:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.noise_rate_per_bin < 0:
             raise ValueError("noise_rate_per_bin must be non-negative")
-        if not _is_integer(self.bins) or self.bins < 1:
-            raise ValueError(f"bins must be an integer of at least 1, got {self.bins!r}")
+        if not _is_integer(self.bins) or not 1 <= self.bins <= _MAX_BINS:
+            raise ValueError(f"bins must be an integer from 1 to 2**44, got {self.bins!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -288,26 +287,25 @@ def _click_probabilities(model: SourceModel) -> tuple[float, float, float]:
 
 
 def _click_chunks(model: SourceModel):
-    """Yield the sorted herald and signal clicks, in bin order, a piece at a time.
+    """Yield the clicking bins in order, a piece at a time, with their labels.
 
     Clicking bins are placed by geometric skip-ahead, up to ``_CHUNK`` per
-    chunk; one uniform on ``[0, q)`` per clicking bin then picks
-    herald-only, signal-only or both.
-    Each gap is drawn by exponential inversion, ``floor(E / -log1p(-q)) + 1``
-    with ``E`` a standard exponential, which is how numpy's
-    ``Generator.geometric`` draws below ``q = 1/3``: there every seed gives
-    the same clicks as ``rng.geometric`` would.  From ``q = 1/3`` numpy
-    switches to a search method, so realizations there differ from
-    ``rng.geometric``'s while remaining exact samples of the same law.
+    chunk, and one uniform on ``[0, q)`` per click labels it 1 (herald
+    only), 2 (signal only) or 3 (both).  Each gap is drawn by exponential
+    inversion, ``floor(E / -log1p(-q)) + 1`` with ``E`` a standard
+    exponential, which is how numpy's ``Generator.geometric`` draws below
+    ``q = 1/3``: there every seed gives the same clicks as ``rng.geometric``
+    would.  From ``q = 1/3`` numpy switches to a search method, so
+    realizations there differ from ``rng.geometric``'s while remaining
+    exact samples of the same law.
 
     The stream gives a chunk's gaps first and then its uniforms, so
     ``_CHUNK`` decides which uniform goes with which click: shrinking it
     would change every seed's realization.  The gaps are drawn into one
-    float buffer of the first chunk's size (the largest, 2 MB at most) and
-    turned into int64 clicks in place.  Each piece of up to ``_PIECE``
-    clicks then draws its uniforms into one reused buffer just before it
-    is split and yielded; the generator draws only when resumed, so the
-    stream's order is unchanged.
+    float buffer of the first chunk's size (2 MB at most) and turned into
+    int64 clicks in place, which are yielded as views, valid until the next
+    piece.  Each piece of up to ``_PIECE`` clicks draws its uniforms into one
+    reused buffer when the generator resumes, keeping the stream's order.
     """
     q, p10, p01 = _click_probabilities(model)
     bins = int(model.bins)
@@ -340,88 +338,90 @@ def _click_chunks(model: SourceModel):
             piece = clicks[start : start + _PIECE]
             u = rng.random(out=uniforms[: piece.size])
             u *= q
-            # np.compress, unlike a boolean index, does not slow down on masks
-            # that are true at random about half the time
-            yield (np.compress((u < p10) | (u >= p10 + p01), piece),
-                   np.compress(u >= p10, piece))
+            labels = (u >= p10).view(np.int8) + (u >= p10 + p01).view(np.int8) + 1
+            yield piece, labels
 
 
-def _delay_histogram(herald: np.ndarray, signal: np.ndarray, k: int) -> np.ndarray:
-    """Coincidence counts vs herald-to-signal delay in ``[-k, +k]`` bins.
+def _count_pairs(keys: np.ndarray, first: int, codes: np.ndarray) -> None:
+    """Count the code of each pair of keyed clicks whose later one is at ``first`` or after.
 
-    Both index arrays are sorted.  The walk goes over the shorter list.
-    One ``searchsorted`` gives each click the first index of its window in
-    the other list, the first click no more than ``k`` bins before it.
-    Pass ``r`` then pairs every still-open window with the ``r``-th click
-    of that window: a window closes once its delay exceeds ``k`` or its
-    index reaches the end of the other list.  The index array stays
-    sorted, so the windows that ran off the end are all at its tail and
-    are cut off with one slice.  Delays are counted as
-    ``other - walked + k``; walking the signal list counts them mirrored,
-    so that histogram is reversed to keep the index ``signal - herald + k``.
+    ``keys`` holds ``A = 16*bin + label`` and ``B = 16*bin - 4*label`` of
+    bin-sorted clicks, so ``A[m] - B[m-j] = 16*delay + 4*label[m-j] + label[m]``.
+    Pass ``j`` subtracts, clips at ``16*(k+1)`` (the last index of ``codes``)
+    and bincounts, until an offset pairs nothing; once fewer than ``_SHRINK``
+    of the later clicks pair, it follows the shrinking set of those that do.
     """
-    counts = np.zeros(2 * k + 1, dtype=np.int64)
-    mirrored = signal.size < herald.size
-    clicks, other = (signal, herald) if mirrored else (herald, signal)
-    index = np.searchsorted(other, clicks - k, side="left")
-    while True:
-        open_windows = int(np.searchsorted(index, other.size))
-        if open_windows == 0:
+    a, b = keys
+    n, cap = a.size, codes.size - 1
+    for j in range(1, n):
+        lo = max(j, first)
+        codes_j = np.subtract(a[lo:], b[lo - j : n - j])
+        np.minimum(codes_j, cap, out=codes_j)
+        hits = np.bincount(codes_j, minlength=cap + 1)
+        codes += hits
+        if codes_j.size - hits[cap] < _SHRINK * codes_j.size:
             break
-        clicks, index = clicks[:open_windows], index[:open_windows]
-        delays = other[index] - clicks  # at least -k by the window search
-        inside = delays <= k
-        counts += np.bincount(np.compress(inside, delays) + k, minlength=2 * k + 1)
-        clicks = np.compress(inside, clicks)
-        index = np.compress(inside, index) + 1
-    return counts[::-1].copy() if mirrored else counts
+    else:
+        return
+    later = np.flatnonzero(codes_j < cap) + lo
+    while later.size:
+        j += 1
+        later = later[int(later[0] < j) :]  # the click at index j - 1 has no j-th before it
+        codes_j = a[later]
+        codes_j -= b[later - j]
+        np.minimum(codes_j, cap, out=codes_j)
+        codes += np.bincount(codes_j, minlength=cap + 1)
+        later = np.compress(codes_j < cap, later)
 
 
 def simulate_coincidences(
-    model: SourceModel,
-    delay_span_bins: int = 30,
-    resolution_ns: float = 0.8,
+    model: SourceModel, delay_span_bins: int = 30, resolution_ns: float = 0.8
 ) -> CoincidenceHistogram:
     """Simulate a coincidence histogram over delays ``[-k, +k]`` bins.
 
     All ``model.bins`` time bins are drawn from one random stream seeded by
     ``model.seed``, so a seed always gives the same histogram.  Each piece
     of 2^15 clicks is histogrammed as soon as it is drawn, together with
-    the tail of earlier clicks within ``k`` bins of it, so memory is
-    bounded by the 2 MB gap buffer of one 2^18-click chunk, one piece and
-    the span, and time grows with the number of clicks, not with ``bins``.
-    No pair lies more than ``bins - 1`` bins apart, so a span wider than
-    ``bins`` is rejected.
+    the earlier clicks within ``k`` bins of it, so memory is bounded by the
+    2 MB gap buffer of one 2^18-click chunk, one piece and the span.  Time
+    grows with the clicks and with the pairs of clicks within ``k`` bins of
+    each other, from either arm, not with ``bins``: a run where one arm
+    clicks far more often pays for that arm's pairs too.  No pair lies more
+    than ``bins - 1`` bins apart, so a span wider than ``bins`` is rejected.
     """
-    if not isinstance(delay_span_bins, (int, np.integer)) or delay_span_bins < 1:
+    if not _is_integer(delay_span_bins) or delay_span_bins < 1:
         raise ValueError("delay_span_bins must be an integer of at least 1")
     if delay_span_bins > model.bins:
         raise ValueError("delay_span_bins must not exceed model.bins")
-    if not 0.0 < resolution_ns < np.inf:
+    if isinstance(resolution_ns, bool) or not 0.0 < resolution_ns < np.inf:
         raise ValueError("resolution_ns must be positive and finite")
-    bins = int(model.bins)
     k = int(delay_span_bins)
-    counts = np.zeros(2 * k + 1, dtype=np.int64)
-    tail_h = tail_s = np.empty(0, dtype=np.int64)
-    for herald, signal in _click_chunks(model):
-        # every pair with at least one member in this piece, each counted once
-        counts += _delay_histogram(herald, np.concatenate((tail_s, signal)), k)
-        counts += _delay_histogram(tail_h, signal, k)
-        # later clicks lie past this piece's last, so only the clicks within
-        # k bins of it can pair again; the tail may reach back over pieces
-        cut = max(herald[-1:].tolist() + signal[-1:].tolist(), default=-1) - k
-        tail_h, tail_s = (
-            np.concatenate([c[c.searchsorted(cut, "right") :] for c in (old, new)])
-            for old, new in ((tail_h, herald), (tail_s, signal))
-        )
-    delays = np.arange(-k, k + 1, dtype=float) * resolution_ns
-    off_peak = np.concatenate([counts[:k], counts[k + 1 :]])
+    # pair codes 16*delay + 4*label_earlier + label_later; the last counts delays past k
+    codes = np.zeros(16 * (k + 1) + 1, dtype=np.int64)
+    keys = np.empty((2, _PIECE + k), dtype=np.int64)  # a tail holds at most k clicks
+    both = tail = 0
+    for clicks, labels in _click_chunks(model):
+        n = tail + clicks.size
+        a, b = keys[:, tail:n]
+        np.multiply(clicks, 16, out=a)
+        np.subtract(a, 4 * labels, out=b)
+        a += labels
+        both += int(np.count_nonzero(labels == 3))
+        _count_pairs(keys[:, :n], tail, codes)
+        # only clicks within k bins of the last can pair again; they may span pieces
+        start = int(np.searchsorted(keys[0, :n], 16 * (int(clicks[-1]) - k + 1)))
+        tail = n - start
+        keys[:, :tail] = keys[:, start:n]
+    pairs = codes[:-1].reshape(k + 1, 16)
+    # herald earlier and signal later is delay +d, signal earlier and herald later -d
+    minus, plus = pairs[:0:-1, [9, 11, 13, 15]].sum(axis=1), pairs[1:, [6, 7, 14, 15]].sum(axis=1)
+    counts = np.concatenate((minus, [both], plus))
     return CoincidenceHistogram(
-        delay_bins_ns=delays,
+        delay_bins_ns=np.arange(-k, k + 1, dtype=float) * resolution_ns,
         counts=counts,
-        accidental_level=float(off_peak.mean()),
+        accidental_level=float(np.delete(counts, k).mean()),
         resolution_ns=resolution_ns,
-        low_statistics=bins < _LOW_STATISTICS_BINS,
+        low_statistics=model.bins < _LOW_STATISTICS_BINS,
     )
 
 

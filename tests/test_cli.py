@@ -504,6 +504,12 @@ class TestDomainLimits:
              "delay_span_bins must not exceed model.bins"),
             (["g2", "--param", "mc=1", "--param", "bins=1000", "--param", "span_bins=1001"],
              "delay_span_bins must not exceed model.bins"),
+            # the sampler's int64 sums wrapped here: an IndexError traceback, exit 1
+            (["g2", "--param", "mc=1", "--param", "mu=1e-16", "--param", "eta_herald=1",
+              "--param", "eta_signal=1", "--param", "bins=100000000000000000000"],
+             "bins must be an integer from 1 to 2**44"),
+            (["g2", "--param", "mc=1", "--param", f"bins={2**44 + 1}"],
+             "bins must be an integer from 1 to 2**44"),
             # a negative span gave a header-only dataset; 2e9 steps would not fit in memory
             (["generate", "--param", "model=comb", "--param", "span_nm=-1"],
              "span_nm must lie in [0, 1000000 * step_nm]"),
@@ -512,8 +518,8 @@ class TestDomainLimits:
             (["generate", "--param", "model=comb", "--param", "noise=poisson",
               "--param", "power_mW=0"], "poisson noise needs a comb with counts in band"),
         ],
-        ids=["samples", "grid", "points", "generate_span_bins", "g2_span_bins",
-             "comb_negative_span", "comb_steps", "comb_poisson_no_counts"],
+        ids=["samples", "grid", "points", "generate_span_bins", "g2_span_bins", "g2_bins_1e20",
+             "g2_bins_past_2_44", "comb_negative_span", "comb_steps", "comb_poisson_no_counts"],
     )
     def test_limit_is_domain_error(self, args, message, fmt):
         result = run_cli(*args, "--format", fmt, expect=4)
@@ -556,8 +562,9 @@ _SWEEP_EXTRA = {
 }
 _SWEEP_VALUES = {float: ["0", "-1", "1e-300", "1e300"],
                  cli._floats: ["0", "-1", "1e-300", "1e300", ""], int: ["0", "-1"]}
-# keys whose limits stop a huge value before it is allocated; a huge bins has
-# no cheap limit (the walk takes hours, in bounded memory), so it is not tried
+# keys whose limits stop a huge value before it is allocated; a bins below
+# 2**44 has no cheap limit (the walk takes hours, in bounded memory), so HUGE
+# is not tried for it
 _SWEEP_HUGE = {"samples", "grid", "points", "span_bins"}
 
 

@@ -1,25 +1,27 @@
 """Exact checks of the sparse coincidence sampler and its delay histogram.
 
-The histogram is compared with brute-force pair counting, and the sampler's
-outcome frequencies with an independent per-photon-number reference that
-draws the thermal pair number and tests each detector separately, so the
-closed-form click probabilities are not validated against themselves.  The
-piece-by-piece simulation is compared with brute-force counting over its
-joined clicks, and its traced memory peak with its own at a quarter of the
-bins and with a fixed bound.
+The histogram of labelled click streams, fed in pieces, is compared with
+brute-force pair counting, and the sampler's outcome frequencies with an
+independent per-photon-number reference that draws the thermal pair number
+and tests each detector separately, so the closed-form click probabilities
+are not validated against themselves.  The piece-by-piece simulation is
+compared with brute-force counting over its joined clicks and with pinned
+digests of each seed's histogram, and its traced memory peak with its own
+at a quarter of the bins and with a fixed bound.
 """
 
+import hashlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from cavityqfc import SourceModel, photon_stats, simulate_coincidences
-from cavityqfc.photon_stats import _CHUNK, _click_chunks, _click_probabilities, _delay_histogram
+from cavityqfc.photon_stats import _CHUNK, _click_chunks, _click_probabilities
 
 ACCEPTANCE = (0.55, 0.1, 0.1, 0.01)
 LOW_EFFICIENCY = (0.01, 0.5, 0.002, 0.001)
@@ -33,72 +35,101 @@ def brute_force_histogram(herald, signal, k):
     return counts
 
 
-def indices(mask):
-    return np.flatnonzero(mask).astype(np.int64)
+def split_arms(clicks, labels):
+    """The herald clicks (labels 1 and 3) and the signal clicks (labels 2 and 3)."""
+    return clicks[labels != 2], clicks[labels >= 2]
 
 
 def sample_clicks(model):
-    """Every herald and signal click of the run, the chunks joined."""
+    """Every herald and signal click of the run, the pieces joined."""
     heralds, signals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for herald, signal in _click_chunks(model):
+    for clicks, labels in _click_chunks(model):
+        herald, signal = split_arms(clicks, labels)  # copies of a reused buffer's view
         heralds.append(herald)
         signals.append(signal)
     return np.concatenate(heralds), np.concatenate(signals)
 
 
-# sorted unique click indices, empty included
-_CLICKS = st.sets(st.integers(0, 60), max_size=25).map(lambda s: np.array(sorted(s), np.int64))
+def stream_histogram(clicks, labels, cuts, k, shrink=photon_stats._SHRINK):
+    """``simulate_coincidences`` over one labelled stream, yielded in pieces cut at ``cuts``."""
+    bounds = [0, *sorted(cuts), clicks.size]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(photon_stats, "_SHRINK", shrink)
+        patch.setattr(photon_stats, "_click_chunks", lambda model: (
+            (clicks[lo:hi], labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo))
+        model = SourceModel(0.5, 0.5, 0.5, bins=max(k, 100), seed=0)
+        return simulate_coincidences(model, delay_span_bins=k).counts
+
+
+@st.composite
+def labelled_streams(draw):
+    """Sorted clicks in 61 bins with labels 1-3, pieces of them, and a span past their reach."""
+    by_bin = draw(st.dictionaries(st.integers(0, 60), st.integers(1, 3), max_size=25))
+    clicks = np.array(sorted(by_bin), dtype=np.int64)
+    labels = np.array([by_bin[c] for c in sorted(by_bin)], dtype=np.int8)
+    cuts = draw(st.lists(st.integers(0, clicks.size), max_size=4))
+    return clicks, labels, cuts, draw(st.integers(1, 70))
 
 
 class TestDelayHistogram:
-    def test_against_brute_force(self):
-        rng = np.random.default_rng(10)
-        for _ in range(40):
-            n = int(rng.integers(1, 300))
-            k = int(rng.integers(1, 41))
-            herald = indices(rng.random(n) < rng.random())
-            signal = indices(rng.random(n) < rng.random())
-            assert np.array_equal(
-                _delay_histogram(herald, signal, k), brute_force_histogram(herald, signal, k)
-            )
+    @settings(max_examples=300, deadline=None)
+    @given(stream=labelled_streams(), shrink=st.sampled_from([0.0, 0.5, 2.0]))
+    def test_property_against_brute_force(self, stream, shrink):
+        # pieces carry tails of 0 to all earlier clicks; a shrink of 0 never
+        # switches to index passes and one of 2 switches after the first pass
+        clicks, labels, cuts, k = stream
+        expected = brute_force_histogram(*split_arms(clicks, labels), k)
+        assert np.array_equal(stream_histogram(clicks, labels, cuts, k, shrink), expected)
 
-    @given(herald=_CLICKS, signal=_CLICKS, k=st.integers(1, 8))
-    def test_property_against_brute_force(self, herald, signal, k):
-        assert np.array_equal(
-            _delay_histogram(herald, signal, k), brute_force_histogram(herald, signal, k)
-        )
+    def test_against_brute_force(self):
+        # thousands of clicks, some runs dense enough for several full passes
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            n = int(rng.integers(1, 3_000))
+            clicks = np.flatnonzero(rng.random(n) < rng.random()).astype(np.int64)
+            labels = rng.integers(1, 4, clicks.size).astype(np.int8)
+            cuts = rng.integers(0, clicks.size + 1, int(rng.integers(0, 6)))
+            k = int(rng.integers(1, 60))
+            expected = brute_force_histogram(*split_arms(clicks, labels), k)
+            assert np.array_equal(stream_histogram(clicks, labels, cuts, k), expected)
 
     @pytest.mark.parametrize("shorter", ["signal", "herald"])
     def test_each_orientation_against_brute_force(self, shorter):
-        # the walk goes over the shorter list; the last click of that list sits
-        # past the end of the other, so its window runs off the other list
+        # one arm clicks rarely and last, past the end of the other: the
+        # frequent arm's clicks pair among themselves and fill the passes
         rng = np.random.default_rng(12)
+        few, many = (2, 1) if shorter == "signal" else (1, 2)
         for _ in range(20):
-            n = int(rng.integers(20, 200))
+            n = int(rng.integers(20, 400))
             k = int(rng.integers(1, 30))
-            many = indices(rng.random(n) < 0.5)
-            few = np.append(indices(rng.random(n) < 0.1), n + k // 2)
-            assert few.size < many.size and few[-1] > many[-1]
-            herald, signal = (many, few) if shorter == "signal" else (few, many)
-            assert np.array_equal(
-                _delay_histogram(herald, signal, k), brute_force_histogram(herald, signal, k)
-            )
+            clicks = np.append(np.flatnonzero(rng.random(n) < 0.5), n + k // 2)
+            labels = np.where(rng.random(clicks.size) < 0.1, few, many).astype(np.int8)
+            labels[-1] = few
+            herald, signal = split_arms(clicks, labels)
+            assert (signal.size < herald.size) == (shorter == "signal")
+            cuts = rng.integers(0, clicks.size + 1, 2)
+            expected = brute_force_histogram(herald, signal, k)
+            assert np.array_equal(stream_histogram(clicks, labels, cuts, k), expected)
 
     def test_all_ones_edges(self):
-        ones = np.arange(5, dtype=np.int64)
+        ones, both = np.arange(5, dtype=np.int64), np.full(5, 3, np.int8)
         expected = np.array([2, 3, 4, 5, 4, 3, 2], dtype=np.int64)
-        assert np.array_equal(_delay_histogram(ones, ones, 3), expected)
+        for cuts in ([], [2], [1, 2, 3, 4]):
+            assert np.array_equal(stream_histogram(ones, both, cuts, 3), expected)
 
     def test_delay_span_beyond_length(self):
-        ones = np.arange(4, dtype=np.int64)
-        wide = _delay_histogram(ones, ones, 10)
+        ones, both = np.arange(4, dtype=np.int64), np.full(4, 3, np.int8)
+        wide = stream_histogram(ones, both, [1], 10)
         assert wide.sum() == 16  # every herald-signal pair counted once
         assert np.array_equal(wide, brute_force_histogram(ones, ones, 10))
 
     def test_empty_inputs(self):
         empty = np.empty(0, dtype=np.int64)
-        assert np.array_equal(_delay_histogram(empty, np.arange(3), 2), np.zeros(5))
-        assert np.array_equal(_delay_histogram(np.arange(3), empty, 2), np.zeros(5))
+        assert np.array_equal(stream_histogram(empty, empty.astype(np.int8), [], 2), np.zeros(5))
+        # one arm empty: every click herald only, or every click signal only
+        for label in (1, 2):
+            one_arm = stream_histogram(np.arange(3), np.full(3, label, np.int8), [1], 2)
+            assert np.array_equal(one_arm, np.zeros(5))
 
 
 def reference_clicks(model, rng, chunk=1_000_000):
@@ -166,6 +197,17 @@ class TestSamplerEdgeCases:
         herald, signal = sample_clicks(model)
         assert herald.size == 0 and signal.size == 0
 
+    def test_largest_run_keeps_clicks_in_range(self):
+        # at bins = 2**44 the chunk cumsum and the keys 16*bin stay inside int64
+        bins = 2**44
+        for seed in range(20):
+            model = SourceModel(1e-12, 1.0, 1.0, bins=bins, seed=seed)
+            for clicks in sample_clicks(model):
+                assert np.all(np.diff(clicks) > 0)
+                assert np.all((clicks >= 0) & (clicks < bins))
+            counts = simulate_coincidences(model).counts
+            assert np.array_equal(counts, brute_force_histogram(*sample_clicks(model), 30))
+
     def test_huge_mean_pair_number(self):
         model = SourceModel(1e6, 0.1, 0.1, bins=2_000, seed=3)
         histogram = simulate_coincidences(model, delay_span_bins=10)
@@ -226,9 +268,8 @@ class TestChunkedSimulation:
     @staticmethod
     def assert_joins_exactly(params, k):
         model = SourceModel(*params, bins=20_000, seed=11)
-        pieces = list(_click_chunks(model))
-        assert len(pieces) >= 3
-        herald, signal = (np.concatenate(arm) for arm in zip(*pieces))
+        assert sum(1 for _ in _click_chunks(model)) >= 3
+        herald, signal = sample_clicks(model)
         counts = simulate_coincidences(model, delay_span_bins=k).counts
         assert np.array_equal(counts, brute_force_histogram(herald, signal, k))
 
@@ -252,6 +293,40 @@ class TestChunkedSimulation:
         # 4 MB; whole-chunk click, uniform and outcome arrays would need 9
         peak = self.traced_peak(20_000_000)
         assert peak < 5 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+# SHA-256 of the little-endian int64 counts each seed has given since the
+# sampler was written; both runs cross a piece boundary (about 41k and 60k clicks)
+_SEED_DIGESTS = {
+    ("dense", 1, 1): "3b474e9e65201395663ea92974885fadb8d0ef53fc160d766c6b1ef11ce6d405",
+    ("dense", 1, 2): "acc9c770dc9d503289adc21043a6ae1159ffb69f6c3bcfe798cc84117f506f47",
+    ("dense", 1, 3): "63e1d5092a6712c8b6fd204ffdf5aa569fb44ba3ff926116f3ce48e5fd73adc6",
+    ("dense", 30, 1): "930c6b5952b1c79bfda00d470fd9f246fe103d5a1d9ea26ebf543a6cd82eff8c",
+    ("dense", 30, 2): "b0855da58d7ce5de1762108e234705f58de4e74d0c265da43db8888465072e72",
+    ("dense", 30, 3): "900e9627345c55b5421dcef80cb0362bcab546b954c33a11573574f62ce0f61a",
+    ("dense", 300, 1): "07bbd9a3232c63dfdcf3310493fc8c263111ad9f082605119e47e38b9fd7f2ce",
+    ("dense", 300, 2): "fa8c008c0fd9d592644cbeff13dbc1a44185453f973fd23a2347f76689d68d32",
+    ("dense", 300, 3): "3640ac06864a5742131bff8ae32985ec71df8371b2cd6fccfd89415cf0b740f6",
+    ("sparse", 1, 1): "74ea6da21775cc178b13cfff94d89277aa40811de0705be1290b8490ad284771",
+    ("sparse", 1, 2): "85268aa6f3d017ce9602c0f9795a6fcb9a57d82dfe0fe82b6fa1454af8d0ea06",
+    ("sparse", 1, 3): "b44b7ac38ab89ce3e6358f47808f516e6daab5769fc5abe411be1c3247a9b805",
+    ("sparse", 30, 1): "dc7fec530bdc3af952180c8e52b332ec4c1da464e29c871956f5734c538081e6",
+    ("sparse", 30, 2): "73667e22cbea02acfdba59cea2c0568aa734fc6a9a243d946b726fff069f4c22",
+    ("sparse", 30, 3): "68796761a3880cab910ea6b29a89b94027b168ade88c42cab45d44821a0ab5f7",
+    ("sparse", 300, 1): "2488b5b976b35f74fc085cd1a33160d2c5e5bf493193e10e75e7d590b8aaccb5",
+    ("sparse", 300, 2): "0043580913792e422cad44283ccce13f746aae731c5a42c1be8120755699d550",
+    ("sparse", 300, 3): "37f9f6502b96a0e66c09b8fd69a152626ff8bdc10bb2cf6eef029b91b3b4b4df",
+}
+_REGIMES = {"dense": (ACCEPTANCE, 400_000), "sparse": (LOW_EFFICIENCY, 10_000_000)}
+
+
+@pytest.mark.parametrize("regime, k, seed", sorted(_SEED_DIGESTS))
+def test_each_seed_keeps_its_histogram(regime, k, seed):
+    # a change of histogram algorithm must leave every count in place
+    params, bins = _REGIMES[regime]
+    counts = simulate_coincidences(SourceModel(*params, bins=bins, seed=seed), k).counts
+    digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+    assert digest == _SEED_DIGESTS[regime, k, seed]
 
 
 def geometric_clicks(model):

@@ -239,6 +239,9 @@ class TestSimulator:
             # no pair lies 1000 bins apart in 1000 bins; 10^12 would not fit in memory
             ({"delay_span_bins": 1_001}, "delay_span_bins must not exceed model.bins"),
             ({"delay_span_bins": 10**12}, "delay_span_bins must not exceed model.bins"),
+            # a bool is an int: True ran with k = 1 and returned resolution_ns=True
+            ({"delay_span_bins": True}, "delay_span_bins"),
+            ({"resolution_ns": True}, "resolution_ns"),
         ],
     )
     def test_arguments_checked_before_sampling(self, monkeypatch, kwargs, message):
@@ -267,7 +270,9 @@ class TestSimulator:
         with pytest.raises(ValueError):
             SourceModel(0.55, 0.1, 0.1, bins=0)
 
-    @pytest.mark.parametrize("bins", [2.5, True, 10**7 + 0.5, 1e7, np.float64(100.0), -3])
+    # past 2**44 the sampler's int64 cumsum and the pair codes could wrap
+    @pytest.mark.parametrize("bins", [2.5, True, 10**7 + 0.5, 1e7, np.float64(100.0), -3,
+                                      2**44 + 1, 2**62, 10**20])
     def test_bins_must_be_a_positive_integer(self, bins):
         # the run would truncate a fractional or boolean bin count, so it is refused
         with pytest.raises(ValueError, match="bins"):
