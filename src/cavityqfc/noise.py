@@ -27,7 +27,6 @@ __all__ = [
     "NoiseParams",
     "CombSpectrum",
     "as_spectral_density",
-    "as_total_rate",
     "noise_cavity_per_fsr",
     "noise_nocavity",
     "half_noise_check",
@@ -106,13 +105,6 @@ def _pump_power(power_mW) -> np.ndarray:
     return power
 
 
-def _beta_tilde(noise: NoiseParams, gamma_all_MHz: float) -> float:
-    """Comb coupling of a cavity of linewidth ``gamma_all`` in counts/(s mW GHz)."""
-    if not 0.0 < gamma_all_MHz < np.inf:
-        raise ValueError("gamma_all_MHz must be positive and finite")
-    return noise.alpha_noise_cps_per_mW / (4.0 * np.pi * gamma_all_MHz * 1e-3)
-
-
 def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MHz: float):
     """AS spectral density of a single cavity resonance (counts/s/GHz).
 
@@ -123,30 +115,17 @@ def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MH
 
     The comb coupling ``beta_tilde = F * alpha_noise / (4*pi*FSR)`` of
     :func:`beta_tilde_from` is ``alpha_noise / (4*pi*gamma_all)`` because
-    ``F = FSR / gamma_all``.  Power and detuning broadcast against each
-    other; scalars give a float.
+    ``F = FSR / gamma_all``.  Its integral over all detunings is
+    :func:`noise_cavity_per_fsr`.  Power and detuning broadcast against
+    each other; scalars give a float.
     """
     power = _pump_power(power_mW)
-    beta = _beta_tilde(noise, gamma_all_MHz)
+    if not 0.0 < gamma_all_MHz < np.inf:
+        raise ValueError("gamma_all_MHz must be positive and finite")
+    beta = noise.alpha_noise_cps_per_mW / (4.0 * np.pi * gamma_all_MHz * 1e-3)  # per GHz
     d = np.asarray(detuning_MHz, dtype=float) / gamma_all_MHz
     coupling = noise.alpha_tilde_per_mW * power
     out = noise.gamma_r_ratio * beta * power / (0.25 * (1.0 + coupling) ** 2 + d * d)
-    return out if out.ndim else float(out)
-
-
-def as_total_rate(noise: NoiseParams, power_mW, gamma_all_MHz: float):
-    """Closed-form integral of :func:`as_spectral_density` over all detunings.
-
-    Equals ``2*pi * gamma_r_ratio * gamma_all * beta_tilde * P /
-    (1 + alpha_tilde*P)`` in counts/s (``gamma_all`` enters in GHz because
-    ``beta_tilde`` is a density per GHz).  Accepts scalar or array power;
-    a scalar gives a float.
-    """
-    power = _pump_power(power_mW)
-    beta = _beta_tilde(noise, gamma_all_MHz)
-    coupling = noise.alpha_tilde_per_mW * power
-    gamma_all_GHz = gamma_all_MHz * 1e-3
-    out = 2.0 * np.pi * noise.gamma_r_ratio * gamma_all_GHz * beta * power / (1.0 + coupling)
     return out if out.ndim else float(out)
 
 

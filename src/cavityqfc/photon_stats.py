@@ -13,22 +13,14 @@ time bin holds a pair number from a two-mode thermal distribution
 low-efficiency limit), detectors click with per-photon efficiencies, and
 independent Poisson noise contaminates the signal arm.
 
-The simulator sums the pair number out in closed form, giving the
+The pair number is summed out in closed form, once, giving the
 probabilities of the four per-bin outcomes (no click, herald only, signal
-only, both).  It places the clicking bins by geometric skip-ahead, each
-gap drawn from one standard exponential by inversion, and draws one
-uniform per clicking bin to label its outcome.  Gaps are drawn 2^18 at a
-time into one reused 2 MB buffer, and the labelled clicks histogrammed
-2^15 at a time with the earlier clicks within the delay span, so memory
-is bounded by that buffer, one piece and the span, not by the run.  The
-histogram never splits the stream by arm: pass ``j`` pairs every click
-with the ``j``-th click before it and reads the delay and both labels
-from one integer code.  The result is an exact sample of the per-bin
-model, at a cost that grows with the clicks and with the pairs of clicks
-from either arm within the span, not with the number of bins.  Where
-fewer than a third of the bins click, the gaps are the ones numpy's
-``Generator.geometric`` draws from the same stream, so each seed keeps the
-realization it has always had; from a third up the realizations are new.
+only, both); the sampler, ``thermal_source_g2`` and ``expected_histogram``
+all read that one law.  The simulator places the clicking bins by
+geometric skip-ahead and histograms them a piece at a time: an exact
+sample of the per-bin model, in memory bounded by one chunk and the delay
+span, at a cost that grows with the clicks and their pairs within the span,
+not with the number of bins (see ``_click_chunks`` and ``_count_pairs``).
 """
 
 from __future__ import annotations
@@ -51,6 +43,7 @@ __all__ = [
     "predict_nocavity_g2",
     "thermal_source_g2",
     "noise_rate_for_intensity_ratio",
+    "expected_histogram",
     "flat_top_spectrum",
     "lorentzian_spectrum",
     "gaussian_spectrum",
@@ -76,10 +69,11 @@ class G2Record:
     resolution_ns: float
 
     def __post_init__(self):
-        if self.g2 < 0:
-            raise ValueError("g2 must be non-negative")
-        if self.stderr < 0:
-            raise ValueError("stderr must be non-negative")
+        _require_finite(self)
+        if min(self.g2, self.stderr) < 0:
+            raise ValueError("g2 and stderr must be non-negative")
+        if min(self.window_ns, self.resolution_ns) <= 0:
+            raise ValueError("window_ns and resolution_ns must be positive")
 
     @property
     def nonclassical(self) -> bool:
@@ -130,8 +124,13 @@ class CoincidenceHistogram:
     def __post_init__(self):
         if len(self.delay_bins_ns) != len(self.counts):
             raise ValueError("delay axis and counts must have equal length")
-        if np.any(np.asarray(self.counts) < 0):
-            raise ValueError("counts must be non-negative")
+        for name in ("delay_bins_ns", "counts", "accidental_level", "resolution_ns"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if np.any(np.asarray(self.counts) < 0) or self.accidental_level < 0:
+            raise ValueError("counts and accidental_level must be non-negative")
+        if self.resolution_ns <= 0:
+            raise ValueError("resolution_ns must be positive")
 
 
 def g2_out(g2_in: float, zeta: float) -> float:
@@ -175,23 +174,19 @@ def thermal_source_g2(
 ) -> float:
     """Exact click-level cross-correlation of the simulated source model.
 
-    Uses the geometric moment ``E[x^n] = 1/(1 + mu*(1-x))`` of the thermal
-    pair number.  Approaches ``2 + 1/mu`` as the efficiencies vanish; at
-    finite efficiency the value is lower, which is why quantitative Monte
-    Carlo checks should compare against this expression.
+    ``p11 / ((p10+p11) * (p01+p11))`` of the per-bin law that the sampler
+    and :func:`expected_histogram` read too.  Approaches ``2 + 1/mu`` as the
+    efficiencies vanish; at finite efficiency the value is lower, which is
+    why quantitative Monte Carlo checks should compare against this
+    expression.  Raises ``ValueError`` for what :class:`SourceModel`
+    rejects, for an arm that never clicks and for a ``p11`` that underflows.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    a = mu * eta_herald
-    b = mu * eta_signal
-    c = mu * (eta_herald + eta_signal - eta_herald * eta_signal)
-    keep = np.exp(-noise_rate_per_bin)
-    p_h = a / (1.0 + a)
-    p_s = (b - np.expm1(-noise_rate_per_bin)) / (1.0 + b)
-    # joint probability arranged as a difference of same-order terms so the
-    # eta -> 0 limit stays accurate in floating point
-    p_hs = p_h - keep * mu * eta_herald * (1.0 - eta_signal) / ((1.0 + b) * (1.0 + c))
-    return p_hs / (p_h * p_s)
+    model = SourceModel(mu, eta_herald, eta_signal, noise_rate_per_bin)
+    _, p10, p01, p11 = _click_probabilities(model)
+    # p11 > 0 wherever both arms click; below the normal range g2 loses its digits
+    if p11 < np.finfo(float).tiny:
+        raise ValueError("g2 is undefined where an arm never clicks or p11 underflows")
+    return p11 / (p10 + p11) / (p01 + p11)
 
 
 def noise_rate_for_intensity_ratio(mu: float, eta_signal: float, zeta: float) -> float:
@@ -201,9 +196,10 @@ def noise_rate_for_intensity_ratio(mu: float, eta_signal: float, zeta: float) ->
     the returned ``nu`` makes the standalone noise click rate
     ``1 - exp(-nu)`` smaller by the factor ``zeta``.
     """
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    signal_rate = mu * eta_signal / (1.0 + mu * eta_signal)
+    if not 0.0 < zeta < np.inf:
+        raise ValueError("zeta must be positive and finite")
+    # with a blind herald every signal click is signal-only: p01 is the arm's rate
+    _, _, signal_rate, _ = _click_probabilities(SourceModel(mu, 0.0, eta_signal))
     noise_rate = signal_rate / zeta
     if noise_rate >= 1.0:
         raise ValueError("requested zeta implies a noise click rate of one or more")
@@ -263,27 +259,31 @@ def broadband_conversion_efficiency(
     return float(np.trapezoid(photon_spectrum.values * efficiency, photon_spectrum.abscissa))
 
 
-def _click_probabilities(model: SourceModel) -> tuple[float, float, float]:
-    """Per-bin probabilities ``(q, p10, p01)`` with the pair number summed out.
+def _click_probabilities(model: SourceModel) -> tuple[float, float, float, float]:
+    """Per-bin probabilities ``(q, p10, p01, p11)`` with the pair number summed out.
 
-    ``q = 1 - p00`` is the chance that a bin clicks at all, ``p10`` that
-    only the herald clicks and ``p01`` that only the signal clicks; both
-    clicking takes the rest, ``q - p10 - p01``.  With ``p00 = keep/(1+c)``,
-    ``p10 = keep/(1+b) - p00`` and ``p01 = 1/(1+a) - p00``; each is written
-    below without that difference of near-equal terms, so the
-    low-efficiency regime keeps full relative precision.
+    The one statement of the per-bin law: ``q = 1 - p00`` is the chance that
+    a bin clicks at all, ``p10`` that only the herald clicks, ``p01`` that
+    only the signal clicks and ``p11`` that both do.  With ``p00 =
+    keep/(1+c)``, ``p10 = keep/(1+b) - p00``, ``p01 = 1/(1+a) - p00`` and
+    ``p11 = q - p10 - p01``; each is written below as sums of non-negative
+    terms, so the low-efficiency regime keeps full relative precision.
+    ``p11 = a*N / ((1+a)*(1+b)*(1+c))`` with ``N = b*(1+c) + b*(1-eta_h) +
+    (1+a)*(eta_s - expm1(-nu)*(1-eta_s))``, divided through so that no
+    product overflows at a huge ``mu``.
     """
     mu = model.mean_pairs_per_bin
     eta_h, eta_s = model.herald_efficiency, model.signal_efficiency
     nu = model.noise_rate_per_bin
-    a = mu * eta_h
-    b = mu * eta_s
+    a, b = mu * eta_h, mu * eta_s
     c = mu * (eta_h + eta_s - eta_h * eta_s)
     keep = np.exp(-nu)
     q = (c - np.expm1(-nu)) / (1.0 + c)
     p10 = keep * a * (1.0 - eta_s) / ((1.0 + b) * (1.0 + c))
     p01 = (b * (1.0 - eta_h) - np.expm1(-nu) * (1.0 + a)) / ((1.0 + a) * (1.0 + c))
-    return float(q), float(p10), float(p01)
+    rest = b * (1.0 - eta_h) + (1.0 + a) * (eta_s - np.expm1(-nu) * (1.0 - eta_s))
+    p11 = a / (1.0 + a) * (b / (1.0 + b) + rest / ((1.0 + b) * (1.0 + c)))
+    return float(q), float(p10), float(p01), float(p11)
 
 
 def _click_chunks(model: SourceModel):
@@ -307,7 +307,7 @@ def _click_chunks(model: SourceModel):
     piece.  Each piece of up to ``_PIECE`` clicks draws its uniforms into one
     reused buffer when the generator resumes, keeping the stream's order.
     """
-    q, p10, p01 = _click_probabilities(model)
+    q, p10, p01, _ = _click_probabilities(model)
     bins = int(model.bins)
     # math.log1p is the C log1p numpy's geometric uses; at q == 1 every gap is 1
     rate = -math.log1p(-q) if q < 1.0 else math.inf
@@ -374,6 +374,30 @@ def _count_pairs(keys: np.ndarray, first: int, codes: np.ndarray) -> None:
         later = np.compress(codes_j < cap, later)
 
 
+def _delay_span(model: SourceModel, delay_span_bins: int) -> int:
+    """The span ``k`` of a histogram over delays ``[-k, +k]`` bins, checked against the run."""
+    if not _is_integer(delay_span_bins) or delay_span_bins < 1:
+        raise ValueError("delay_span_bins must be an integer of at least 1")
+    if delay_span_bins > model.bins:
+        raise ValueError("delay_span_bins must not exceed model.bins")
+    return int(delay_span_bins)
+
+
+def expected_histogram(model: SourceModel, delay_span_bins: int) -> np.ndarray:
+    """Expected coincidence counts over delays ``[-k, +k]`` bins.
+
+    The mean over seeds of :func:`simulate_coincidences`'s counts, from the
+    per-bin law: bins are independent, so delay 0 expects ``bins * p11``
+    and delay ``d`` expects ``(bins - |d|) * (p10+p11) * (p01+p11)``, one
+    herald-arm and one signal-arm click probability per bin pair.
+    """
+    k = _delay_span(model, delay_span_bins)
+    _, p10, p01, p11 = _click_probabilities(model)
+    expected = (model.bins - np.abs(np.arange(-k, k + 1))) * ((p10 + p11) * (p01 + p11))
+    expected[k] = model.bins * p11
+    return expected
+
+
 def simulate_coincidences(
     model: SourceModel, delay_span_bins: int = 30, resolution_ns: float = 0.8
 ) -> CoincidenceHistogram:
@@ -389,13 +413,9 @@ def simulate_coincidences(
     clicks far more often pays for that arm's pairs too.  No pair lies more
     than ``bins - 1`` bins apart, so a span wider than ``bins`` is rejected.
     """
-    if not _is_integer(delay_span_bins) or delay_span_bins < 1:
-        raise ValueError("delay_span_bins must be an integer of at least 1")
-    if delay_span_bins > model.bins:
-        raise ValueError("delay_span_bins must not exceed model.bins")
+    k = _delay_span(model, delay_span_bins)
     if isinstance(resolution_ns, bool) or not 0.0 < resolution_ns < np.inf:
         raise ValueError("resolution_ns must be positive and finite")
-    k = int(delay_span_bins)
     # pair codes 16*delay + 4*label_earlier + label_later; the last counts delays past k
     codes = np.zeros(16 * (k + 1) + 1, dtype=np.int64)
     keys = np.empty((2, _PIECE + k), dtype=np.int64)  # a tail holds at most k clicks

@@ -235,7 +235,7 @@ class TestSamplerEdgeCases:
     def test_probabilities_sum_out_the_pair_number(self):
         # closed forms vs a direct sum over the pair number
         for mu, eta_h, eta_s, nu in (ACCEPTANCE, LOW_EFFICIENCY, (2.0, 0.7, 0.3, 0.5)):
-            q, p10, p01 = _click_probabilities(SourceModel(mu, eta_h, eta_s, nu))
+            q, p10, p01, p11 = _click_probabilities(SourceModel(mu, eta_h, eta_s, nu))
             n = np.arange(400)
             pn = (mu / (1.0 + mu)) ** n / (1.0 + mu)
             miss_h = (1.0 - eta_h) ** n
@@ -243,6 +243,7 @@ class TestSamplerEdgeCases:
             assert q == pytest.approx(1.0 - (pn * miss_h * miss_s).sum(), rel=1e-12)
             assert p10 == pytest.approx((pn * (1.0 - miss_h) * miss_s).sum(), rel=1e-12)
             assert p01 == pytest.approx((pn * miss_h * (1.0 - miss_s)).sum(), rel=1e-12)
+            assert p11 == pytest.approx((pn * (1.0 - miss_h) * (1.0 - miss_s)).sum(), rel=1e-12)
 
 
 class TestChunkedSimulation:
@@ -331,7 +332,7 @@ def test_each_seed_keeps_its_histogram(regime, k, seed):
 
 def geometric_clicks(model):
     """The sampler as it was with gaps from ``rng.geometric``, chunk by chunk."""
-    q, p10, p01 = _click_probabilities(model)
+    q, p10, p01, _ = _click_probabilities(model)
     bins = int(model.bins)
     rng = np.random.default_rng(np.random.SeedSequence(model.seed).spawn(1)[0])
     heralds = [np.empty(0, dtype=np.int64)]

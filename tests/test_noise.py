@@ -14,7 +14,6 @@ from cavityqfc import (
     CavityParams,
     NoiseParams,
     as_spectral_density,
-    as_total_rate,
     beta_tilde_from,
     comb_density,
     comb_rate_in_band,
@@ -68,15 +67,9 @@ class TestSpectralDensity:
         "power", [0.01, 0.1, 1.0, 10.0, 100.0, 144.0, 300.0, 1000.0]
     )
     def test_quadrature_matches_closed_form(self, power):
+        # beta_tilde built from the linewidth makes one tooth carry the per-FSR law
         numeric = quad_total(NOISE, power, 70.4)
-        assert numeric == pytest.approx(as_total_rate(NOISE, power, 70.4), rel=1e-6)
-
-    def test_total_equals_per_fsr_law(self):
-        # beta_tilde built from the cavity makes both routes identical
-        for power in (0.5, 50.0, 144.0, 400.0):
-            assert as_total_rate(NOISE, power, 70.4) == pytest.approx(
-                noise_cavity_per_fsr(NOISE, power), rel=1e-12
-            )
+        assert numeric == pytest.approx(noise_cavity_per_fsr(NOISE, power), rel=1e-6)
 
     def test_beta_derived_from_gamma_all(self):
         # no cavity is needed to build the parameters: the linewidth argument fixes beta_tilde
@@ -87,10 +80,8 @@ class TestSpectralDensity:
 
     @pytest.mark.parametrize("gamma_all", [0.0, -70.4, np.nan, np.inf])
     def test_linewidth_must_be_positive_and_finite(self, gamma_all):
-        for law in (lambda: as_spectral_density(NOISE, 1.0, 0.0, gamma_all),
-                    lambda: as_total_rate(NOISE, 1.0, gamma_all)):
-            with pytest.raises(ValueError, match="gamma_all_MHz must be positive and finite"):
-                law()
+        with pytest.raises(ValueError, match="gamma_all_MHz must be positive and finite"):
+            as_spectral_density(NOISE, 1.0, 0.0, gamma_all)
 
 
 class TestRates:
@@ -130,11 +121,10 @@ class TestRates:
         "law",
         [
             lambda p: as_spectral_density(NOISE, p, 35.0, 70.4),
-            lambda p: as_total_rate(NOISE, p, 70.4),
             lambda p: half_noise_check(NOISE, p),
             lambda p: noise_nocavity(230.0, p, 3.79, 5.2),
         ],
-        ids=["as_spectral_density", "as_total_rate", "half_noise_check", "noise_nocavity"],
+        ids=["as_spectral_density", "half_noise_check", "noise_nocavity"],
     )
     def test_power_guard_and_array_power(self, law):
         powers = np.concatenate([[0.0], np.random.default_rng(4).uniform(0.0, 500.0, 2000)])

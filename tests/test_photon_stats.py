@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from cavityqfc import (
     CavityParams,
     CoincidenceHistogram,
+    G2Record,
     PumpDrive,
     SourceModel,
     broadband_conversion_efficiency,
+    expected_histogram,
     flat_top_spectrum,
     g2_from_histogram,
     g2_out,
@@ -25,6 +28,7 @@ from cavityqfc import (
     zeta_from_g2,
 )
 from cavityqfc.errors import CoverageError
+from cavityqfc.photon_stats import _click_probabilities
 
 
 class TestMixingFormula:
@@ -112,8 +116,60 @@ class TestThermalSourceG2:
         nu = noise_rate_for_intensity_ratio(mu, eta, zeta)
         signal_rate = mu * eta / (1 + mu * eta)
         assert (1 - np.exp(-nu)) * zeta == pytest.approx(signal_rate, rel=1e-12)
+        assert type(nu) is float
         with pytest.raises(ValueError):
             noise_rate_for_intensity_ratio(1e6, 1.0, 1e-9)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.55, 0.05, np.nan), "zeta"),
+            ((0.55, 0.05, np.inf), "zeta"),
+            ((0.55, 0.05, 0.0), "zeta"),
+            ((0.55, np.nan, 2.1), "signal_efficiency"),
+            ((0.55, 1.5, 2.1), "signal_efficiency"),
+            ((-1.0, 0.05, 2.1), "mean_pairs_per_bin"),
+        ],
+    )
+    def test_intensity_ratio_helper_rejects_bad_input(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            noise_rate_for_intensity_ratio(*args)
+
+    # 50-digit references; a joint probability taken as the difference of
+    # near-equal terms loses up to about 1e-10 relative at these points
+    @pytest.mark.parametrize(
+        "params, p11, g2",
+        [
+            ((1e-4, 1e-4, 1e-4, 1e-6), 1.0101989546955432e-12, 100.01974999981244),
+            ((1e-4, 1e-4, 1e-4, 0.0), 1.0001999599950013e-12, 10001.999799990005),
+        ],
+    )
+    def test_full_precision_at_low_efficiency(self, params, p11, g2):
+        assert _click_probabilities(SourceModel(*params))[3] == pytest.approx(p11, rel=1e-14, abs=0)
+        assert thermal_source_g2(*params) == pytest.approx(g2, rel=1e-14, abs=0)
+
+    def test_noise_alone_in_the_signal_arm_is_uncorrelated(self):
+        value = thermal_source_g2(0.55, 0.1, 0.0, 0.01)
+        assert type(value) is float
+        assert value == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.55, 1.5, 0.1), "herald_efficiency"),
+            ((0.55, np.nan, 0.1), "herald_efficiency must be finite"),
+            ((0.55, 0.1, 0.1, np.inf), "noise_rate_per_bin must be finite"),
+            ((0.0, 0.1, 0.1), "mean_pairs_per_bin"),
+            ((0.55, 0.0, 0.1), "g2 is undefined"),
+            ((0.55, 0.1, 0.0), "g2 is undefined"),
+            # both arms click, but too rarely for p11 to be a normal float
+            ((1e-5, 1e-160, 1e-160), "p11 underflows"),
+        ],
+    )
+    def test_rejects_what_the_model_rejects_and_a_blind_arm(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            thermal_source_g2(*args)
 
 
 class TestBroadbandEfficiency:
@@ -287,6 +343,102 @@ class TestSimulator:
     def test_numpy_integers_are_accepted(self):
         model = SourceModel(0.55, 0.1, 0.1, bins=np.int64(1_000), seed=np.uint32(2**32 - 1))
         assert simulate_coincidences(model, delay_span_bins=5).counts.shape == (11,)
+
+
+class TestExpectedHistogram:
+    def test_saturated_model_expects_every_pair(self):
+        # every bin clicks in both arms but for about 1e-12 per bin
+        bins = 1_003
+        model = SourceModel(1e12, 1.0, 1.0, noise_rate_per_bin=50.0, bins=bins, seed=4)
+        expected = expected_histogram(model, 5)
+        assert expected.dtype == float
+        np.testing.assert_allclose(expected, bins - np.abs(np.arange(-5, 6)), rtol=1e-11, atol=0)
+
+    def test_peak_over_accidentals_is_thermal_source_g2(self):
+        bins = 1_000_000
+        expected = expected_histogram(SourceModel(0.55, 0.1, 0.05, 0.01, bins=bins), 3)
+        ratio = expected[3] / expected[4] * (bins - 1) / bins
+        assert ratio == pytest.approx(thermal_source_g2(0.55, 0.1, 0.05, 0.01), rel=1e-14)
+        assert expected[2] == expected[4]
+
+    @pytest.mark.parametrize(
+        "params, bins",
+        [((0.55, 0.1, 0.1, 0.01), 1_000_000), ((0.01, 0.5, 0.002, 0.001), 10_000_000)],
+        ids=["dense", "sparse"],
+    )
+    def test_mean_over_seeds(self, params, bins):
+        # each delay's count is close to Poisson, so the summed counts of 40
+        # seeds give a chi-square near one per delay; single delays reach
+        # |z| = 3.6, so no delay is bounded on its own
+        seeds = range(1, 41)
+        total = sum(
+            simulate_coincidences(SourceModel(*params, bins=bins, seed=seed)).counts
+            for seed in seeds
+        )
+        expected = len(seeds) * expected_histogram(SourceModel(*params, bins=bins), 30)
+        chi_square = float(((total - expected) ** 2 / expected).sum())
+        assert chi2.sf(chi_square, expected.size) > 1e-3, chi_square / expected.size
+
+    @pytest.mark.parametrize(
+        "span, message",
+        [
+            (0, "at least 1"),
+            (2.7, "at least 1"),
+            (True, "at least 1"),
+            (1_001, "must not exceed model.bins"),
+        ],
+    )
+    def test_span_checked_as_the_simulator_checks_it(self, span, message):
+        model = SourceModel(0.55, 0.1, 0.1, bins=1_000, seed=1)
+        for run in (expected_histogram, simulate_coincidences):
+            with pytest.raises(ValueError, match=message):
+                run(model, span)
+
+
+class TestRecordsHoldFiniteValues:
+    G2 = {"g2": 3.5, "stderr": 0.1, "window_ns": 0.8, "resolution_ns": 0.8}
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("field", sorted(G2))
+    def test_g2_record(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            G2Record(**{**self.G2, field: value})
+
+    @pytest.mark.parametrize("field", ["window_ns", "resolution_ns"])
+    def test_g2_record_window_and_resolution_are_positive(self, field):
+        with pytest.raises(ValueError, match="window_ns and resolution_ns must be positive"):
+            G2Record(**{**self.G2, field: 0.0})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delay_bins_ns", np.nan),
+            ("delay_bins_ns", np.inf),
+            ("counts", np.nan),
+            ("counts", np.inf),
+            ("counts", -1.0),
+            ("accidental_level", np.nan),
+            ("accidental_level", np.inf),
+            ("accidental_level", -1.0),
+            ("resolution_ns", np.nan),
+            ("resolution_ns", np.inf),
+            ("resolution_ns", 0.0),
+            ("resolution_ns", -0.8),
+        ],
+    )
+    def test_coincidence_histogram(self, field, value):
+        kwargs = {
+            "delay_bins_ns": np.arange(-2.0, 3.0) * 0.8,
+            "counts": np.array([10.0, 10.0, 30.0, 10.0, 10.0]),
+            "accidental_level": 10.0,
+            "resolution_ns": 0.8,
+        }
+        if np.ndim(kwargs[field]):
+            kwargs[field][1] = value
+        else:
+            kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            CoincidenceHistogram(**kwargs)
 
 
 class TestG2FromHistogram:
