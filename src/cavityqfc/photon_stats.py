@@ -18,9 +18,10 @@ probabilities of the four per-bin outcomes (no click, herald only, signal
 only, both); the sampler, ``thermal_source_g2`` and ``expected_histogram``
 all read that one law.  The simulator places the clicking bins by
 geometric skip-ahead and histograms them a piece at a time: an exact
-sample of the per-bin model, in memory bounded by one chunk and the delay
-span, at a cost that grows with the clicks and their pairs within the span,
-not with the number of bins (see ``_click_chunks`` and ``_count_pairs``).
+sample of the per-bin model, in memory bounded by one chunk and one
+histogram of the delay span, at a cost that grows with the clicks and their
+pairs within the span, not with the number of bins or the size of the
+span's histogram (see ``_click_chunks`` and ``_count_pairs``).
 """
 
 from __future__ import annotations
@@ -194,12 +195,16 @@ def noise_rate_for_intensity_ratio(mu: float, eta_signal: float, zeta: float) ->
 
     The signal-arm click rate without noise is ``mu*eta/(1 + mu*eta)``;
     the returned ``nu`` makes the standalone noise click rate
-    ``1 - exp(-nu)`` smaller by the factor ``zeta``.
+    ``1 - exp(-nu)`` smaller by the factor ``zeta``.  Raises ``ValueError``
+    where that rate is 0 (a blind signal arm, or ``mu*eta`` underflowing),
+    since no noise rate then gives any ``zeta``.
     """
     if not 0.0 < zeta < np.inf:
         raise ValueError("zeta must be positive and finite")
     # with a blind herald every signal click is signal-only: p01 is the arm's rate
     _, _, signal_rate, _ = _click_probabilities(SourceModel(mu, 0.0, eta_signal))
+    if signal_rate == 0.0:
+        raise ValueError(f"no noise rate gives zeta={zeta!r}: the signal arm never clicks")
     noise_rate = signal_rate / zeta
     if noise_rate >= 1.0:
         raise ValueError("requested zeta implies a noise click rate of one or more")
@@ -348,30 +353,49 @@ def _count_pairs(keys: np.ndarray, first: int, codes: np.ndarray) -> None:
     ``keys`` holds ``A = 16*bin + label`` and ``B = 16*bin - 4*label`` of
     bin-sorted clicks, so ``A[m] - B[m-j] = 16*delay + 4*label[m-j] + label[m]``.
     Pass ``j`` subtracts, clips at ``16*(k+1)`` (the last index of ``codes``)
-    and bincounts, until an offset pairs nothing; once fewer than ``_SHRINK``
+    and tallies, until an offset pairs nothing; once fewer than ``_SHRINK``
     of the later clicks pair, it follows the shrinking set of those that do.
+    The first offset is tested before it is tallied, so a piece whose clicks
+    mostly pair with nothing tallies only those that pair.  Each pass tallies
+    in time and memory that follow its codes, not the ``16*(k+1)+1`` slots
+    of ``codes`` (see ``_tally``), so the cost is the pairs counted.
     """
     a, b = keys
     n, cap = a.size, codes.size - 1
     for j in range(1, n):
         lo = max(j, first)
         codes_j = np.subtract(a[lo:], b[lo - j : n - j])
+        if j == 1:
+            pairing = codes_j < cap
+            if np.count_nonzero(pairing) < _SHRINK * codes_j.size:
+                later = np.flatnonzero(pairing)
+                _tally(codes, codes_j[later])
+                later += lo
+                break
         np.minimum(codes_j, cap, out=codes_j)
-        hits = np.bincount(codes_j, minlength=cap + 1)
-        codes += hits
-        if codes_j.size - hits[cap] < _SHRINK * codes_j.size:
+        beyond = codes[cap]
+        _tally(codes, codes_j)
+        if codes_j.size - (codes[cap] - beyond) < _SHRINK * codes_j.size:
+            later = np.flatnonzero(codes_j < cap) + lo
             break
     else:
         return
-    later = np.flatnonzero(codes_j < cap) + lo
     while later.size:
         j += 1
         later = later[int(later[0] < j) :]  # the click at index j - 1 has no j-th before it
         codes_j = a[later]
         codes_j -= b[later - j]
         np.minimum(codes_j, cap, out=codes_j)
-        codes += np.bincount(codes_j, minlength=cap + 1)
+        _tally(codes, codes_j)
         later = np.compress(codes_j < cap, later)
+
+
+def _tally(codes: np.ndarray, codes_j: np.ndarray) -> None:
+    """Add one to ``codes`` at each of ``codes_j``, in time and memory that follow the smaller."""
+    if codes_j.size < codes.size:
+        np.add.at(codes, codes_j, 1)
+    else:
+        codes += np.bincount(codes_j, minlength=codes.size)
 
 
 def _delay_span(model: SourceModel, delay_span_bins: int) -> int:
@@ -407,16 +431,18 @@ def simulate_coincidences(
     ``model.seed``, so a seed always gives the same histogram.  Each piece
     of 2^15 clicks is histogrammed as soon as it is drawn, together with
     the earlier clicks within ``k`` bins of it, so memory is bounded by the
-    2 MB gap buffer of one 2^18-click chunk, one piece and the span.  Time
-    grows with the clicks and with the pairs of clicks within ``k`` bins of
-    each other, from either arm, not with ``bins``: a run where one arm
-    clicks far more often pays for that arm's pairs too.  No pair lies more
-    than ``bins - 1`` bins apart, so a span wider than ``bins`` is rejected.
+    2 MB gap buffer of one 2^18-click chunk, one piece and the span; the
+    span costs one ``128*(k+1)``-byte histogram per run, not one per pass.
+    Time grows with the clicks and with the pairs of clicks within ``k``
+    bins of each other, from either arm, not with ``bins`` or the size of
+    the histogram: a run where one arm clicks far more often pays for that
+    arm's pairs too.  No pair lies more than ``bins - 1`` bins apart, so a
+    span wider than ``bins`` is rejected.
     """
     k = _delay_span(model, delay_span_bins)
     if isinstance(resolution_ns, bool) or not 0.0 < resolution_ns < np.inf:
         raise ValueError("resolution_ns must be positive and finite")
-    # pair codes 16*delay + 4*label_earlier + label_later; the last counts delays past k
+    # pair codes 16*delay + 4*label_earlier + label_later; the last, dropped, takes delays past k
     codes = np.zeros(16 * (k + 1) + 1, dtype=np.int64)
     keys = np.empty((2, _PIECE + k), dtype=np.int64)  # a tail holds at most k clicks
     both = tail = 0

@@ -526,6 +526,18 @@ class TestDomainLimits:
         assert message in result.stderr
         assert result.stdout == ""
 
+    def test_blind_signal_arm_is_domain_error(self, monkeypatch):
+        # no noise rate gives a blind signal arm any zeta, so the run must
+        # fail before its 10^7 bins are sampled, not on zero accidental counts
+        def no_sampling(model):
+            raise AssertionError("sampled before zeta was checked")
+
+        monkeypatch.setattr(cli.photon_stats, "_click_chunks", no_sampling)
+        result = run_cli("g2", "--param", "mc=1", "--param", "eta_signal=0",
+                         "--param", "zeta=2.1", expect=4)
+        assert "no noise rate gives zeta=2.1" in result.stderr
+        assert result.stdout == ""
+
     def test_limits_are_inclusive(self):
         assert cli._count({"samples": cli.MAX_POINTS}, "samples", 1201, 16) == cli.MAX_POINTS
         run_cli("generate", "--param", "model=coincidence", "--param", "bins=50",

@@ -7,7 +7,8 @@ and tests each detector separately, so the closed-form click probabilities
 are not validated against themselves.  The piece-by-piece simulation is
 compared with brute-force counting over its joined clicks and with pinned
 digests of each seed's histogram, and its traced memory peak with its own
-at a quarter of the bins and with a fixed bound.
+at a quarter of the bins, with a fixed bound and, at a wide span, with the
+size of its histogram.
 """
 
 import hashlib
@@ -76,7 +77,8 @@ class TestDelayHistogram:
     @given(stream=labelled_streams(), shrink=st.sampled_from([0.0, 0.5, 2.0]))
     def test_property_against_brute_force(self, stream, shrink):
         # pieces carry tails of 0 to all earlier clicks; a shrink of 0 never
-        # switches to index passes and one of 2 switches after the first pass
+        # switches to index passes, one of 2 tallies only the first offset's
+        # pairing clicks and then indexes them, and 0.5 reaches both switches
         clicks, labels, cuts, k = stream
         expected = brute_force_histogram(*split_arms(clicks, labels), k)
         assert np.array_equal(stream_histogram(clicks, labels, cuts, k, shrink), expected)
@@ -248,11 +250,12 @@ class TestSamplerEdgeCases:
 
 class TestChunkedSimulation:
     @pytest.mark.parametrize("chunk", [3, 50])
-    @pytest.mark.parametrize("k", [1, 30])
+    @pytest.mark.parametrize("k", [1, 30, 3000])
     @pytest.mark.parametrize("params", [ACCEPTANCE, LOW_EFFICIENCY], ids=["dense", "sparse"])
     def test_chunks_join_exactly(self, monkeypatch, params, k, chunk):
         # chunks of 3 clicks span fewer than 30 bins, so a tail reaches back
-        # over several chunks; the histogram must count every pair once
+        # over several chunks; the histogram must count every pair once.  At
+        # k = 3000 the 48017-slot histogram outnumbers every pass's codes
         monkeypatch.setattr(photon_stats, "_CHUNK", chunk)
         self.assert_joins_exactly(params, k)
 
@@ -275,10 +278,10 @@ class TestChunkedSimulation:
         assert np.array_equal(counts, brute_force_histogram(herald, signal, k))
 
     @staticmethod
-    def traced_peak(bins):
+    def traced_peak(bins, params=ACCEPTANCE, k=30):
         tracemalloc.start()
         try:
-            simulate_coincidences(SourceModel(*ACCEPTANCE, bins=bins, seed=1))
+            simulate_coincidences(SourceModel(*params, bins=bins, seed=1), delay_span_bins=k)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -294,6 +297,14 @@ class TestChunkedSimulation:
         # 4 MB; whole-chunk click, uniform and outcome arrays would need 9
         peak = self.traced_peak(20_000_000)
         assert peak < 5 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+    def test_wide_span_allocates_one_histogram(self):
+        # the 16*(k+1)+1 int64 pair codes are allocated once per run, about
+        # 1.7 of them at the peak; a histogram allocated per pass reaches 3.2
+        k = 100_000
+        peak = self.traced_peak(10**6, LOW_EFFICIENCY, k)
+        histogram = (16 * (k + 1) + 1) * 8
+        assert peak < 2.5 * histogram, f"traced peak {peak / histogram:.2f} histograms"
 
 
 # SHA-256 of the little-endian int64 counts each seed has given since the

@@ -129,6 +129,10 @@ class TestThermalSourceG2:
             ((0.55, np.nan, 2.1), "signal_efficiency"),
             ((0.55, 1.5, 2.1), "signal_efficiency"),
             ((-1.0, 0.05, 2.1), "mean_pairs_per_bin"),
+            # no noise rate gives a signal arm that never clicks any zeta
+            ((0.55, 0.0, 2.1), "no noise rate gives zeta=2.1"),
+            ((0.55, 0.0, 1e-9), "no noise rate gives zeta=1e-09"),
+            ((1e-300, 1e-300, 2.1), "no noise rate gives zeta=2.1"),  # mu*eta underflows
         ],
     )
     def test_intensity_ratio_helper_rejects_bad_input(self, args, message):
