@@ -110,14 +110,6 @@ def _parse_params(command: str, pairs: list[str]):
     return handler, params
 
 
-def _render_kv_csv(pairs: dict, provenance: dict) -> str:
-    lines = [f"# {k} = {v}" for k, v in provenance.items()]
-    lines.append("key,value")
-    for key, value in pairs.items():
-        lines.append(f"{key},{fmt(value)}")
-    return "\n".join(lines) + "\n"
-
-
 def _flatten(payload: dict, prefix: str = "") -> dict:
     flat: dict = {}
     for key, value in payload.items():
@@ -138,7 +130,9 @@ def _render(form: str, payload: dict, csv, provenance: dict | None) -> str:
     provenance = {k: v if isinstance(v, str) else fmt(v) for k, v in (provenance or {}).items()}
     if isinstance(csv, list):
         return render_csv(csv, provenance)
-    return _render_kv_csv(_flatten(payload) if csv is None else csv, provenance)
+    pairs = _flatten(payload) if csv is None else csv
+    return render_csv([("key", list(pairs)), ("value", list(map(fmt, pairs.values())))],
+                      provenance)
 
 
 def _count(params, key: str, default: int, least: int) -> int:

@@ -58,6 +58,16 @@ def _require_finite(params) -> None:
             raise ValueError(f"{field.name} must be finite, got {float(value)!r}")
 
 
+def _pump_power(power_mW) -> np.ndarray:
+    """Scalar or array pump power as an array; rejects negative and non-finite entries."""
+    power = np.asarray(power_mW, dtype=float)
+    if np.any(power < 0):
+        raise ValueError("power_mW must be non-negative")
+    if not np.isfinite(power).all():
+        raise ValueError("power_mW must be finite")
+    return power
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Resonator geometry and loss parameters.
@@ -272,11 +282,10 @@ def nocavity_efficiency(power_mW: float, B_per_mW: float) -> float:
     ``sin^2(sqrt(B*P))``: full conversion at ``B*P = (pi/2)^2``, complete
     back-conversion at ``B*P = pi^2``.
     """
-    if not power_mW >= 0:
-        raise ValueError("power_mW must be non-negative")
+    power = _pump_power(power_mW)
     if not B_per_mW > 0:
         raise ValueError("B_per_mW must be positive")
-    return float(np.sin(np.sqrt(B_per_mW * power_mW)) ** 2)
+    return float(np.sin(np.sqrt(B_per_mW * power)) ** 2)
 
 
 def alpha_tilde_from_finesse(F_cold: float, B_per_mW: float) -> float:

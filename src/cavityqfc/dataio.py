@@ -4,19 +4,20 @@ CSV dialect: comma-separated, ``#``-prefixed provenance lines before the
 header row, ``.`` decimal separator, units embedded in the column names
 (``power_mW``, ``fwhm_MHz``, ``wavelength_nm``, ``counts_cps``, ...).
 Each column is written by one rule chosen from its dtype: ``%.12g`` for
-floats, ``%d`` for integers, ``true``/``false`` for booleans; finiteness is
-checked once per column. JSON arrays are written as the ``repr`` of each
-element as a float, so integer arrays appear as ``1.0``. Both formats
-format each distinct value of a column once, keyed by its bit pattern, and
-repeat the text where the value recurs; the bytes are those of formatting
-every element. Identical inputs produce byte-identical files.
+floats, ``%d`` for integers, ``true``/``false`` for booleans, the text for
+strings; finiteness is checked once per column. JSON comes from one writer
+in the layout of ``json.dumps(sort_keys=True, indent=2)``, with each array
+element on a line of its own as the ``repr`` of a float, so integer arrays
+appear as ``1.0``. Both formats format each distinct value of a column
+once, keyed by its bit pattern, and repeat the text where the value
+recurs; the bytes are those of formatting every element. Identical inputs
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from itertools import repeat
 from operator import itemgetter
@@ -63,11 +64,8 @@ def write_text(path: str | None, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-_CSV_SPEC = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%s"}
-
-# render_json's placeholder for an array, with the indentation and key of its
-# line; json.dumps escapes the NUL, which no name, number or file path holds
-_ARRAY_SLOT = re.compile(r'^(( *).*)"\\u0000(\d+)"(?=,?$)', re.MULTILINE)
+_CSV_SPEC = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%s", "U": "%s"}
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _format_once(a: np.ndarray, to_text) -> tuple[str, ...] | None:
@@ -118,30 +116,50 @@ def render_csv(columns: list[tuple[str, np.ndarray]], provenance: dict | None = 
     return "\n".join(lines) + "\n"
 
 
-def _stash(obj, arrays: list):
-    """``obj`` with numpy scalars made Python numbers and each 1-D array made a
-    placeholder string; the array's element texts are appended to ``arrays``.
-
-    A module function, not a closure that calls itself: such a closure is a
-    reference cycle, which would keep ``arrays`` alive until the next
-    garbage collection."""
-    if isinstance(obj, dict):
-        return {key: _stash(value, arrays) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stash(value, arrays) for value in obj]
+def _json(obj, indent: str) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it on a
+    line indented by ``indent``, with numpy numbers as Python numbers and each
+    1-D array as a list of its elements' ``repr`` as floats."""
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if not isinstance(obj, np.ndarray):
-        return obj
-    if obj.ndim != 1 or obj.dtype.kind not in _CSV_SPEC:
+        obj = obj.item()  # a Python number, but a np.longdouble stays one and is refused
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        try:  # an indent selects json's Python encoder, whose message names the value
+            json.dumps(float(obj), allow_nan=False, indent=0)
+        except ValueError as exc:
+            raise NumericFailure(f"result is not valid JSON: {exc}") from None
+    if obj is None or isinstance(obj, bool):
+        return _LITERALS[obj]
+    if isinstance(obj, (str, int)):
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    # one join per container, so an array's text is copied once per level
+    if isinstance(obj, dict):
+        if any(not isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be str")
+        pieces, brackets = [], "{}"
+        for key, value in sorted(obj.items()):
+            pieces += (sep, json.dumps(key), ": ", _json(value, inner))
+    elif isinstance(obj, (list, tuple)):
+        pieces, brackets = [], "[]"
+        for value in obj:
+            pieces += (sep, _json(value, inner))
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "fiub":
+        values = obj.astype(float)
+        if not np.isfinite(values).all():
+            return _json(float(values[np.argmin(np.isfinite(values))]), indent)  # raises
+        texts = _format_once(values, float.__repr__) or map(float.__repr__, values.tolist())
+        pieces, brackets = ([sep, sep.join(texts)] if values.size else []), "[]"
+    elif isinstance(obj, np.ndarray):
         raise TypeError(f"cannot write a {obj.ndim}-D {obj.dtype} array as JSON")
-    values = obj.astype(float)
-    if not np.isfinite(values).all():
-        # json.dumps then rejects the first bad value where it sits
-        return float(values[np.argmin(np.isfinite(values))])
-    texts = _format_once(values, float.__repr__)
-    arrays.append(map(float.__repr__, values.tolist()) if texts is None else texts)
-    return f"\0{len(arrays) - 1}" if values.size else []
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not pieces:
+        return brackets
+    pieces[0] = "\n" + inner  # the first item takes no comma
+    return "".join([brackets[0], *pieces, "\n", indent, brackets[1]])
 
 
 def render_json(payload: dict) -> str:
@@ -150,20 +168,7 @@ def render_json(payload: dict) -> str:
     Output is strict JSON (RFC 8259): a NaN or infinite value raises
     :class:`~cavityqfc.errors.NumericFailure` instead of printing ``NaN``.
     """
-    arrays: list = []
-
-    def expand(slot: re.Match) -> str:
-        line, indent, texts = slot[1], slot[2], arrays[int(slot[3])]
-        items = f",\n  {indent}".join(texts)
-        return f"{line}[\n  {indent}{items}\n{indent}]"
-
-    body = {"schema_version": SCHEMA_VERSION}
-    body.update(payload)
-    try:
-        text = json.dumps(_stash(body, arrays), sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NumericFailure(f"result is not valid JSON: {exc}") from None
-    return _ARRAY_SLOT.sub(expand, text) + "\n"
+    return _json({"schema_version": SCHEMA_VERSION, **payload}, "") + "\n"
 
 
 def _abscissa_unit(column_name: str) -> str:

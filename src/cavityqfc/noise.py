@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import CavityParams, _require_finite
+from .conversion import CavityParams, _pump_power, _require_finite
 
 __all__ = [
     "NoiseParams",
@@ -95,14 +95,6 @@ class CombSpectrum:
             raise ValueError("grid and density must have equal length")
         if np.any(np.asarray(self.density) < 0):
             raise ValueError("density must be non-negative")
-
-
-def _pump_power(power_mW) -> np.ndarray:
-    """Scalar or array pump power as an array, rejecting negative entries."""
-    power = np.asarray(power_mW, dtype=float)
-    if np.any(power < 0):
-        raise ValueError("power_mW must be non-negative")
-    return power
 
 
 def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MHz: float):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import bandwidth_nm_to_GHz
+from .conversion import _pump_power, bandwidth_nm_to_GHz
 from .errors import NumericFailure
 from .noise import spdc_antiresonant_suppression
 
@@ -83,9 +83,7 @@ def _sinc(x):
 
 def snr_cav(power_mW, alpha_tilde: float, alpha_noise: float):
     """SNR of the cavity converter, strictly decreasing in pump power (scalar or array)."""
-    power = np.asarray(power_mW, dtype=float)
-    if np.any(power < 0):
-        raise ValueError("power_mW must be non-negative")
+    power = _pump_power(power_mW)
     # float_power is libm pow for scalars and arrays; ndarray ** 2 may differ by 1 ulp
     out = 8.0 * alpha_tilde / (alpha_noise * np.float_power(1.0 + alpha_tilde * power, 2))
     return out if out.ndim else float(out)
@@ -93,9 +91,7 @@ def snr_cav(power_mW, alpha_tilde: float, alpha_noise: float):
 
 def snr_nocav(power_mW, B: float, alpha_noise: float, band_ratio: float):
     """SNR of a plain converter behind a ``band_ratio*fsr`` bandpass (scalar or array power)."""
-    power = np.asarray(power_mW, dtype=float)
-    if np.any(power < 0):
-        raise ValueError("power_mW must be non-negative")
+    power = _pump_power(power_mW)
     if not 0.0 < band_ratio <= 1.0:
         raise ValueError("band_ratio must lie in (0, 1]")
     out = B * np.float_power(_sinc(np.sqrt(B * power)), 2) / (alpha_noise * band_ratio)

@@ -19,7 +19,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from cavityqfc import ScanSeries, cli, conversion, extract_fwhm
+from cavityqfc import PRESETS, ScanSeries, cli, conversion, extract_fwhm
 from cavityqfc.dataio import read_scan_csv
 
 
@@ -163,6 +163,18 @@ class TestGenerateFitRoundTrip:
         )
         assert payload["parameters"]["alpha_MHz_per_mW"] == pytest.approx(0.56, rel=1e-8)
         assert payload["parameters"]["gamma_all_MHz"] == pytest.approx(34.4, rel=1e-8)
+
+    def test_fwhm_nv_preset_takes_the_model_slope(self):
+        # the nv preset has no measured broadening slope
+        preset = PRESETS["nv"]
+        assert preset.broadening_MHz_per_mW is None
+        slope = preset.alpha_tilde_per_mW * preset.cavity.gamma_all_MHz
+        assert preset.alpha_MHz_per_mW == slope
+        payload = json.loads(run_cli("generate", "--preset", "nv", "--param", "model=fwhm",
+                                     "--format", "json").stdout)
+        assert payload["provenance"]["alpha_MHz_per_mW"] == slope
+        power, fwhm = np.array(payload["power_mW"]), np.array(payload["fwhm_MHz"])
+        assert fwhm == pytest.approx(preset.cavity.gamma_all_MHz + slope * power, rel=1e-15)
 
     def test_noise_dataset_recovers_parameters(self, tmp_path):
         data = tmp_path / "noise.csv"
@@ -451,40 +463,59 @@ class TestDeterminismAndErrors:
         run_cli("fit", "--input", str(bad), "--param", "model=fwhm", expect=3)
 
 
-class TestGoldenOutput:
-    """SHA-256 of the CSV stdout of the closed-form and seeded subcommands.
+# argv and the SHA-256 of its CSV and JSON stdout: the CSV digests pinned from
+# the code before every handler returned its result to one writer, the JSON
+# ones from the code that still built its JSON text with json.dumps
+_GOLDEN = {
+    "design": (["design"],
+               "956a9ecc7c0a7543fea31a450055c4de7e16f6a2c37117780bc049e00f3807b3",
+               "506cbb327439af4ca295384c6fabac8e80edbfbb45c4efec240a6362e18e5ecb"),
+    "snr_curves": (["snr", "--param", "mode=curves"],
+                   "0f936c611f322f4e84663adf5325b6dd7e96c288d4e9294e31a2e7d3e84dad74",
+                   "28a7e5d2b559b5c27257de26c78349db4de3b9d9448f2bde0a9f5ad6128a6fad"),
+    "snr_table": (["snr", "--param", "mode=table"],
+                  "f2cd8c03837df2d900eb17abcffb8edaafb5ed33beca45df43a7afbb2c65a8de",
+                  "62cd762e638e66921be36ce40cd5b83719cb293434c847d3304c0ef564378816"),
+    "snr_min_finesse": (["snr", "--param", "mode=min-finesse"],
+                        "ca1b39ef0cba21ca84b2d7a120918997cf9960df29ac6c4daf5d76c37640e5e8",
+                        "02a69d1e16883b38283bc2d82ac57ef14ff0364dea7f9fff1111dda8c0fa17a9"),
+    "g2_analytic": (["g2", "--param", "zeta=2.1", "--param", "enhancement=18"],
+                    "bc19aecd968304982cd22dc211bc252390aa99b52d320ea09a5579c56189aa14",
+                    "1ddd2fdffc4f266960a7fb9f39a64fcb818a68b996d1cef805c1d29d123eac69"),
+    "model": (["model"],
+              "981f7de71532e3a4599eeee72bf1ed0ed36794779f201ebb13e92f137e557cb8",
+              "744aa855f6999bdfd06920d9da7705f586decf9b447bd3fd641d4d06bbbe8e29"),
+    "generate_fwhm": (["generate", "--param", "model=fwhm", "--param", "noise=gauss",
+                       "--seed", "7"],
+                      "b8bc694179b2b1e6dd1c35f9e75f3608ffa9f88c34c111b3d9c2e1bdab4962c1",
+                      "1cac81e6280321bf073a008b267517eb3f7e480b0eea3f97580e4faa1b1b9623"),
+    "generate_noise": (["generate", "--param", "model=noise", "--param", "noise=gauss",
+                        "--seed", "8"],
+                       "55ace25b6f6f86b7312e808ed5666a096e8c6fa6fc2d89c9c9e6bf46549c6770",
+                       "8d5b22c613de3496baac36998782fd44d9d592457fffa38a0508bd6ebccd9617"),
+    "generate_comb": (["generate", "--param", "model=comb", "--param", "noise=poisson",
+                       "--seed", "5"],
+                      "5fd47169b6e276f6e23df42dc9852ecd1ca7faf23698d6bf4f4bf25da8408a0b",
+                      "e38415730295f6032ad5e0c979710bf44f9b73a2982e66c72576d4fadbe222fa"),
+}
 
-    Pinned from the output of the code before every handler returned its
-    result to one writer; ``fit`` and ``fsr`` are left out because their
-    last digits come from ``lstsq`` and the FFT, which may differ between
-    BLAS builds.
+
+class TestGoldenOutput:
+    """SHA-256 of the CSV and JSON stdout of the closed-form and seeded
+    subcommands.
+
+    ``fit`` and ``fsr`` are left out because their last digits come from
+    ``lstsq`` and the FFT, which may differ between BLAS builds.
     """
 
     @pytest.mark.parametrize(
-        "args, digest",
-        [
-            (["design"], "956a9ecc7c0a7543fea31a450055c4de7e16f6a2c37117780bc049e00f3807b3"),
-            (["snr", "--param", "mode=curves"],
-             "0f936c611f322f4e84663adf5325b6dd7e96c288d4e9294e31a2e7d3e84dad74"),
-            (["snr", "--param", "mode=table"],
-             "f2cd8c03837df2d900eb17abcffb8edaafb5ed33beca45df43a7afbb2c65a8de"),
-            (["snr", "--param", "mode=min-finesse"],
-             "ca1b39ef0cba21ca84b2d7a120918997cf9960df29ac6c4daf5d76c37640e5e8"),
-            (["g2", "--param", "zeta=2.1", "--param", "enhancement=18"],
-             "bc19aecd968304982cd22dc211bc252390aa99b52d320ea09a5579c56189aa14"),
-            (["model"], "981f7de71532e3a4599eeee72bf1ed0ed36794779f201ebb13e92f137e557cb8"),
-            (["generate", "--param", "model=fwhm", "--param", "noise=gauss", "--seed", "7"],
-             "b8bc694179b2b1e6dd1c35f9e75f3608ffa9f88c34c111b3d9c2e1bdab4962c1"),
-            (["generate", "--param", "model=noise", "--param", "noise=gauss", "--seed", "8"],
-             "55ace25b6f6f86b7312e808ed5666a096e8c6fa6fc2d89c9c9e6bf46549c6770"),
-            (["generate", "--param", "model=comb", "--param", "noise=poisson", "--seed", "5"],
-             "5fd47169b6e276f6e23df42dc9852ecd1ca7faf23698d6bf4f4bf25da8408a0b"),
-        ],
-        ids=["design", "snr_curves", "snr_table", "snr_min_finesse", "g2_analytic", "model",
-             "generate_fwhm", "generate_noise", "generate_comb"],
+        "form, args, digest",
+        [pytest.param("csv", args, csv, id=name) for name, (args, csv, _) in _GOLDEN.items()]
+        + [pytest.param("json", args, json_digest, id=f"json_{name}")
+           for name, (args, _, json_digest) in _GOLDEN.items()],
     )
-    def test_csv_stdout_digest(self, args, digest):
-        stdout = run_cli(*args, "--format", "csv").stdout
+    def test_csv_stdout_digest(self, form, args, digest):
+        stdout = run_cli(*args, "--format", form).stdout
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 

@@ -233,6 +233,8 @@ class TestScalarModel:
             (dfg_wavelength, (780.0, np.nan)),
             (nocavity_efficiency, (np.nan, 1.0)),
             (nocavity_efficiency, (1.0, np.nan)),
+            (nocavity_efficiency, (np.inf, 1.0)),
+            (nocavity_efficiency, (-np.inf, 1.0)),
         ],
     )
     def test_nan_argument_rejected(self, func, args):

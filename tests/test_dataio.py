@@ -100,7 +100,7 @@ _LEAVES = (
     | st.integers()
     | st.booleans()
     | st.none()
-    | st.text(st.characters(exclude_characters="\0"), max_size=8)
+    | st.text(max_size=8)
 )
 
 
@@ -112,6 +112,16 @@ _LEAVES = (
 ))
 def test_render_json_matches_per_element_reference(payload):
     assert render_json(payload) == reference_render_json(payload)
+
+
+@pytest.mark.parametrize(
+    "payload", [{"a": "\x000", "b": np.array([1.0, 2.0])}, {"a": "\x007"}],
+    ids=["array_beside", "alone"],
+)
+def test_render_json_keeps_strings_that_start_with_nul_and_a_digit(payload):
+    text = render_json(payload)
+    assert text == reference_render_json(payload)
+    assert json.loads(text)["a"] == payload["a"]
 
 
 def test_render_json_writes_nested_arrays_like_the_reference():

@@ -20,7 +20,8 @@ from cavityqfc import (
     periodogram,
     sample_response,
 )
-from cavityqfc.errors import NoPeriodicity, SamplingError, ShapeError, SingularFit
+from cavityqfc import fitting
+from cavityqfc.errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
 from cavityqfc.fitting import _half_crossings
 
 
@@ -184,6 +185,24 @@ class TestExtractFwhm:
         assert fwhm <= np.ptp(x)
         assert fwhm == pytest.approx(12.0, rel=0.3)
         assert err == pytest.approx(0.5)
+
+    def test_failed_fit_falls_back_to_the_half_maximum_crossings(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericFailure("Levenberg-Marquardt did not converge")
+
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", fail)
+        # steps of 5, 1, 0.25, 1 and 5 around a 4-wide line off the grid
+        x = np.concatenate([np.linspace(-30.0, -10.0, 5), np.linspace(-5.0, -1.0, 5),
+                            np.linspace(-0.75, 1.75, 11), np.linspace(2.0, 6.0, 5),
+                            np.linspace(11.0, 31.0, 5)])
+        y = 1.0 / (1.0 + ((x - 0.3) / 2.0) ** 2)
+        half = y.min() + 0.5 * (y.max() - y.min())
+        peak = int(np.argmax(y))
+        left = np.interp(half, y[: peak + 1], x[: peak + 1])
+        right = np.interp(half, y[peak:][::-1], x[peak:][::-1])
+        fwhm, err = extract_fwhm(ScanSeries(x, y))
+        assert fwhm == pytest.approx(right - left, rel=1e-12)
+        assert err == np.max(np.diff(x)) == 5.0
 
     def test_half_crossings_interpolate_linearly(self):
         x = np.arange(9.0)

@@ -123,8 +123,10 @@ class TestRates:
             lambda p: as_spectral_density(NOISE, p, 35.0, 70.4),
             lambda p: half_noise_check(NOISE, p),
             lambda p: noise_nocavity(230.0, p, 3.79, 5.2),
+            lambda p: noise_cavity_per_fsr(NOISE, p),
         ],
-        ids=["as_spectral_density", "half_noise_check", "noise_nocavity"],
+        ids=["as_spectral_density", "half_noise_check", "noise_nocavity",
+             "noise_cavity_per_fsr"],
     )
     def test_power_guard_and_array_power(self, law):
         powers = np.concatenate([[0.0], np.random.default_rng(4).uniform(0.0, 500.0, 2000)])
@@ -135,6 +137,13 @@ class TestRates:
             law(-10.0)
         with pytest.raises(ValueError, match="non-negative"):
             law(np.array([1.0, -1e-9, 2.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                law(bad)
+            with pytest.raises(ValueError, match="must be finite"):
+                law(np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            law(-np.inf)
 
     def test_extraction_ratio_cancels(self):
         for ratio in (0.1, 0.5, 0.7, 1.0):

@@ -66,6 +66,11 @@ class TestPointwiseSnr:
         assert type(snr(3.0, *args)) is float
         with pytest.raises(ValueError):
             snr(np.array([1.0, -1e-9, 2.0]), *args)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="power_mW must be"):
+                snr(bad, *args)
+            with pytest.raises(ValueError, match="power_mW must be"):
+                snr(np.array([1.0, bad]), *args)
 
     def test_band_ratio_domain(self):
         with pytest.raises(ValueError):
