@@ -14,7 +14,8 @@ take ``--seed`` (default 1234); ``model``, ``fit`` and ``generate`` take
 Limits, checked before anything is allocated (exit 4): ``model samples``,
 ``snr grid`` and ``generate points`` at most 10^6, a comb scan at most
 10^6 steps long (``span_nm <= 10^6 * step_nm``), ``span_bins`` at most
-``bins``.
+``bins``, and a Monte Carlo run's expected clicks and pairs within the span
+at most 2^32 and its span's arrays at most 256 MB.
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error,
 5 numeric failure, 6 I/O error.
@@ -149,8 +150,8 @@ def cmd_model(args, params):
     cav = preset.cavity
     powers = params.get("powers", [33.3, 94.0, 148.0])
     samples = _count(params, "samples", 1201, 16)
-    widest = cav.gamma_all_MHz * (1.0 + preset.alpha_tilde_per_mW * max(max(powers), 0.0))
-    span = params.get("span_MHz", 8.0 * widest)
+    strongest = conversion.PumpDrive(max(powers), preset.alpha_tilde_per_mW)
+    span = params.get("span_MHz", 8.0 * conversion.power_broadened_fwhm(cav, strongest))
     grid = np.linspace(-span / 2.0, span / 2.0, samples)
     blocks = []
     for power in powers:
@@ -401,7 +402,7 @@ def cmd_g2(args, params):
             payload["enhancement"] = enhancement
             payload["g2_nocav"] = photon_stats.predict_nocavity_g2(g2_in, zeta, enhancement)
     if g2_in > 2.0:
-        payload["zeta_classical"] = 1.0 / (g2_in - 2.0)
+        payload["zeta_classical"] = photon_stats.zeta_from_g2(g2_in, 2.0)
     return payload, None, None
 
 

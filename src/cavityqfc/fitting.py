@@ -240,6 +240,14 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     )
 
 
+def _median(a: np.ndarray) -> float:
+    """Median of a non-empty array: the mean of its one or two middle order
+    statistics, as ``np.median`` takes it, without the ``numpy.ma`` import
+    of ``np.median``'s first call in a process (about 18 ms)."""
+    middle = slice((len(a) - 1) // 2, len(a) // 2 + 1)
+    return float(np.mean(np.partition(a, (middle.start, middle.stop - 1))[middle]))
+
+
 def _half_crossings(x: np.ndarray, y: np.ndarray, level: float) -> np.ndarray:
     """Linear-interpolated abscissa positions where ``y`` crosses ``level``."""
     above = y >= level
@@ -254,8 +262,9 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
     Least-squares Lorentzian fit (peak position, half-width, amplitude,
     offset); if the fit fails or is wider than the scan, the width falls
     back to the linearly interpolated half-maximum crossings that bracket
-    the highest sample.  Returns ``(fwhm, uncertainty)``
-    in abscissa units.
+    the highest sample.  Returns ``(fwhm, uncertainty)`` in abscissa
+    units: the fit's 1-sigma error, or on the fallback the largest abscissa
+    step, a grid step rather than a 1-sigma error.
     """
     x, y = data.abscissa, data.values
     if len(x) < 8:
@@ -268,7 +277,7 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
     # units (the median neighbour step) below it, but not below a quarter of the
     # span, so flank noise cannot split a peak and pure noise still fails
     level = (y - y.min()) / span
-    close = max(0.5 - 8.0 * np.median(np.abs(np.diff(y))) / span, 0.25)
+    close = max(0.5 - 8.0 * _median(np.abs(np.diff(y))) / span, 0.25)
     state = np.select([level >= 0.5, level < close], [1, -1], 0)
     state = state[state != 0]
     n_regions = int(np.count_nonzero(np.diff(state) == 2) + (state[0] == 1))
@@ -368,7 +377,7 @@ def extract_fsr(data: ScanSeries) -> tuple[float, float]:
     peak_index = int(np.argmax(pos_power)) + 1
     if power[peak_index] <= 1e-18 * max(float(np.sum(y * y)), 1.0):
         raise NoPeriodicity("series carries no spectral power after detrending")
-    if power[peak_index] < 3.0 * np.median(pos_power):
+    if power[peak_index] < 3.0 * _median(pos_power):
         raise NoPeriodicity("dominant peak below 3x the median spectral power")
     if peak_index < 4:
         raise NoPeriodicity("fewer than 4 oscillation periods in the scan span")

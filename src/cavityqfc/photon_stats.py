@@ -58,6 +58,8 @@ _PIECE = 1 << 15  # clicks labelled and yielded at a time
 _SHRINK = 0.5  # share of later clicks still pairing below which passes index them
 _MAX_BINS = 1 << 44  # last + 2^18 * (bins + 1) and 16 * bins stay inside int64
 _LOW_STATISTICS_BINS = 10_000
+_MAX_OPERATIONS = 1 << 32  # expected clicks plus pairs within the span: minutes of work
+_MAX_SPAN_BYTES = 1 << 28  # pair codes, keys and histogram of the span: 256 MB
 
 
 @dataclass(frozen=True)
@@ -407,6 +409,28 @@ def _delay_span(model: SourceModel, delay_span_bins: int) -> int:
     return int(delay_span_bins)
 
 
+def _check_budget(model: SourceModel, k: int) -> None:
+    """Reject a run whose expected work or span memory is over budget, before sampling.
+
+    A run costs about 35 ns per click and 5 ns per pair of clicks within
+    ``k`` bins of each other, from either arm: ``q*bins`` clicks and
+    ``q^2 * k * (bins - (k+1)/2)`` pairs are expected.  The span's arrays
+    are the ``16*(k+1)+1`` pair codes, the ``2*(2^15+k)`` keys and the
+    ``2*(2k+1)`` delays and counts returned, eight bytes each.
+    """
+    q = _click_probabilities(model)[0]
+    clicks = q * model.bins
+    pairs = q * q * k * (model.bins - (k + 1) / 2.0)
+    if clicks + pairs > _MAX_OPERATIONS:
+        raise ValueError(f"the run expects {clicks:.3g} clicks and {pairs:.3g} pairs within "
+                         f"the span, over the budget of {_MAX_OPERATIONS} operations; "
+                         "lower bins or delay_span_bins")
+    span_bytes = 8 * (16 * (k + 1) + 1 + 2 * (_PIECE + k) + 2 * (2 * k + 1))
+    if span_bytes > _MAX_SPAN_BYTES:
+        raise ValueError(f"a span of {k} bins needs {span_bytes} bytes, over the budget of "
+                         f"{_MAX_SPAN_BYTES} bytes; lower delay_span_bins")
+
+
 def expected_histogram(model: SourceModel, delay_span_bins: int) -> np.ndarray:
     """Expected coincidence counts over delays ``[-k, +k]`` bins.
 
@@ -437,11 +461,14 @@ def simulate_coincidences(
     bins of each other, from either arm, not with ``bins`` or the size of
     the histogram: a run where one arm clicks far more often pays for that
     arm's pairs too.  No pair lies more than ``bins - 1`` bins apart, so a
-    span wider than ``bins`` is rejected.
+    span wider than ``bins`` is rejected, and so is a run whose expected
+    clicks and pairs exceed 2^32 or whose span needs more than 256 MB,
+    before it samples (see ``_check_budget``).
     """
     k = _delay_span(model, delay_span_bins)
     if isinstance(resolution_ns, bool) or not 0.0 < resolution_ns < np.inf:
         raise ValueError("resolution_ns must be positive and finite")
+    _check_budget(model, k)
     # pair codes 16*delay + 4*label_earlier + label_later; the last, dropped, takes delays past k
     codes = np.zeros(16 * (k + 1) + 1, dtype=np.int64)
     keys = np.empty((2, _PIECE + k), dtype=np.int64)  # a tail holds at most k clicks
@@ -458,10 +485,11 @@ def simulate_coincidences(
         start = int(np.searchsorted(keys[0, :n], 16 * (int(clicks[-1]) - k + 1)))
         tail = n - start
         keys[:, :tail] = keys[:, start:n]
-    pairs = codes[:-1].reshape(k + 1, 16)
+    pairs = codes[:-1].reshape(k + 1, 16)[1:]
     # herald earlier and signal later is delay +d, signal earlier and herald later -d
-    minus, plus = pairs[:0:-1, [9, 11, 13, 15]].sum(axis=1), pairs[1:, [6, 7, 14, 15]].sum(axis=1)
-    counts = np.concatenate((minus, [both], plus))
+    plus = pairs[:, 6] + pairs[:, 7] + pairs[:, 14] + pairs[:, 15]
+    minus = pairs[:, 9] + pairs[:, 11] + pairs[:, 13] + pairs[:, 15]
+    counts = np.concatenate((minus[::-1], [both], plus))
     return CoincidenceHistogram(
         delay_bins_ns=np.arange(-k, k + 1, dtype=float) * resolution_ns,
         counts=counts,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import _pump_power, bandwidth_nm_to_GHz
+from .conversion import _pump_power, alpha_tilde_from_finesse, bandwidth_nm_to_GHz
 from .errors import NumericFailure
 from .noise import spdc_antiresonant_suppression
 
@@ -98,26 +98,15 @@ def snr_nocav(power_mW, B: float, alpha_noise: float, band_ratio: float):
     return out if out.ndim else float(out)
 
 
-def _snr_cav_of_eff(eff, F_cold: float):
-    """Normalized cavity SNR at given efficiency, undercoupled branch.
-
-    Inverting ``eta = 4x/(1+x)^2`` on the branch ``x <= 1`` gives
-    ``x = (1-u)/(1+u)`` with ``u = sqrt(1-eta)``, numerically stable for
-    small efficiencies.
-    """
-    u = np.sqrt(1.0 - np.asarray(eff, dtype=float))
-    x = (1.0 - u) / (1.0 + u)
-    return (np.pi * F_cold / 2.0) / (1.0 + x) ** 2
+_B = np.pi**2 / 4.0  # B/alpha_noise of the normalized curves
 
 
-def _snr_nocav_of_eff(eff):
-    """Normalized no-cavity SNR at given efficiency (full-FSR bandpass)."""
-    eff = np.asarray(eff, dtype=float)
-    y = np.arcsin(np.sqrt(eff))
-    out = np.full_like(eff, np.pi**2 / 4.0)
-    nz = eff > 0
-    out[nz] = (np.pi**2 / 4.0) * eff[nz] / y[nz] ** 2
-    return out
+def _normalized_snr(F_cold: float, x, y):
+    """Normalized cavity SNR at ``x = alpha_tilde*P`` and no-cavity SNR at
+    ``y = sqrt(B*P)``, both with ``alpha_noise = 1`` and a full-FSR band."""
+    alpha_tilde = alpha_tilde_from_finesse(F_cold, _B)
+    return (snr_cav(x / alpha_tilde, alpha_tilde, 1.0),
+            snr_nocav(np.float_power(y, 2) / _B, _B, 1.0, 1.0))
 
 
 def normalized_snr_curves(F_cold: float, grid_size: int = 256) -> tuple[SnrCurve, SnrCurve]:
@@ -135,19 +124,11 @@ def normalized_snr_curves(F_cold: float, grid_size: int = 256) -> tuple[SnrCurve
         raise ValueError("grid_size must be at least 32")
     if grid_size > 1_000_000:
         raise ValueError("grid_size must be at most 1000000")
-    B = np.pi**2 / 4.0
-    alpha_tilde = F_cold * B / (4.0 * np.pi)
-
     x = np.linspace(0.0, 1.0, grid_size)  # alpha_tilde * P
-    eff_cav = 4.0 * x / (1.0 + x) ** 2
-    snr_c = snr_cav(x / alpha_tilde, alpha_tilde, 1.0)
-
     y = np.linspace(0.0, np.pi / 2.0, grid_size)  # sqrt(B * P)
-    eff_nocav = np.sin(y) ** 2
-    snr_n = snr_nocav(np.float_power(y, 2) / B, B, 1.0, 1.0)
-
-    cavity = SnrCurve(eff_cav, snr_c, label=f"cavity F={F_cold:g}")
-    nocavity = SnrCurve(eff_nocav, snr_n, label="no cavity")
+    snr_c, snr_n = _normalized_snr(F_cold, x, y)
+    cavity = SnrCurve(4.0 * x / (1.0 + x) ** 2, snr_c, label=f"cavity F={F_cold:g}")
+    nocavity = SnrCurve(np.sin(y) ** 2, snr_n, label="no cavity")
     return cavity, nocavity
 
 
@@ -155,9 +136,18 @@ _DOMINANCE_GRID = np.concatenate([np.logspace(-4, 0, 511), [1.0]])
 
 
 def cavity_dominates(F_cold: float, efficiencies=None) -> bool:
-    """True if the cavity curve is at or above the no-cavity curve everywhere."""
+    """True if the cavity curve is at or above the no-cavity curve everywhere.
+
+    Each efficiency is inverted to both curves' abscissae: the cavity's
+    undercoupled branch ``x = (1-u)/(1+u)`` with ``u = sqrt(1-eff)``, stable
+    for small efficiencies, and ``y = arcsin(sqrt(eff))``.
+    """
     eff = _DOMINANCE_GRID if efficiencies is None else np.asarray(efficiencies, float)
-    return bool(np.all(_snr_cav_of_eff(eff, F_cold) >= _snr_nocav_of_eff(eff)))
+    if not np.all((eff >= 0.0) & (eff <= 1.0)):
+        raise ValueError("efficiencies must lie in [0, 1]")
+    u = np.sqrt(1.0 - eff)
+    snr_c, snr_n = _normalized_snr(F_cold, (1.0 - u) / (1.0 + u), np.arcsin(np.sqrt(eff)))
+    return bool(np.all(snr_c >= snr_n))
 
 
 def min_finesse_for_dominance(tolerance: float = 1e-3) -> float:
@@ -198,12 +188,12 @@ def snr_config_table(F_c: float, F_s: float) -> dict[str, dict[str, float]]:
     return {
         "fsr_wide": {
             "no_cavity": 1.0,
-            "converted_mode": 2.0 * F_c / np.pi,
+            "converted_mode": low_power_snr_gain(F_c),
             "signal_mode": F_s / np.pi,
         },
         "fwhm_wide": {
             "no_cavity": F_c,
-            "converted_mode": 2.0 * F_c / np.pi,
+            "converted_mode": low_power_snr_gain(F_c),
             "signal_mode": F_c * F_s / np.pi,
         },
     }

@@ -3,7 +3,8 @@
 Most tests call ``cli.main`` in process; ``TestEntryPoint`` runs
 ``python -m cavityqfc`` in fresh processes, once per exit code, and
 ``TestImportCost`` checks in fresh interpreters that no scipy module is
-loaded, not even by the nonlinear fits, and that no thread pool is imported.
+loaded, not even by the nonlinear fits, that no thread pool is imported and
+that no median imports ``numpy.ma``.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -137,6 +139,25 @@ class TestImportCost:
         imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
         assert "cavityqfc.fitting" in imported
         assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+
+    def test_median_loads_no_numpy_ma(self, tmp_path):
+        # np.median's first call in a process imports numpy.ma, about 18 ms
+        data = tmp_path / "comb.csv"
+        run_cli("generate", "--param", "model=comb", "--output", str(data))
+        code = textwrap.dedent(f"""
+            import contextlib, io, sys
+            import numpy as np
+            from cavityqfc import ScanSeries, cli, fitting
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["fsr", "--input", {str(data)!r}]) == 0
+            x = np.linspace(-300.0, 300.0, 201)
+            fitting.extract_fwhm(ScanSeries(x, 1.0 / (1.0 + (x / 35.0) ** 2)))
+            print("numpy.ma" in sys.modules)
+        """)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_speed_of_light_equals_scipy_constant(self):
         from scipy.constants import c
@@ -497,6 +518,10 @@ _GOLDEN = {
                        "--seed", "5"],
                       "5fd47169b6e276f6e23df42dc9852ecd1ca7faf23698d6bf4f4bf25da8408a0b",
                       "e38415730295f6032ad5e0c979710bf44f9b73a2982e66c72576d4fadbe222fa"),
+    "generate_coincidence": (["generate", "--param", "model=coincidence",
+                              "--param", "bins=1000000", "--seed", "7"],
+                             "e14a1819dc517785013772aa974b3e44d0cffb07d7f957811b09e3e21f67e618",
+                             "7d45d5ad8fca1997c186c352c0327cc8a2695736e201e734d1187a6accc07b1c"),
 }
 
 
@@ -548,12 +573,27 @@ class TestDomainLimits:
              "span_nm must lie in [0, 1000000 * step_nm]"),
             (["generate", "--param", "model=comb", "--param", "noise=poisson",
               "--param", "power_mW=0"], "poisson noise needs a comb with counts in band"),
+            # both passed every check and then ran for hours or asked for about 1.8 GB
+            (["g2", "--param", "mc=1", "--param", f"bins={HUGE}"],
+             "the run expects 9.46e+10 clicks and 2.69e+11 pairs within the span, "
+             "over the budget of 4294967296 operations"),
+            (["generate", "--param", "model=coincidence", "--param", "span_bins=10000000"],
+             "the run expects 9.46e+05 clicks and 4.48e+11 pairs within the span, "
+             "over the budget of 4294967296 operations"),
+            (["g2", "--param", "mc=1", "--param", "mu=0.01", "--param", "eta_herald=0.5",
+              "--param", "eta_signal=0.002", "--param", "nu=0.001",
+              "--param", "span_bins=10000000"],
+             "a span of 10000000 bins needs 1760524440 bytes, over the budget of "
+             "268435456 bytes"),
         ],
         ids=["samples", "grid", "points", "generate_span_bins", "g2_span_bins", "g2_bins_1e20",
-             "g2_bins_past_2_44", "comb_negative_span", "comb_steps", "comb_poisson_no_counts"],
+             "g2_bins_past_2_44", "comb_negative_span", "comb_steps", "comb_poisson_no_counts",
+             "g2_operations_budget", "generate_operations_budget", "g2_span_bytes_budget"],
     )
     def test_limit_is_domain_error(self, args, message, fmt):
+        start = time.perf_counter()
         result = run_cli(*args, "--format", fmt, expect=4)
+        assert time.perf_counter() - start < 0.5  # rejected before anything is sampled
         assert message in result.stderr
         assert result.stdout == ""
 
@@ -605,10 +645,8 @@ _SWEEP_EXTRA = {
 }
 _SWEEP_VALUES = {float: ["0", "-1", "1e-300", "1e300"],
                  cli._floats: ["0", "-1", "1e-300", "1e300", ""], int: ["0", "-1"]}
-# keys whose limits stop a huge value before it is allocated; a bins below
-# 2**44 has no cheap limit (the walk takes hours, in bounded memory), so HUGE
-# is not tried for it
-_SWEEP_HUGE = {"samples", "grid", "points", "span_bins"}
+# keys whose limits stop a huge value before it is allocated or sampled
+_SWEEP_HUGE = {"samples", "grid", "points", "span_bins", "bins"}
 
 
 def _mode_args(command, mode):

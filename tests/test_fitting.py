@@ -22,7 +22,7 @@ from cavityqfc import (
 )
 from cavityqfc import fitting
 from cavityqfc.errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
-from cavityqfc.fitting import _half_crossings
+from cavityqfc.fitting import _half_crossings, _median
 
 
 def linear_scan(alpha, gamma_all, pmax=250.0, points=26):
@@ -348,6 +348,15 @@ class TestScipyParity:
             fwhm, fwhm_err = extract_fwhm(ScanSeries(x, noisy, sigma if weighted else None))
             assert fwhm == pytest.approx(2.0 * abs(theta[1]), rel=1e-6)
             assert fwhm_err == pytest.approx(2.0 * err[1], rel=1e-6)
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 600, 601])
+    def test_bit_identical_to_numpy(self, n):
+        rng = np.random.default_rng(n)
+        arrays = [rng.normal(0.0, scale, n) for scale in (1e-300, 1.0, 1e300)]
+        for a in arrays + [np.round(rng.normal(0.0, 1.0, n)), np.full(n, -0.0)]:
+            assert np.float64(_median(a)).tobytes() == np.median(a).tobytes()
 
 
 class TestPeriodogram:

@@ -21,6 +21,7 @@ from cavityqfc import (
     snr_config_table,
     snr_nocav,
 )
+from cavityqfc import snr as snr_module
 from cavityqfc.errors import NumericFailure
 
 
@@ -125,9 +126,27 @@ class TestDominanceThreshold:
         grid = np.linspace(1e-4, 1.0, 2000)
         assert cavity_dominates(10.0, grid)
 
+    @pytest.mark.parametrize("efficiencies", [[0.5, 1.5], [-0.1], [np.nan]])
+    def test_efficiency_outside_unit_interval_is_rejected(self, efficiencies):
+        with pytest.raises(ValueError, match="efficiencies must lie in"):
+            cavity_dominates(10.0, efficiencies)
+
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
             min_finesse_for_dominance(0.0)
+
+    def test_threshold_follows_the_law_it_names(self, monkeypatch):
+        assert cavity_dominates(3.0)
+        law = snr_module.snr_cav
+        monkeypatch.setattr(snr_module, "snr_cav", lambda *args: law(*args) / 2.0)
+        # the halved cavity SNR at full conversion is 3*pi/16 ~ 0.59, below one
+        assert not cavity_dominates(3.0)
+
+    @pytest.mark.parametrize("F", [8.0 / np.pi, 8.0 / np.pi - 1e-9, 8.0 / np.pi + 1e-9, 25.0])
+    def test_verdict_agrees_with_the_printed_curves(self, F):
+        # the curves end at full conversion, where the threshold binds
+        cavity, nocavity = normalized_snr_curves(F, 64)
+        assert cavity_dominates(F) == (cavity.snr_values[-1] >= nocavity.snr_values[-1])
 
 
 class TestConfigTable:
