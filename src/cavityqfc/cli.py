@@ -152,6 +152,7 @@ def cmd_model(args, params):
     samples = _count(params, "samples", 1201, 16)
     strongest = conversion.PumpDrive(max(powers), preset.alpha_tilde_per_mW)
     span = params.get("span_MHz", 8.0 * conversion.power_broadened_fwhm(cav, strongest))
+    conversion._require("finite", span_MHz=span)  # the default overflows at a huge power
     grid = np.linspace(-span / 2.0, span / 2.0, samples)
     blocks = []
     for power in powers:
@@ -295,8 +296,7 @@ def _generate_noise(params, preset, seed):
 def _generate_comb(params, preset, seed):
     span_nm = params.get("span_nm", 2.0)
     step_nm = params.get("step_nm", 0.01)
-    if not step_nm > 0:
-        raise ValueError("step_nm must be positive")
+    conversion._require("positive", step_nm=step_nm)
     if not 0 <= span_nm <= MAX_POINTS * step_nm:
         raise ValueError(f"span_nm must lie in [0, {MAX_POINTS} * step_nm]")
     bpf_nm = params.get("bpf_nm", 0.03)

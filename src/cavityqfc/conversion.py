@@ -58,6 +58,33 @@ def _require_finite(params) -> None:
             raise ValueError(f"{field.name} must be finite, got {float(value)!r}")
 
 
+# rule: (the clause a message completes after "must", its test, false for NaN and +-inf)
+_RULES = {
+    "finite": ("be finite", lambda v: (-math.inf < v) & (v < math.inf)),
+    "positive": ("be positive and finite", lambda v: (0 < v) & (v < math.inf)),
+    "non-negative": ("be non-negative and finite", lambda v: (0 <= v) & (v < math.inf)),
+    "[0, 1]": ("lie in [0, 1]", lambda v: (0 <= v) & (v <= 1)),
+    "(0, 1]": ("lie in (0, 1]", lambda v: (0 < v) & (v <= 1)),
+    "at least 1": ("be at least 1 and finite", lambda v: (1 <= v) & (v < math.inf)),
+}
+
+
+def _require(rule: str, **values) -> None:
+    """The one parameter check of the public laws: reject each named scalar or array
+    that is not finite and real or breaks ``rule``, a key of ``_RULES``.  A bool is
+    not a number; Python integers are finite and may exceed the float range."""
+    clause, holds = _RULES[rule]
+    for name, value in values.items():
+        if isinstance(value, (int, float)):  # numpy's float64 is a float, a bool an int
+            ok = holds(value) and not isinstance(value, bool)
+        else:
+            value = np.asarray(value, dtype=float)
+            ok = holds(value).all()
+        if not ok:
+            got = f", got {value}" if np.ndim(value) == 0 else ""
+            raise ValueError(f"{name} must {clause}{got}")
+
+
 def _pump_power(power_mW) -> np.ndarray:
     """Scalar or array pump power as an array; rejects negative and non-finite entries."""
     power = np.asarray(power_mW, dtype=float)
@@ -193,9 +220,8 @@ def transmission_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
     ``C = 1`` and zero detuning the cavity is impedance matched and the
     transmission vanishes.  Accepts scalar or array detuning.
     """
+    _require("finite", detuning_MHz=detuning_MHz)
     detuning = np.asarray(detuning_MHz, dtype=float)
-    if not np.all(np.isfinite(detuning)):
-        raise ValueError("detuning_MHz must be finite")
     coupling = drive.coupling
     d = detuning / cav.gamma_all_MHz
     t = (0.5 * (1.0 - coupling) - 1j * d) / (0.5 * (1.0 + coupling) - 1j * d)
@@ -210,9 +236,8 @@ def conversion_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
     extraction ratio and reaches it exactly at impedance matching on
     resonance.
     """
+    _require("finite", detuning_MHz=detuning_MHz)
     detuning = np.asarray(detuning_MHz, dtype=float)
-    if not np.all(np.isfinite(detuning)):
-        raise ValueError("detuning_MHz must be finite")
     coupling = drive.coupling
     d = detuning / cav.gamma_all_MHz
     numerator = np.sqrt(cav.gamma_r_ratio) * np.exp(-1j * drive.phase_rad) * np.sqrt(coupling)
@@ -237,8 +262,7 @@ def peak_efficiency(drive: PumpDrive, gamma_r_ratio: float) -> float:
     Unimodal in pump power with its maximum, equal to ``gamma_r_ratio``,
     exactly at ``P = 1/alpha_tilde``.
     """
-    if not 0.0 <= gamma_r_ratio <= 1.0:
-        raise ValueError("gamma_r_ratio must lie in [0, 1]")
+    _require("[0, 1]", gamma_r_ratio=gamma_r_ratio)
     coupling = drive.coupling
     return 4.0 * gamma_r_ratio * coupling / (1.0 + coupling) ** 2
 
@@ -250,8 +274,7 @@ def power_broadened_fwhm(cav: CavityParams, drive: PumpDrive) -> float:
 
 def fsr_from_length(length_mm: float, group_index: float) -> float:
     """Free spectral range ``c / (2 * n_g * L)`` in GHz."""
-    if not (length_mm > 0 and group_index > 0):
-        raise ValueError("length_mm and group_index must be positive")
+    _require("positive", length_mm=length_mm, group_index=group_index)
     return _C_VACUUM / (2.0 * group_index * length_mm * 1e-3) * 1e-9
 
 
@@ -263,13 +286,8 @@ def finesse_from_reflectances(
     Uses the Airy result ``pi * sqrt(rho) / (1 - rho)`` with the round-trip
     amplitude survival ``rho = sqrt(r_front * r_rear) * (1 - loss)``.
     """
-    for name, value in (
-        ("r_front", r_front),
-        ("r_rear", r_rear),
-        ("internal_loss_per_pass", internal_loss_per_pass),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
+    _require("[0, 1]", r_front=r_front, r_rear=r_rear,
+             internal_loss_per_pass=internal_loss_per_pass)
     rho = np.sqrt(r_front * r_rear) * (1.0 - internal_loss_per_pass)
     if rho >= 1.0:
         raise ValueError("lossless closed cavity: round-trip survival >= 1")
@@ -283,8 +301,7 @@ def nocavity_efficiency(power_mW: float, B_per_mW: float) -> float:
     back-conversion at ``B*P = pi^2``.
     """
     power = _pump_power(power_mW)
-    if not B_per_mW > 0:
-        raise ValueError("B_per_mW must be positive")
+    _require("positive", B_per_mW=B_per_mW)
     return float(np.sin(np.sqrt(B_per_mW * power)) ** 2)
 
 
@@ -293,17 +310,20 @@ def alpha_tilde_from_finesse(F_cold: float, B_per_mW: float) -> float:
 
     Matching the low-power slopes of the cavity efficiency
     ``4*alpha_tilde*P`` and the cavity-enhanced bare-waveguide efficiency
-    ``(F/pi)*B*P`` gives ``alpha_tilde = F * B / (4*pi)``.
+    ``(F/pi)*B*P`` gives ``alpha_tilde = F * B / (4*pi)``, rejected unless it
+    is a finite normal float (an extreme ``F_cold`` takes it out of that range).
     """
-    if not (F_cold > 0 and B_per_mW > 0):
-        raise ValueError("F_cold and B_per_mW must be positive")
-    return F_cold * B_per_mW / (4.0 * np.pi)
+    _require("positive", F_cold=F_cold, B_per_mW=B_per_mW)
+    alpha_tilde = F_cold * B_per_mW / (4.0 * np.pi)
+    if not np.finfo(float).tiny <= alpha_tilde < math.inf:
+        raise ValueError(f"alpha_tilde of F_cold={F_cold:g} and B_per_mW={B_per_mW:g} "
+                         "must be a finite normal float")
+    return alpha_tilde
 
 
 def dfg_wavelength(signal_nm: float, pump_nm: float) -> float:
     """Wavelength produced by difference-frequency generation (nm)."""
-    if not (signal_nm > 0 and pump_nm > 0):
-        raise ValueError("wavelengths must be positive")
+    _require("positive", signal_nm=signal_nm, pump_nm=pump_nm)
     if pump_nm <= signal_nm:
         raise ValueError("pump_nm must exceed signal_nm (divergent otherwise)")
     return 1.0 / (1.0 / signal_nm - 1.0 / pump_nm)
@@ -316,8 +336,7 @@ def bandwidth_nm_to_GHz(delta_nm: float, center_nm: float) -> float:
     when ``center_nm`` is so small or so large that its square leaves the
     float range.
     """
-    if not (delta_nm > 0 and center_nm > 0):
-        raise ValueError("delta_nm and center_nm must be positive")
+    _require("positive", delta_nm=delta_nm, center_nm=center_nm)
     try:
         bandwidth = _C_VACUUM * (delta_nm * 1e-9) / (center_nm * 1e-9) ** 2 * 1e-9
     except (OverflowError, ZeroDivisionError):  # the square left the float range

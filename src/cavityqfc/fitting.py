@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import bandwidth_nm_to_GHz
+from .conversion import _require, bandwidth_nm_to_GHz
 from .errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
 from .noise import NoiseParams, noise_cavity_per_fsr
 
@@ -190,8 +190,7 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     the droop of the highest-power point relative to that slope fixes
     ``alpha_tilde``.
     """
-    if not 0.0 < gamma_r_ratio <= 1.0:
-        raise ValueError("gamma_r_ratio must lie in (0, 1]")
+    _require("(0, 1]", gamma_r_ratio=gamma_r_ratio)
     if len(data) < 5:
         raise ValueError("need at least 5 points")
     x, y, w = data.abscissa, data.values, _weights(data)
@@ -404,12 +403,5 @@ def enhancement_factor(alpha_tilde: float, B_ref: float, L_ref: float, L: float)
     for the quadratic dependence of the bare conversion coefficient on the
     interaction length.  Compare against the ideal ``F_cold/pi``.
     """
-    for name, value in (
-        ("alpha_tilde", alpha_tilde),
-        ("B_ref", B_ref),
-        ("L_ref", L_ref),
-        ("L", L),
-    ):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive")
+    _require("positive", alpha_tilde=alpha_tilde, B_ref=B_ref, L_ref=L_ref, L=L)
     return 4.0 * alpha_tilde / B_ref * (L_ref / L) ** 2

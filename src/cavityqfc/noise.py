@@ -17,11 +17,12 @@ anti-resonant suppression estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import CavityParams, _pump_power, _require_finite
+from .conversion import CavityParams, _pump_power, _require, _require_finite
 
 __all__ = [
     "NoiseParams",
@@ -112,8 +113,8 @@ def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MH
     each other; scalars give a float.
     """
     power = _pump_power(power_mW)
-    if not 0.0 < gamma_all_MHz < np.inf:
-        raise ValueError("gamma_all_MHz must be positive and finite")
+    _require("finite", detuning_MHz=detuning_MHz)
+    _require("positive", gamma_all_MHz=gamma_all_MHz)
     beta = noise.alpha_noise_cps_per_mW / (4.0 * np.pi * gamma_all_MHz * 1e-3)  # per GHz
     d = np.asarray(detuning_MHz, dtype=float) / gamma_all_MHz
     coupling = noise.alpha_tilde_per_mW * power
@@ -144,8 +145,8 @@ def noise_nocavity(alpha_noise: float, power_mW, bpf_GHz: float, fsr_GHz: float)
     or array power; a scalar gives a float.
     """
     power = _pump_power(power_mW)
-    if bpf_GHz <= 0 or fsr_GHz <= 0:
-        raise ValueError("bandwidths must be positive")
+    _require("non-negative", alpha_noise=alpha_noise)
+    _require("positive", bpf_GHz=bpf_GHz, fsr_GHz=fsr_GHz)
     if bpf_GHz > fsr_GHz:
         raise ValueError("bpf_GHz must not exceed fsr_GHz")
     out = alpha_noise * power * bpf_GHz / fsr_GHz
@@ -175,8 +176,8 @@ def beta_tilde_from(F_cold: float, alpha_noise: float, fsr: float) -> float:
     counts/(s mW GHz); it makes the per-FSR comb integral reproduce the
     saturating cavity noise law.
     """
-    if F_cold <= 0 or alpha_noise < 0 or fsr <= 0:
-        raise ValueError("F_cold and fsr must be positive, alpha_noise non-negative")
+    _require("positive", F_cold=F_cold, fsr=fsr)
+    _require("non-negative", alpha_noise=alpha_noise)
     return F_cold * alpha_noise / (4.0 * np.pi * fsr)
 
 
@@ -228,6 +229,7 @@ def comb_rate_in_band(cav: CavityParams, noise: NoiseParams, power_mW, f_lo_GHz,
 
     Power and band edges broadcast against each other; scalars give a float.
     """
+    _require("finite", f_lo_GHz=f_lo_GHz, f_hi_GHz=f_hi_GHz)
     f_lo = np.asarray(f_lo_GHz, dtype=float)
     f_hi = np.asarray(f_hi_GHz, dtype=float)
     if np.any(f_hi < f_lo):
@@ -248,8 +250,7 @@ def comb_spectrum(
     samples: int,
 ) -> CombSpectrum:
     """Sample the AS comb on a uniform grid centered on a resonance."""
-    if span_GHz <= 0:
-        raise ValueError("span_GHz must be positive")
+    _require("positive", span_GHz=span_GHz)
     fsr_GHz, hwhm_ratio, _ = _comb_scales(cav, noise, power_mW)
     if samples / (span_GHz / fsr_GHz) < 16:
         raise ValueError("undersampled grid: need at least 16 samples per FSR")
@@ -270,12 +271,11 @@ def spdc_antiresonant_suppression(F: float, fsr_GHz: float, bpf_GHz: float) -> f
     noise in the bandpass window) / (comb noise in the same window centered
     midway between teeth).  Greater than one whenever the comb is
     meaningfully peaked (``F > pi``); at ``F = 1`` the teeth merge and the
-    factor sits near one.
+    factor sits near one.  Raises ``ValueError`` when the factor is not a
+    finite positive float, as when the comb's mass in the window underflows.
     """
-    if F < 1.0:
-        raise ValueError("F must be at least 1")
-    if fsr_GHz <= 0 or bpf_GHz <= 0:
-        raise ValueError("bandwidths must be positive")
+    _require("at least 1", F=F)
+    _require("positive", fsr_GHz=fsr_GHz, bpf_GHz=bpf_GHz)
     if bpf_GHz >= fsr_GHz:
         raise ValueError("bpf_GHz must be narrower than fsr_GHz")
     hwhm_ratio = 1.0 / (2.0 * F)
@@ -286,7 +286,11 @@ def spdc_antiresonant_suppression(F: float, fsr_GHz: float, bpf_GHz: float) -> f
         2.0 / np.pi * np.arctan(np.tanh(np.pi * hwhm_ratio) * np.tan(np.pi * half_window))
     )
     flat_mass = bpf_GHz / fsr_GHz
-    return flat_mass / comb_mass
+    factor = flat_mass / comb_mass if comb_mass > 0 else math.inf
+    if not 0 < factor < math.inf:
+        raise ValueError(f"the suppression factor at F={F:g}, fsr_GHz={fsr_GHz:g} and "
+                         f"bpf_GHz={bpf_GHz:g} leaves the float range")
+    return factor
 
 
 def normalized_noise_coefficient(
@@ -303,13 +307,6 @@ def normalized_noise_coefficient(
     of different lengths and filter choices can be compared just after the
     nonlinear medium.
     """
-    for name, value in (
-        ("alpha_noise", alpha_noise),
-        ("length_mm", length_mm),
-        ("bpf_GHz", bpf_GHz),
-        ("t_circ", t_circ),
-        ("gamma_r_ratio_opt", gamma_r_ratio_opt),
-    ):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive")
+    _require("positive", alpha_noise=alpha_noise, length_mm=length_mm, bpf_GHz=bpf_GHz,
+             t_circ=t_circ, gamma_r_ratio_opt=gamma_r_ratio_opt)
     return alpha_noise / (length_mm * bpf_GHz * t_circ * gamma_r_ratio_opt)

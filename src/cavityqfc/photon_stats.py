@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import ConversionResponse, _require_finite
+from .conversion import ConversionResponse, _require, _require_finite
 from .errors import CoverageError
 from .fitting import ScanSeries
 
@@ -142,12 +142,10 @@ def g2_out(g2_in: float, zeta: float) -> float:
     Monotone in ``zeta``, interpolating between 1 (pure noise) and
     ``g2_in`` (no noise).
     """
-    if g2_in < 1.0:
-        raise ValueError("g2_in must be at least 1")
-    if zeta < 0.0:
-        raise ValueError("zeta must be non-negative")
-    if np.isinf(zeta):
+    _require("at least 1", g2_in=g2_in)
+    if zeta == math.inf:  # the noise-free limit
         return g2_in
+    _require("non-negative", zeta=zeta)
     return (g2_in * zeta + 1.0) / (zeta + 1.0)
 
 
@@ -156,6 +154,7 @@ def zeta_from_g2(g2_in: float, g2_out_value: float) -> float:
 
     Exact inverse of :func:`g2_out`: ``(g2_out - 1) / (g2_in - g2_out)``.
     """
+    _require("at least 1", g2_in=g2_in, g2_out_value=g2_out_value)
     if not 1.0 < g2_out_value < g2_in:
         raise ValueError("need 1 < g2_out < g2_in to infer an intensity ratio")
     return (g2_out_value - 1.0) / (g2_in - g2_out_value)
@@ -167,8 +166,7 @@ def predict_nocavity_g2(g2_in: float, zeta: float, enhancement: float) -> float:
     Removing the cavity lowers the conversion efficiency, hence the SNR
     and ``zeta``, by the enhancement factor while the noise is unchanged.
     """
-    if enhancement < 1.0:
-        raise ValueError("enhancement must be at least 1")
+    _require("at least 1", enhancement=enhancement)
     return g2_out(g2_in, zeta / enhancement)
 
 
@@ -201,8 +199,7 @@ def noise_rate_for_intensity_ratio(mu: float, eta_signal: float, zeta: float) ->
     where that rate is 0 (a blind signal arm, or ``mu*eta`` underflowing),
     since no noise rate then gives any ``zeta``.
     """
-    if not 0.0 < zeta < np.inf:
-        raise ValueError("zeta must be positive and finite")
+    _require("positive", zeta=zeta)
     # with a blind herald every signal click is signal-only: p01 is the arm's rate
     _, _, signal_rate, _ = _click_probabilities(SourceModel(mu, 0.0, eta_signal))
     if signal_rate == 0.0:
@@ -220,16 +217,14 @@ def _normalized_spectrum(offsets_GHz: np.ndarray, weights: np.ndarray) -> ScanSe
 
 def flat_top_spectrum(width_GHz: float, samples: int = 4001) -> ScanSeries:
     """Unit-area rectangular photon spectrum of full width ``width_GHz``."""
-    if width_GHz <= 0:
-        raise ValueError("width_GHz must be positive")
+    _require("positive", width_GHz=width_GHz)
     offsets = np.linspace(-width_GHz / 2.0, width_GHz / 2.0, samples)
     return _normalized_spectrum(offsets, np.ones_like(offsets))
 
 
 def lorentzian_spectrum(fwhm_GHz: float, span_GHz: float, samples: int = 4001) -> ScanSeries:
     """Unit-area Lorentzian photon spectrum sampled over ``span_GHz``."""
-    if fwhm_GHz <= 0 or span_GHz <= 0:
-        raise ValueError("fwhm_GHz and span_GHz must be positive")
+    _require("positive", fwhm_GHz=fwhm_GHz, span_GHz=span_GHz)
     offsets = np.linspace(-span_GHz / 2.0, span_GHz / 2.0, samples)
     hwhm = fwhm_GHz / 2.0
     return _normalized_spectrum(offsets, 1.0 / (offsets**2 + hwhm**2))
@@ -237,8 +232,7 @@ def lorentzian_spectrum(fwhm_GHz: float, span_GHz: float, samples: int = 4001) -
 
 def gaussian_spectrum(fwhm_GHz: float, span_GHz: float, samples: int = 4001) -> ScanSeries:
     """Unit-area Gaussian photon spectrum sampled over ``span_GHz``."""
-    if fwhm_GHz <= 0 or span_GHz <= 0:
-        raise ValueError("fwhm_GHz and span_GHz must be positive")
+    _require("positive", fwhm_GHz=fwhm_GHz, span_GHz=span_GHz)
     offsets = np.linspace(-span_GHz / 2.0, span_GHz / 2.0, samples)
     sigma = fwhm_GHz / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     return _normalized_spectrum(offsets, np.exp(-0.5 * (offsets / sigma) ** 2))
@@ -466,8 +460,7 @@ def simulate_coincidences(
     before it samples (see ``_check_budget``).
     """
     k = _delay_span(model, delay_span_bins)
-    if isinstance(resolution_ns, bool) or not 0.0 < resolution_ns < np.inf:
-        raise ValueError("resolution_ns must be positive and finite")
+    _require("positive", resolution_ns=resolution_ns)
     _check_budget(model, k)
     # pair codes 16*delay + 4*label_earlier + label_later; the last, dropped, takes delays past k
     codes = np.zeros(16 * (k + 1) + 1, dtype=np.int64)
@@ -508,10 +501,9 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
     counts.  Widening the window beyond the correlation peak dilutes the
     estimate toward one.
     """
-    if not np.isfinite(window_ns):
-        raise ValueError("window_ns must be finite")
+    _require("finite", window_ns=window_ns)
     m_float = window_ns / histogram.resolution_ns
-    m = int(round(m_float))
+    m = int(round(m_float)) if math.isfinite(m_float) else 0  # past the float range: no multiple
     if m < 1 or abs(m_float - m) > 1e-9:
         raise ValueError("window_ns must be a positive integer multiple of the resolution")
     counts = np.asarray(histogram.counts, dtype=float)

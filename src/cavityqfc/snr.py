@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import _pump_power, alpha_tilde_from_finesse, bandwidth_nm_to_GHz
+from .conversion import _pump_power, _require, alpha_tilde_from_finesse, bandwidth_nm_to_GHz
 from .errors import NumericFailure
 from .noise import spdc_antiresonant_suppression
 
@@ -84,6 +84,7 @@ def _sinc(x):
 def snr_cav(power_mW, alpha_tilde: float, alpha_noise: float):
     """SNR of the cavity converter, strictly decreasing in pump power (scalar or array)."""
     power = _pump_power(power_mW)
+    _require("positive", alpha_tilde=alpha_tilde, alpha_noise=alpha_noise)
     # float_power is libm pow for scalars and arrays; ndarray ** 2 may differ by 1 ulp
     out = 8.0 * alpha_tilde / (alpha_noise * np.float_power(1.0 + alpha_tilde * power, 2))
     return out if out.ndim else float(out)
@@ -92,8 +93,8 @@ def snr_cav(power_mW, alpha_tilde: float, alpha_noise: float):
 def snr_nocav(power_mW, B: float, alpha_noise: float, band_ratio: float):
     """SNR of a plain converter behind a ``band_ratio*fsr`` bandpass (scalar or array power)."""
     power = _pump_power(power_mW)
-    if not 0.0 < band_ratio <= 1.0:
-        raise ValueError("band_ratio must lie in (0, 1]")
+    _require("positive", B=B, alpha_noise=alpha_noise)
+    _require("(0, 1]", band_ratio=band_ratio)
     out = B * np.float_power(_sinc(np.sqrt(B * power)), 2) / (alpha_noise * band_ratio)
     return out if out.ndim else float(out)
 
@@ -118,8 +119,7 @@ def normalized_snr_curves(F_cold: float, grid_size: int = 256) -> tuple[SnrCurve
     use ``B/alpha_noise = pi^2/4`` so the no-cavity value at unit
     efficiency is exactly one.
     """
-    if F_cold <= 0:
-        raise ValueError("F_cold must be positive")
+    _require("positive", F_cold=F_cold)
     if grid_size < 32:
         raise ValueError("grid_size must be at least 32")
     if grid_size > 1_000_000:
@@ -143,8 +143,7 @@ def cavity_dominates(F_cold: float, efficiencies=None) -> bool:
     for small efficiencies, and ``y = arcsin(sqrt(eff))``.
     """
     eff = _DOMINANCE_GRID if efficiencies is None else np.asarray(efficiencies, float)
-    if not np.all((eff >= 0.0) & (eff <= 1.0)):
-        raise ValueError("efficiencies must lie in [0, 1]")
+    _require("[0, 1]", efficiencies=eff)
     u = np.sqrt(1.0 - eff)
     snr_c, snr_n = _normalized_snr(F_cold, (1.0 - u) / (1.0 + u), np.arcsin(np.sqrt(eff)))
     return bool(np.all(snr_c >= snr_n))
@@ -157,8 +156,7 @@ def min_finesse_for_dominance(tolerance: float = 1e-3) -> float:
     dense efficiency grid.  The binding point is full conversion, where the
     curves cross at ``F = 8/pi``.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _require("positive", tolerance=tolerance)
     lo, hi = 1.0, 16.0
     if cavity_dominates(lo) or not cavity_dominates(hi):
         raise NumericFailure("dominance bisection bracket invalid")
@@ -183,8 +181,7 @@ def snr_config_table(F_c: float, F_s: float) -> dict[str, dict[str, float]]:
     confining the signal mode boosts efficiency by ``F_s/pi`` without
     touching the noise.
     """
-    if F_c < 1.0 or F_s < 1.0:
-        raise ValueError("finesses must be at least 1")
+    _require("at least 1", F_c=F_c, F_s=F_s)
     return {
         "fsr_wide": {
             "no_cavity": 1.0,
@@ -205,8 +202,7 @@ def low_power_snr_gain(F_cold: float) -> float:
     ``8*alpha_tilde/B = 2*F_cold/pi``: the ``F/pi`` efficiency enhancement
     times the factor two from halving the generated noise.
     """
-    if F_cold <= 0:
-        raise ValueError("F_cold must be positive")
+    _require("positive", F_cold=F_cold)
     return 2.0 * F_cold / np.pi
 
 

@@ -1,8 +1,10 @@
 """Shared test settings.
 
 Property tests draw the same examples on every run. ``pyproject.toml`` puts
-``src`` on the test process's path; the fresh ``python`` processes some
-tests start get it through ``PYTHONPATH``, so they import the same package.
+``src`` on the test process's path and makes a ``RuntimeWarning`` an error
+there; the fresh ``python`` processes some tests start get both through
+``PYTHONPATH`` and ``PYTHONWARNINGS``, so they import the same package and
+a numpy warning fails them too.
 """
 
 import os
@@ -15,3 +17,5 @@ settings.load_profile("cavityqfc")
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = ",".join(
+    filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"]))

@@ -597,6 +597,35 @@ class TestDomainLimits:
         assert message in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # round(inf) raised OverflowError: exit 1 with a traceback
+            (["g2", "--param", "mc=1", "--param", "bins=20000", "--param", "window_ns=1.7e308"],
+             "window_ns must be a positive integer multiple of the resolution"),
+            (["g2", "--param", "mc=1", "--param", "bins=20000", "--param", "window_ns=-1.7e308"],
+             "window_ns must be a positive integer multiple of the resolution"),
+            # the comb's mass in the window underflowed to 0: ZeroDivisionError
+            (["design", "--param", "finesse=1.7e308"], "suppression factor at F=1.7e+308"),
+            (["design", "--param", "fsr_GHz=1.7e308"], "fsr_GHz=1.7e+308"),
+            # alpha_tilde overflowed to inf (a NaN, exit 5) or left the normal range
+            (["snr", "--param", "mode=curves", "--param", "finesse=1.7e308"], "F_cold=1.7e+308"),
+            (["snr", "--param", "mode=curves", "--param", "finesse=1e-308"], "F_cold=1e-308"),
+            (["snr", "--param", "mode=curves", "--param", "finesse=5e-324"], "F_cold=4.94066e-324"),
+            # the default span overflowed to inf, with numpy warnings from linspace
+            (["model", "--param", "powers=1.7e308"], "span_MHz must be finite"),
+        ],
+        ids=["g2_window_huge", "g2_window_huge_negative", "design_finesse_huge",
+             "design_fsr_huge", "snr_finesse_huge", "snr_finesse_subnormal", "snr_finesse_tiny",
+             "model_power_huge"],
+    )
+    def test_float_extreme_is_domain_error_in_a_fresh_process(self, args, message, fmt):
+        result = run_module(*args, "--format", fmt, expect=4)
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert result.stdout == ""
+
     def test_blind_signal_arm_is_domain_error(self, monkeypatch):
         # no noise rate gives a blind signal arm any zeta, so the run must
         # fail before its 10^7 bins are sampled, not on zero accidental counts

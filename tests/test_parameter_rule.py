@@ -1,0 +1,207 @@
+"""One parameter rule for the public laws.
+
+Every float parameter of a public law is checked by ``conversion._require``:
+NaN, +inf and -inf raise ``ValueError`` naming the parameter, whatever its
+range.  The only non-finite value a law accepts is ``g2_out``'s
+``zeta = inf``, the noise-free limit, which ``predict_nocavity_g2`` passes on.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cavityqfc import PRESETS
+from cavityqfc.conversion import (
+    PumpDrive,
+    _require,
+    alpha_tilde_from_finesse,
+    bandwidth_nm_to_GHz,
+    conversion_amplitude,
+    dfg_wavelength,
+    finesse_from_reflectances,
+    fsr_from_length,
+    nocavity_efficiency,
+    peak_efficiency,
+    transmission_amplitude,
+)
+from cavityqfc.fitting import ScanSeries, enhancement_factor, fit_saturating_noise
+from cavityqfc.noise import (
+    as_spectral_density,
+    beta_tilde_from,
+    comb_rate_in_band,
+    comb_spectrum,
+    noise_cavity_per_fsr,
+    noise_nocavity,
+    normalized_noise_coefficient,
+    spdc_antiresonant_suppression,
+)
+from cavityqfc.photon_stats import (
+    CoincidenceHistogram,
+    SourceModel,
+    flat_top_spectrum,
+    g2_from_histogram,
+    g2_out,
+    gaussian_spectrum,
+    lorentzian_spectrum,
+    noise_rate_for_intensity_ratio,
+    predict_nocavity_g2,
+    simulate_coincidences,
+    zeta_from_g2,
+)
+from cavityqfc.snr import (
+    cavity_dominates,
+    low_power_snr_gain,
+    min_finesse_for_dominance,
+    normalized_snr_curves,
+    snr_cav,
+    snr_config_table,
+    snr_nocav,
+)
+
+PRESET = PRESETS["1540"]
+CAV, NOISE = PRESET.cavity, PRESET.noise()
+DRIVE = PumpDrive(50.0, PRESET.alpha_tilde_per_mW)
+POWERS = np.linspace(10.0, 250.0, 12)
+NOISE_SCAN = ScanSeries(POWERS, noise_cavity_per_fsr(NOISE, POWERS), unit="mW")
+HISTOGRAM = CoincidenceHistogram(np.arange(-20, 21) * 0.8, np.full(41, 10.0), 10.0, 0.8)
+
+# law, valid keyword arguments, the float parameters among them
+LAWS = [
+    (peak_efficiency, {"drive": DRIVE, "gamma_r_ratio": 0.7}, ["gamma_r_ratio"]),
+    (transmission_amplitude, {"cav": CAV, "drive": DRIVE, "detuning_MHz": 5.0},
+     ["detuning_MHz"]),
+    (conversion_amplitude, {"cav": CAV, "drive": DRIVE, "detuning_MHz": 5.0}, ["detuning_MHz"]),
+    (fsr_from_length, {"length_mm": 20.0, "group_index": 2.2}, ["length_mm", "group_index"]),
+    (finesse_from_reflectances, {"r_front": 0.9, "r_rear": 0.95, "internal_loss_per_pass": 0.01},
+     ["r_front", "r_rear", "internal_loss_per_pass"]),
+    (nocavity_efficiency, {"power_mW": 50.0, "B_per_mW": 0.01}, ["power_mW", "B_per_mW"]),
+    (alpha_tilde_from_finesse, {"F_cold": 74.0, "B_per_mW": 0.01}, ["F_cold", "B_per_mW"]),
+    (dfg_wavelength, {"signal_nm": 780.0, "pump_nm": 1581.0}, ["signal_nm", "pump_nm"]),
+    (bandwidth_nm_to_GHz, {"delta_nm": 0.03, "center_nm": 1540.0}, ["delta_nm", "center_nm"]),
+    (as_spectral_density,
+     {"noise": NOISE, "power_mW": 10.0, "detuning_MHz": 5.0, "gamma_all_MHz": 70.4},
+     ["power_mW", "detuning_MHz", "gamma_all_MHz"]),
+    (noise_nocavity, {"alpha_noise": 230.0, "power_mW": 10.0, "bpf_GHz": 1.0, "fsr_GHz": 5.2},
+     ["alpha_noise", "power_mW", "bpf_GHz", "fsr_GHz"]),
+    (beta_tilde_from, {"F_cold": 74.0, "alpha_noise": 230.0, "fsr": 5.2},
+     ["F_cold", "alpha_noise", "fsr"]),
+    (comb_rate_in_band,
+     {"cav": CAV, "noise": NOISE, "power_mW": 10.0, "f_lo_GHz": -0.5, "f_hi_GHz": 0.5},
+     ["power_mW", "f_lo_GHz", "f_hi_GHz"]),
+    (comb_spectrum,
+     {"cav": CAV, "noise": NOISE, "power_mW": 10.0, "span_GHz": 12.0, "samples": 400},
+     ["power_mW", "span_GHz"]),
+    (spdc_antiresonant_suppression, {"F": 45.0, "fsr_GHz": 5.0, "bpf_GHz": 3.57},
+     ["F", "fsr_GHz", "bpf_GHz"]),
+    (normalized_noise_coefficient,
+     {"alpha_noise": 230.0, "length_mm": 20.0, "bpf_GHz": 3.8, "t_circ": 0.8,
+      "gamma_r_ratio_opt": 0.7},
+     ["alpha_noise", "length_mm", "bpf_GHz", "t_circ", "gamma_r_ratio_opt"]),
+    (snr_cav, {"power_mW": 50.0, "alpha_tilde": 1.0 / 144.0, "alpha_noise": 230.0},
+     ["power_mW", "alpha_tilde", "alpha_noise"]),
+    (snr_nocav, {"power_mW": 50.0, "B": 0.01, "alpha_noise": 230.0, "band_ratio": 0.5},
+     ["power_mW", "B", "alpha_noise", "band_ratio"]),
+    (normalized_snr_curves, {"F_cold": 25.0, "grid_size": 64}, ["F_cold"]),
+    (cavity_dominates, {"F_cold": 25.0, "efficiencies": [0.1, 0.5, 1.0]},
+     ["F_cold", "efficiencies"]),
+    (min_finesse_for_dominance, {"tolerance": 1e-3}, ["tolerance"]),
+    (snr_config_table, {"F_c": 74.0, "F_s": 1.0}, ["F_c", "F_s"]),
+    (low_power_snr_gain, {"F_cold": 74.0}, ["F_cold"]),
+    (fit_saturating_noise, {"data": NOISE_SCAN, "gamma_r_ratio": 0.7}, ["gamma_r_ratio"]),
+    (enhancement_factor, {"alpha_tilde": 1.0 / 144.0, "B_ref": 0.01, "L_ref": 40.0, "L": 20.0},
+     ["alpha_tilde", "B_ref", "L_ref", "L"]),
+    (g2_out, {"g2_in": 3.8, "zeta": 2.0}, ["g2_in", "zeta"]),
+    (zeta_from_g2, {"g2_in": 3.8, "g2_out_value": 2.5}, ["g2_in", "g2_out_value"]),
+    (predict_nocavity_g2, {"g2_in": 3.8, "zeta": 2.0, "enhancement": 5.0},
+     ["g2_in", "zeta", "enhancement"]),
+    (noise_rate_for_intensity_ratio, {"mu": 0.55, "eta_signal": 0.1, "zeta": 2.1},
+     ["mu", "eta_signal", "zeta"]),
+    (flat_top_spectrum, {"width_GHz": 1.0}, ["width_GHz"]),
+    (lorentzian_spectrum, {"fwhm_GHz": 0.1, "span_GHz": 2.0}, ["fwhm_GHz", "span_GHz"]),
+    (gaussian_spectrum, {"fwhm_GHz": 0.1, "span_GHz": 2.0}, ["fwhm_GHz", "span_GHz"]),
+    (simulate_coincidences,
+     {"model": SourceModel(0.55, 0.1, 0.1, bins=1000, seed=1), "delay_span_bins": 5,
+      "resolution_ns": 0.8},
+     ["resolution_ns"]),
+    (g2_from_histogram, {"histogram": HISTOGRAM, "window_ns": 0.8}, ["window_ns"]),
+]
+
+# the model field that a law's parameter fills, where the model's check names it
+_FIELD = {"mu": "mean_pairs_per_bin", "eta_signal": "signal_efficiency"}
+_NONFINITE = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+
+
+def _cases():
+    for law, kwargs, floats in LAWS:
+        for name in floats:
+            for label, bad in _NONFINITE.items():
+                if law in (g2_out, predict_nocavity_g2) and (name, label) == ("zeta", "+inf"):
+                    continue  # the noise-free limit, tested below
+                yield pytest.param(law, kwargs, name, bad, id=f"{law.__name__}-{name}-{label}")
+
+
+@pytest.mark.parametrize("law, kwargs, floats", LAWS, ids=[law.__name__ for law, _, _ in LAWS])
+def test_valid_arguments_are_accepted(law, kwargs, floats):
+    law(**kwargs)
+
+
+@pytest.mark.parametrize("law, kwargs, name, bad", _cases())
+def test_nonfinite_float_is_rejected_by_name(law, kwargs, name, bad):
+    with pytest.raises(ValueError, match=_FIELD.get(name, name)):
+        law(**{**kwargs, name: bad})
+
+
+def test_infinite_zeta_is_the_noise_free_limit():
+    assert g2_out(3.8, math.inf) == 3.8
+    assert predict_nocavity_g2(3.8, math.inf, 5.0) == 3.8
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each returned a value before its law checked the argument
+        (lambda: snr_cav(50.0, -0.007, 230.0), "alpha_tilde must be positive and finite"),
+        (lambda: snr_nocav(50.0, 0.01, 0.0, 0.5), "alpha_noise must be positive and finite"),
+        (lambda: noise_nocavity(-1.0, 10.0, 1.0, 5.2), "alpha_noise must be non-negative"),
+        (lambda: finesse_from_reflectances(1.5, 0.9), r"r_front must lie in \[0, 1\], got 1.5"),
+        (lambda: snr_config_table(0.5, 1.0), "F_c must be at least 1"),
+        (lambda: fit_saturating_noise(NOISE_SCAN, 0.0), r"gamma_r_ratio must lie in \(0, 1\]"),
+    ],
+)
+def test_out_of_range_is_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+class TestRequire:
+    @pytest.mark.parametrize(
+        "rule, good, bad",
+        [
+            ("finite", [-1e308, 0.0, 3], [math.nan, math.inf, -math.inf]),
+            ("positive", [5e-324, 1e308, 10**400], [0.0, -1.0, math.inf]),
+            ("non-negative", [0.0, 2.0], [-5e-324, math.inf]),
+            ("[0, 1]", [0.0, 1.0, 0.5], [-1e-9, 1.0 + 1e-9, math.nan]),
+            ("(0, 1]", [5e-324, 1.0], [0.0, 1.5]),
+            ("at least 1", [1.0, 1e308], [1.0 - 1e-12, math.nan, math.inf]),
+        ],
+    )
+    def test_rule_bounds(self, rule, good, bad):
+        for value in good:
+            _require(rule, x=value)
+        for value in bad:
+            with pytest.raises(ValueError, match="x must"):
+                _require(rule, x=value)
+
+    def test_arrays_are_checked_element_by_element(self):
+        _require("[0, 1]", eff=np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(ValueError, match=r"^eff must lie in \[0, 1\]$"):
+            _require("[0, 1]", eff=np.array([0.0, np.nan, 1.0]))
+
+    def test_a_bool_is_not_a_number(self):
+        with pytest.raises(ValueError, match="flag must be positive and finite, got True"):
+            _require("positive", flag=True)
+
+    def test_first_failing_name_is_reported(self):
+        with pytest.raises(ValueError, match="^b must be positive and finite, got -1.0$"):
+            _require("positive", a=1.0, b=-1.0, c=math.nan)
