@@ -17,8 +17,9 @@ Limits, checked before anything is allocated (exit 4): ``model samples``,
 ``bins``, and a Monte Carlo run's expected clicks and pairs within the span
 at most 2^32 and its span's arrays at most 256 MB.
 
-Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error,
-5 numeric failure, 6 I/O error.
+Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error (an
+out-of-range value, or a float overflow, division by zero or invalid operation,
+which numpy raises in a handler, not warns), 5 numeric failure, 6 I/O error.
 """
 
 from __future__ import annotations
@@ -480,6 +481,7 @@ _ERRORS = {
     NumericFailure: ("numeric failure", EXIT_NUMERIC),
     WorkbenchError: ("domain error", EXIT_DOMAIN),
     ValueError: ("domain error", EXIT_DOMAIN),
+    FloatingPointError: ("domain error", EXIT_DOMAIN),
     OSError: ("io error", EXIT_IO),
 }
 
@@ -522,7 +524,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         handler, params = _parse_params(args.command, vars(args).get("param") or [])
-        payload, csv, provenance = handler(args, params)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            payload, csv, provenance = handler(args, params)
         write_text(args.output, _render(args.format, payload, csv, provenance))
         return EXIT_OK
     except tuple(_ERRORS) as exc:

@@ -22,7 +22,7 @@ mW, vacuum wavelengths in nm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -48,14 +48,19 @@ __all__ = [
 
 
 def _require_finite(params) -> None:
-    """Reject NaN or infinity in any field of a parameter dataclass.
-
-    None means unset; Python integers are finite and may exceed the float range.
-    """
+    """The finiteness gate of every public dataclass: each number, array or dict of numbers
+    among its fields must be finite.  Text, None (unset), Python integers (always finite,
+    even past the float range) and nested dataclasses are skipped."""
     for field in fields(params):
         value = getattr(params, field.name)
-        if value is not None and not isinstance(value, int) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {float(value)!r}")
+        if value is None or isinstance(value, (int, str)) or is_dataclass(value):
+            continue
+        if isinstance(value, dict):
+            value = list(value.values())
+        # math.isfinite is the cheap test of the common field, a float (numpy's float64 too)
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+            got = f", got {value}" if np.ndim(value) == 0 else ""
+            raise ValueError(f"{field.name} must be finite{got}")
 
 
 # rule: (the clause a message completes after "must", its test, false for NaN and +-inf)
@@ -85,13 +90,24 @@ def _require(rule: str, **values) -> None:
             raise ValueError(f"{name} must {clause}{got}")
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or NumPy integer; a bool is not a number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _centered_grid(span: float, samples: int) -> np.ndarray:
+    """``samples`` evenly spaced points over ``[-span/2, span/2]``, at least 2 of them."""
+    if not _is_integer(samples) or samples < 2:
+        raise ValueError(f"samples must be an integer of at least 2, got {samples!r}")
+    return np.linspace(-span / 2.0, span / 2.0, samples)
+
+
 def _pump_power(power_mW) -> np.ndarray:
     """Scalar or array pump power as an array; rejects negative and non-finite entries."""
     power = np.asarray(power_mW, dtype=float)
-    if np.any(power < 0):
+    if np.any(power < 0):  # -inf too
         raise ValueError("power_mW must be non-negative")
-    if not np.isfinite(power).all():
-        raise ValueError("power_mW must be finite")
+    _require("finite", power_mW=power)
     return power
 
 
@@ -121,12 +137,10 @@ class CavityParams:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.fsr_MHz <= 0:
-            raise ValueError("fsr_MHz must be positive")
-        if self.gamma_all_MHz <= 0:
-            raise ValueError("gamma_all_MHz must be positive")
-        if not 0.0 <= self.gamma_r_ratio <= 1.0:
-            raise ValueError("gamma_r_ratio must lie in [0, 1]")
+        _require("positive", fsr_MHz=self.fsr_MHz, gamma_all_MHz=self.gamma_all_MHz)
+        _require("[0, 1]", gamma_r_ratio=self.gamma_r_ratio)
+        geometry = {"length_mm": self.length_mm, "group_index": self.group_index}
+        _require("positive", **{name: v for name, v in geometry.items() if v is not None})
         if self.fsr_MHz < self.gamma_all_MHz:
             raise ValueError("finesse below one: fsr_MHz < gamma_all_MHz")
         if self.length_mm is not None and self.group_index is not None:
@@ -157,10 +171,8 @@ class PumpDrive:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.power_mW < 0:
-            raise ValueError("power_mW must be non-negative")
-        if self.alpha_tilde_per_mW <= 0:
-            raise ValueError("alpha_tilde_per_mW must be positive")
+        _require("non-negative", power_mW=self.power_mW)
+        _require("positive", alpha_tilde_per_mW=self.alpha_tilde_per_mW)
 
     @property
     def coupling(self) -> float:
@@ -183,9 +195,8 @@ class WavelengthConfig:
 
     def __post_init__(self):
         _require_finite(self)
-        for name in ("signal_nm", "pump_nm", "converted_nm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _require("positive", signal_nm=self.signal_nm, pump_nm=self.pump_nm,
+                 converted_nm=self.converted_nm)
         expected = 1.0 / self.signal_nm - 1.0 / self.pump_nm
         if expected <= 0:
             raise ValueError("pump_nm must exceed signal_nm for downconversion")
@@ -207,6 +218,8 @@ class ConversionResponse:
     power_mW: float
 
     def __post_init__(self):
+        _require_finite(self)
+        _require("non-negative", power_mW=self.power_mW)
         n = len(self.detunings_MHz)
         if len(self.t_ss) != n or len(self.r_rs) != n:
             raise ValueError("grid and amplitude arrays must have equal length")

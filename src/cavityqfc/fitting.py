@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import _require, bandwidth_nm_to_GHz
+from .conversion import _require, _require_finite, bandwidth_nm_to_GHz
 from .errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
 from .noise import NoiseParams, noise_cavity_per_fsr
 
@@ -48,24 +48,21 @@ class ScanSeries:
 
     def __post_init__(self):
         x = np.asarray(self.abscissa, dtype=float)
-        y = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "abscissa", x)
-        object.__setattr__(self, "values", y)
-        if x.ndim != 1 or y.shape != x.shape:
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.sigma is not None:
+            object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
+        _require_finite(self)
+        if x.ndim != 1 or self.values.shape != x.shape:
             raise ValueError("abscissa and values must be 1-d arrays of equal length")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("abscissa and values must be finite")
         if np.any(np.diff(x) <= 0):
             raise ValueError("abscissa must be strictly increasing")
         if self.unit not in _UNITS:
             raise ValueError(f"unit must be one of {_UNITS}")
         if self.sigma is not None:
-            s = np.asarray(self.sigma, dtype=float)
-            object.__setattr__(self, "sigma", s)
-            if s.shape != x.shape:
+            if self.sigma.shape != x.shape:
                 raise ValueError("sigma must match the abscissa length")
-            if not np.all((s > 0) & np.isfinite(s)):
-                raise ValueError("sigma must be positive and finite where present")
+            _require("positive", sigma=self.sigma)
 
     def __len__(self) -> int:
         return len(self.abscissa)
@@ -83,12 +80,9 @@ class FitResult:
     iterations: int
 
     def __post_init__(self):
-        if self.residual_norm < 0:
-            raise ValueError("residual_norm must be non-negative")
-        if any(e < 0 for e in self.std_errors.values()):
-            raise ValueError("std_errors must be non-negative")
-        if self.converged and not all(np.isfinite(v) for v in self.parameters.values()):
-            raise ValueError("converged fit must have finite parameters")
+        _require_finite(self)
+        _require("non-negative", residual_norm=self.residual_norm,
+                 std_errors=list(self.std_errors.values()))
 
 
 def _weights(data: ScanSeries) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import CavityParams, _pump_power, _require, _require_finite
+from .conversion import CavityParams, _centered_grid, _pump_power, _require, _require_finite
 
 __all__ = [
     "NoiseParams",
@@ -64,12 +64,9 @@ class NoiseParams:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.alpha_noise_cps_per_mW < 0:
-            raise ValueError("alpha_noise_cps_per_mW must be non-negative")
-        if not 0.0 <= self.gamma_r_ratio <= 1.0:
-            raise ValueError("gamma_r_ratio must lie in [0, 1]")
-        if self.alpha_tilde_per_mW < 0:
-            raise ValueError("alpha_tilde_per_mW must be non-negative")
+        _require("non-negative", alpha_noise_cps_per_mW=self.alpha_noise_cps_per_mW,
+                 alpha_tilde_per_mW=self.alpha_tilde_per_mW)
+        _require("[0, 1]", gamma_r_ratio=self.gamma_r_ratio)
 
     @classmethod
     def from_cavity(
@@ -92,10 +89,11 @@ class CombSpectrum:
     fwhm_GHz: float
 
     def __post_init__(self):
+        _require_finite(self)
+        _require("non-negative", density=self.density)
+        _require("positive", fsr_GHz=self.fsr_GHz, fwhm_GHz=self.fwhm_GHz)
         if len(self.frequencies_GHz) != len(self.density):
             raise ValueError("grid and density must have equal length")
-        if np.any(np.asarray(self.density) < 0):
-            raise ValueError("density must be non-negative")
 
 
 def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MHz: float):
@@ -251,10 +249,10 @@ def comb_spectrum(
 ) -> CombSpectrum:
     """Sample the AS comb on a uniform grid centered on a resonance."""
     _require("positive", span_GHz=span_GHz)
+    freqs = _centered_grid(span_GHz, samples)
     fsr_GHz, hwhm_ratio, _ = _comb_scales(cav, noise, power_mW)
     if samples / (span_GHz / fsr_GHz) < 16:
         raise ValueError("undersampled grid: need at least 16 samples per FSR")
-    freqs = np.linspace(-span_GHz / 2.0, span_GHz / 2.0, int(samples))
     return CombSpectrum(
         frequencies_GHz=freqs,
         density=comb_density(cav, noise, power_mW)(freqs),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import ConversionResponse, _require, _require_finite
+from .conversion import ConversionResponse, _centered_grid, _is_integer, _require, _require_finite
 from .errors import CoverageError
 from .fitting import ScanSeries
 
@@ -73,10 +73,8 @@ class G2Record:
 
     def __post_init__(self):
         _require_finite(self)
-        if min(self.g2, self.stderr) < 0:
-            raise ValueError("g2 and stderr must be non-negative")
-        if min(self.window_ns, self.resolution_ns) <= 0:
-            raise ValueError("window_ns and resolution_ns must be positive")
+        _require("non-negative", g2=self.g2, stderr=self.stderr)
+        _require("positive", window_ns=self.window_ns, resolution_ns=self.resolution_ns)
 
     @property
     def nonclassical(self) -> bool:
@@ -97,21 +95,14 @@ class SourceModel:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.mean_pairs_per_bin <= 0:
-            raise ValueError("mean_pairs_per_bin must be positive")
-        for name in ("herald_efficiency", "signal_efficiency"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.noise_rate_per_bin < 0:
-            raise ValueError("noise_rate_per_bin must be non-negative")
+        _require("positive", mean_pairs_per_bin=self.mean_pairs_per_bin)
+        _require("[0, 1]", herald_efficiency=self.herald_efficiency,
+                 signal_efficiency=self.signal_efficiency)
+        _require("non-negative", noise_rate_per_bin=self.noise_rate_per_bin)
         if not _is_integer(self.bins) or not 1 <= self.bins <= _MAX_BINS:
             raise ValueError(f"bins must be an integer from 1 to 2**44, got {self.bins!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -125,15 +116,11 @@ class CoincidenceHistogram:
     low_statistics: bool = False
 
     def __post_init__(self):
+        _require_finite(self)
+        _require("non-negative", counts=self.counts, accidental_level=self.accidental_level)
+        _require("positive", resolution_ns=self.resolution_ns)
         if len(self.delay_bins_ns) != len(self.counts):
             raise ValueError("delay axis and counts must have equal length")
-        for name in ("delay_bins_ns", "counts", "accidental_level", "resolution_ns"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-        if np.any(np.asarray(self.counts) < 0) or self.accidental_level < 0:
-            raise ValueError("counts and accidental_level must be non-negative")
-        if self.resolution_ns <= 0:
-            raise ValueError("resolution_ns must be positive")
 
 
 def g2_out(g2_in: float, zeta: float) -> float:
@@ -146,7 +133,10 @@ def g2_out(g2_in: float, zeta: float) -> float:
     if zeta == math.inf:  # the noise-free limit
         return g2_in
     _require("non-negative", zeta=zeta)
-    return (g2_in * zeta + 1.0) / (zeta + 1.0)
+    g2 = (g2_in * zeta + 1.0) / (zeta + 1.0)
+    if not math.isfinite(g2):  # g2_in * zeta overflowed
+        raise ValueError(f"g2_out of g2_in={g2_in:g} and zeta={zeta:g} leaves the float range")
+    return g2
 
 
 def zeta_from_g2(g2_in: float, g2_out_value: float) -> float:
@@ -218,14 +208,14 @@ def _normalized_spectrum(offsets_GHz: np.ndarray, weights: np.ndarray) -> ScanSe
 def flat_top_spectrum(width_GHz: float, samples: int = 4001) -> ScanSeries:
     """Unit-area rectangular photon spectrum of full width ``width_GHz``."""
     _require("positive", width_GHz=width_GHz)
-    offsets = np.linspace(-width_GHz / 2.0, width_GHz / 2.0, samples)
+    offsets = _centered_grid(width_GHz, samples)
     return _normalized_spectrum(offsets, np.ones_like(offsets))
 
 
 def lorentzian_spectrum(fwhm_GHz: float, span_GHz: float, samples: int = 4001) -> ScanSeries:
     """Unit-area Lorentzian photon spectrum sampled over ``span_GHz``."""
     _require("positive", fwhm_GHz=fwhm_GHz, span_GHz=span_GHz)
-    offsets = np.linspace(-span_GHz / 2.0, span_GHz / 2.0, samples)
+    offsets = _centered_grid(span_GHz, samples)
     hwhm = fwhm_GHz / 2.0
     return _normalized_spectrum(offsets, 1.0 / (offsets**2 + hwhm**2))
 
@@ -233,7 +223,7 @@ def lorentzian_spectrum(fwhm_GHz: float, span_GHz: float, samples: int = 4001) -
 def gaussian_spectrum(fwhm_GHz: float, span_GHz: float, samples: int = 4001) -> ScanSeries:
     """Unit-area Gaussian photon spectrum sampled over ``span_GHz``."""
     _require("positive", fwhm_GHz=fwhm_GHz, span_GHz=span_GHz)
-    offsets = np.linspace(-span_GHz / 2.0, span_GHz / 2.0, samples)
+    offsets = _centered_grid(span_GHz, samples)
     sigma = fwhm_GHz / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     return _normalized_spectrum(offsets, np.exp(-0.5 * (offsets / sigma) ** 2))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conversion import CavityParams, WavelengthConfig
+from .conversion import CavityParams, WavelengthConfig, _require, _require_finite
 from .noise import NoiseParams
 
 __all__ = ["Preset", "PRESETS", "DEFAULT_PRESET"]
@@ -24,6 +24,13 @@ class Preset:
     alpha_noise_cps_per_mW: float
     wavelengths: WavelengthConfig | None = None
     broadening_MHz_per_mW: float | None = None
+
+    def __post_init__(self):
+        _require_finite(self)
+        _require("positive", alpha_tilde_per_mW=self.alpha_tilde_per_mW)
+        _require("non-negative", alpha_noise_cps_per_mW=self.alpha_noise_cps_per_mW)
+        if self.broadening_MHz_per_mW is not None:
+            _require("non-negative", broadening_MHz_per_mW=self.broadening_MHz_per_mW)
 
     def noise(self) -> NoiseParams:
         return NoiseParams.from_cavity(

@@ -16,11 +16,13 @@ a cold finesse of at least ``8/pi`` keeps it on top everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import _pump_power, _require, alpha_tilde_from_finesse, bandwidth_nm_to_GHz
+from .conversion import (_pump_power, _require, _require_finite, alpha_tilde_from_finesse,
+                         bandwidth_nm_to_GHz)
 from .errors import NumericFailure
 from .noise import spdc_antiresonant_suppression
 
@@ -47,14 +49,11 @@ class SnrCurve:
     label: str = ""
 
     def __post_init__(self):
-        eff = np.asarray(self.efficiencies, dtype=float)
-        snr = np.asarray(self.snr_values, dtype=float)
-        if eff.shape != snr.shape:
+        _require_finite(self)
+        _require("[0, 1]", efficiencies=self.efficiencies)
+        _require("non-negative", snr_values=self.snr_values)
+        if np.shape(self.efficiencies) != np.shape(self.snr_values):
             raise ValueError("efficiencies and snr_values must have equal length")
-        if np.any(eff < 0) or np.any(eff > 1):
-            raise ValueError("efficiencies must lie in [0, 1]")
-        if np.any(snr < 0):
-            raise ValueError("snr_values must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,12 @@ class DesignReport:
     bpf_GHz: float
     suppression_factor: float
     threshold: float = 10.0
+
+    def __post_init__(self):
+        _require_finite(self)
+        _require("at least 1", finesse=self.finesse)
+        _require("positive", fsr_GHz=self.fsr_GHz, bpf_GHz=self.bpf_GHz,
+                 suppression_factor=self.suppression_factor, threshold=self.threshold)
 
     @property
     def over_tenfold(self) -> bool:
@@ -119,7 +124,6 @@ def normalized_snr_curves(F_cold: float, grid_size: int = 256) -> tuple[SnrCurve
     use ``B/alpha_noise = pi^2/4`` so the no-cavity value at unit
     efficiency is exactly one.
     """
-    _require("positive", F_cold=F_cold)
     if grid_size < 32:
         raise ValueError("grid_size must be at least 32")
     if grid_size > 1_000_000:
@@ -156,8 +160,10 @@ def min_finesse_for_dominance(tolerance: float = 1e-3) -> float:
     dense efficiency grid.  The binding point is full conversion, where the
     curves cross at ``F = 8/pi``.
     """
-    _require("positive", tolerance=tolerance)
     lo, hi = 1.0, 16.0
+    _require("positive", tolerance=tolerance)
+    if tolerance < np.spacing(hi):  # below the float spacing the bracket stops shrinking
+        raise ValueError(f"tolerance must be at least {np.spacing(hi):g}, got {tolerance:g}")
     if cavity_dominates(lo) or not cavity_dominates(hi):
         raise NumericFailure("dominance bisection bracket invalid")
     for _ in range(60):
@@ -182,7 +188,7 @@ def snr_config_table(F_c: float, F_s: float) -> dict[str, dict[str, float]]:
     touching the noise.
     """
     _require("at least 1", F_c=F_c, F_s=F_s)
-    return {
+    table = {
         "fsr_wide": {
             "no_cavity": 1.0,
             "converted_mode": low_power_snr_gain(F_c),
@@ -194,6 +200,9 @@ def snr_config_table(F_c: float, F_s: float) -> dict[str, dict[str, float]]:
             "signal_mode": F_c * F_s / np.pi,
         },
     }
+    if not all(math.isfinite(v) for row in table.values() for v in row.values()):
+        raise ValueError(f"the SNR table of F_c={F_c:g} and F_s={F_s:g} leaves the float range")
+    return table
 
 
 def low_power_snr_gain(F_cold: float) -> float:

@@ -431,11 +431,12 @@ class TestDeterminismAndErrors:
         assert result.stdout == ""
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_overflowing_result_is_numeric_failure(self, fmt):
-        # 2*fc/pi overflows to inf, which neither strict JSON nor the CSV writer carries
+    def test_overflowing_result_is_domain_error(self, fmt):
+        # 2*fc/pi overflows to inf: the input is out of the law's float range
         result = run_cli("snr", "--param", "mode=table", "--param", "fc=1e308",
-                         "--format", fmt, expect=5)
-        assert "numeric failure" in result.stderr
+                         "--format", fmt, expect=4)
+        assert "domain error: the SNR table of F_c=1e+308 and F_s=1 leaves the float range" \
+            in result.stderr
         assert result.stdout == ""
 
     def test_unknown_generate_model_is_usage_error(self):

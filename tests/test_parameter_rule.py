@@ -1,19 +1,33 @@
-"""One parameter rule for the public laws.
+"""One parameter rule for the public laws, the public dataclasses and the CLI.
 
 Every float parameter of a public law is checked by ``conversion._require``:
 NaN, +inf and -inf raise ``ValueError`` naming the parameter, whatever its
 range.  The only non-finite value a law accepts is ``g2_out``'s
 ``zeta = inf``, the noise-free limit, which ``predict_nocavity_g2`` passes on.
+Every public dataclass checks its fields through ``_require_finite`` and
+``_require`` the same way, and a CLI call whose float ``--param`` drives a
+computation out of the float range exits 4, with no numpy warning.
 """
 
+import contextlib
+import dataclasses
+import importlib
+import io
 import math
+import pkgutil
+import warnings
 
 import numpy as np
 import pytest
 
-from cavityqfc import PRESETS
+import cavityqfc
+from cavityqfc import PRESETS, cli
 from cavityqfc.conversion import (
+    CavityParams,
+    ConversionResponse,
     PumpDrive,
+    WavelengthConfig,
+    _is_integer,
     _require,
     alpha_tilde_from_finesse,
     bandwidth_nm_to_GHz,
@@ -25,8 +39,10 @@ from cavityqfc.conversion import (
     peak_efficiency,
     transmission_amplitude,
 )
-from cavityqfc.fitting import ScanSeries, enhancement_factor, fit_saturating_noise
+from cavityqfc.fitting import FitResult, ScanSeries, enhancement_factor, fit_saturating_noise
 from cavityqfc.noise import (
+    CombSpectrum,
+    NoiseParams,
     as_spectral_density,
     beta_tilde_from,
     comb_rate_in_band,
@@ -38,6 +54,7 @@ from cavityqfc.noise import (
 )
 from cavityqfc.photon_stats import (
     CoincidenceHistogram,
+    G2Record,
     SourceModel,
     flat_top_spectrum,
     g2_from_histogram,
@@ -49,7 +66,10 @@ from cavityqfc.photon_stats import (
     simulate_coincidences,
     zeta_from_g2,
 )
+from cavityqfc.presets import Preset
 from cavityqfc.snr import (
+    DesignReport,
+    SnrCurve,
     cavity_dominates,
     low_power_snr_gain,
     min_finesse_for_dominance,
@@ -205,3 +225,206 @@ class TestRequire:
     def test_first_failing_name_is_reported(self):
         with pytest.raises(ValueError, match="^b must be positive and finite, got -1.0$"):
             _require("positive", a=1.0, b=-1.0, c=math.nan)
+
+    def test_an_integer_is_a_python_or_numpy_integer_but_not_a_bool(self):
+        for value in (0, -3, 10**20, np.int64(7), np.uint32(2**32 - 1)):
+            assert _is_integer(value)
+        for value in (True, np.bool_(True), 2.0, 2.5, np.float64(3.0), "3", None):
+            assert not _is_integer(value)
+
+
+SPECTRA = [
+    lambda n: flat_top_spectrum(1.0, samples=n),
+    lambda n: lorentzian_spectrum(0.1, 2.0, samples=n),
+    lambda n: gaussian_spectrum(0.1, 2.0, samples=n),
+    lambda n: comb_spectrum(CAV, NOISE, 10.0, 12.0, n),
+]
+_SPECTRUM_IDS = ["flat_top", "lorentzian", "gaussian", "comb"]
+
+
+# 1 divided by zero, 0 gave an empty spectrum, 2.5 a TypeError; the comb truncated 100.7 and True
+@pytest.mark.parametrize("samples", [1, 0, -5, 2.5, 100.7, 4001.0, True, None])
+@pytest.mark.parametrize("spectrum", SPECTRA, ids=_SPECTRUM_IDS)
+def test_samples_must_be_an_integer_of_at_least_2(spectrum, samples):
+    with pytest.raises(ValueError, match="^samples must be an integer of at least 2"):
+        spectrum(samples)
+
+
+@pytest.mark.parametrize("spectrum", SPECTRA, ids=_SPECTRUM_IDS)
+def test_numpy_integer_samples_are_accepted(spectrum):
+    assert spectrum(np.int64(400)) is not None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each exited 5 from a later check, or ran out its iterations
+        (lambda: snr_config_table(1.7e308, 1.0), r"the SNR table of F_c=1.7e\+308 and F_s=1"),
+        (lambda: snr_config_table(1e200, 1e200), r"the SNR table of F_c=1e\+200"),
+        (lambda: g2_out(3.8, 1.7e308), r"g2_out of g2_in=3.8 and zeta=1.7e\+308"),
+        (lambda: min_finesse_for_dominance(5e-324), "tolerance must be at least"),
+        (lambda: min_finesse_for_dominance(np.spacing(16.0) / 2), "tolerance must be at least"),
+    ],
+)
+def test_result_out_of_the_float_range_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_the_smallest_accepted_tolerance_converges():
+    assert min_finesse_for_dominance(np.spacing(16.0)) == pytest.approx(8.0 / np.pi, abs=1e-14)
+
+
+# each public dataclass, valid keyword arguments for it, and one out-of-range case
+_GRID = np.linspace(-2.0, 2.0, 5)
+CONSTRUCTORS = [
+    (CavityParams, {"fsr_MHz": 5200.0, "gamma_all_MHz": 70.4, "gamma_r_ratio": 0.7,
+                    "length_mm": 13.26, "group_index": 2.1739},
+     {"fsr_MHz": -1.0}, "fsr_MHz must be positive"),
+    (PumpDrive, {"power_mW": 50.0, "alpha_tilde_per_mW": 1.0 / 144.0, "phase_rad": 0.1},
+     {"power_mW": -1.0}, "power_mW must be non-negative"),
+    (WavelengthConfig, {"signal_nm": 780.0, "pump_nm": 1581.0, "converted_nm": 1540.0},
+     {"signal_nm": 0.0}, "signal_nm must be positive"),
+    (ConversionResponse, {"detunings_MHz": 50.0 * _GRID, "t_ss": np.full(5, 0.5 + 0.1j),
+                          "r_rs": np.full(5, 0.3 - 0.2j), "power_mW": 50.0},
+     {"power_mW": -1.0}, "power_mW must be non-negative"),
+    (NoiseParams, {"alpha_noise_cps_per_mW": 230.0, "gamma_r_ratio": 0.7,
+                   "alpha_tilde_per_mW": 1.0 / 144.0},
+     {"gamma_r_ratio": 1.5}, r"gamma_r_ratio must lie in \[0, 1\]"),
+    (CombSpectrum, {"frequencies_GHz": _GRID, "density": np.full(5, 2.0), "fsr_GHz": 5.2,
+                    "fwhm_GHz": 0.07},
+     {"fsr_GHz": -1.0}, "fsr_GHz must be positive"),
+    (SnrCurve, {"efficiencies": np.linspace(0.0, 1.0, 5), "snr_values": np.full(5, 3.0),
+                "label": "curve"},
+     {"snr_values": np.array([3.0, -1.0, 3.0, 3.0, 3.0])}, "snr_values must be non-negative"),
+    (DesignReport, {"finesse": 45.0, "fsr_GHz": 5.0, "bpf_GHz": 3.57,
+                    "suppression_factor": 15.5, "threshold": 10.0},
+     {"finesse": 0.5}, "finesse must be at least 1"),
+    (ScanSeries, {"abscissa": _GRID, "values": np.ones(5), "sigma": np.full(5, 0.1),
+                  "unit": "mW"},
+     {"sigma": np.array([0.1, 0.0, 0.1, 0.1, 0.1])}, "sigma must be positive"),
+    (FitResult, {"parameters": {"slope": 0.5, "intercept": 70.0},
+                 "std_errors": {"slope": 0.01, "intercept": 0.1}, "residual_norm": 1.0,
+                 "converged": True, "iterations": 0},
+     {"residual_norm": -1.0}, "residual_norm must be non-negative"),
+    (G2Record, {"g2": 3.8, "stderr": 0.1, "window_ns": 0.8, "resolution_ns": 0.8},
+     {"stderr": -0.1}, "stderr must be non-negative"),
+    (SourceModel, {"mean_pairs_per_bin": 0.55, "herald_efficiency": 0.1,
+                   "signal_efficiency": 0.1, "noise_rate_per_bin": 0.01, "bins": 1000,
+                   "seed": 1},
+     {"herald_efficiency": 1.2}, r"herald_efficiency must lie in \[0, 1\]"),
+    (CoincidenceHistogram, {"delay_bins_ns": 0.8 * _GRID, "counts": np.full(5, 10.0),
+                            "accidental_level": 10.0, "resolution_ns": 0.8,
+                            "low_statistics": False},
+     {"resolution_ns": 0.0}, "resolution_ns must be positive"),
+    (Preset, {"name": "test", "cavity": CAV, "alpha_tilde_per_mW": 1.0 / 144.0,
+              "alpha_noise_cps_per_mW": 230.0, "wavelengths": None,
+              "broadening_MHz_per_mW": 0.49},
+     {"alpha_tilde_per_mW": -1.0}, "alpha_tilde_per_mW must be positive"),
+]
+_CONSTRUCTOR_IDS = [cls.__name__ for cls, *_ in CONSTRUCTORS]
+
+
+def _public_dataclasses() -> set:
+    found = set()
+    for info in pkgutil.iter_modules(cavityqfc.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"cavityqfc.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+                found.add(obj)
+    return found
+
+
+def test_the_constructor_table_covers_every_public_dataclass():
+    assert {cls for cls, *_ in CONSTRUCTORS} == _public_dataclasses()
+
+
+def _with_one_bad_entry(value, bad):
+    """``value`` with ``bad`` in place of its scalar, one array element or one dict value."""
+    if isinstance(value, dict):
+        return {**value, next(iter(value)): bad}
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[1] = bad
+        return value
+    return bad
+
+
+def _field_cases():
+    for cls, kwargs, _, _ in CONSTRUCTORS:
+        for name, value in kwargs.items():
+            if isinstance(value, (float, np.ndarray, dict)):  # the numeric fields
+                for label, bad in _NONFINITE.items():
+                    yield pytest.param(cls, kwargs, name, bad, id=f"{cls.__name__}-{name}-{label}")
+
+
+@pytest.mark.parametrize("cls, kwargs, bad_kwargs, message", CONSTRUCTORS, ids=_CONSTRUCTOR_IDS)
+def test_valid_fields_are_accepted(cls, kwargs, bad_kwargs, message):
+    cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls, kwargs, name, bad", _field_cases())
+def test_nonfinite_field_is_rejected_by_name(cls, kwargs, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        cls(**{**kwargs, name: _with_one_bad_entry(kwargs[name], bad)})
+
+
+@pytest.mark.parametrize("cls, kwargs, bad_kwargs, message", CONSTRUCTORS, ids=_CONSTRUCTOR_IDS)
+def test_out_of_range_field_is_rejected_by_name(cls, kwargs, bad_kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        cls(**{**kwargs, **bad_kwargs})
+
+
+_EXTREMES = ["1.7e308", "-1.7e308", "5e-324"]
+
+
+@pytest.fixture(scope="module")
+def noise_scan(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("scan") / "noise.csv")
+    assert cli.main(["generate", "--param", "model=noise", "--output", path]) == 0
+    return path
+
+
+def _valid_text(parser) -> str:
+    """A value the ``--param`` parser accepts: a noise kind or a number."""
+    for text in ("gauss", "poisson", "2.0"):
+        try:
+            parser(text)
+            return text
+        except (ValueError, cli.UsageError):
+            pass
+    raise AssertionError(f"no valid text for {parser}")
+
+
+def _cli_cases():
+    """Every float ``--param`` key of every mode at each extreme, with the keys it needs."""
+    for command, modes in cli._MODES.items():
+        pick = cli._SUBCOMMANDS[command][1]
+        for mode, (_, schema) in modes.items():
+            base = [command] + ([] if pick is None else ["--param", f"{pick}={mode}"])
+            if "bins" in schema:  # a Monte Carlo mode: a short run
+                base += ["--param", "bins=20000"]
+            for key, parser in schema.items():
+                if parser not in (float, cli._floats):
+                    continue
+                needed = cli._NEEDS.get(key)
+                needs = [] if needed is None else [
+                    "--param", f"{needed}={_valid_text(schema[needed])}"]
+                for value in _EXTREMES:
+                    yield pytest.param([*base, *needs, "--param", f"{key}={value}"],
+                                       id=f"{command}-{mode}-{key}={value}")
+
+
+@pytest.mark.parametrize("argv", _cli_cases())
+def test_float_extreme_exits_0_or_4_without_a_warning(argv, noise_scan, tmp_path):
+    argv = [*argv, "--output", str(tmp_path / "out")]
+    if argv[0] == "fit":
+        argv += ["--input", noise_scan]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (0, 4), stderr.getvalue()

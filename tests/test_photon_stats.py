@@ -410,7 +410,7 @@ class TestRecordsHoldFiniteValues:
 
     @pytest.mark.parametrize("field", ["window_ns", "resolution_ns"])
     def test_g2_record_window_and_resolution_are_positive(self, field):
-        with pytest.raises(ValueError, match="window_ns and resolution_ns must be positive"):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
             G2Record(**{**self.G2, field: 0.0})
 
     @pytest.mark.parametrize(
