@@ -16,7 +16,7 @@ import numpy as np
 
 from .conversion import _require, _require_finite, bandwidth_nm_to_GHz
 from .errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
-from .noise import NoiseParams, noise_cavity_per_fsr
+from .noise import _per_fsr
 
 __all__ = [
     "ScanSeries",
@@ -109,18 +109,21 @@ def _covariance(jac: np.ndarray, residual_norm: float, data: ScanSeries) -> np.n
     return cov
 
 
-def _levenberg_marquardt(residuals, jacobian, theta0, lower=-np.inf):
-    """Minimize ``|residuals(theta)|^2`` by Levenberg-Marquardt with Marquardt's
-    scale-invariant damping ``lam * diag(J^T J)``.  ``theta`` is clipped at
-    ``lower``, where an outward gradient holds a coordinate out of the step.
+def _levenberg_marquardt(model, theta0, lower=-np.inf):
+    """Minimize ``|r|^2``, where ``model(theta)`` returns the weighted residuals
+    ``r`` and their Jacobian, by Levenberg-Marquardt with Marquardt's damping
+    ``lam * diag(J^T J)``.  ``theta`` is clipped at ``lower``, where an outward
+    gradient holds a coordinate out of the step.  A trial, evaluated with float
+    warnings off, is rejected unless its cost is finite and below the current
+    one and its Jacobian finite; a non-finite start point is a ``NumericFailure``.
     Stops when a step changes ``theta`` or the cost by under 1e-12 relative;
     returns ``(theta, residuals, jacobian, accepted_steps)``.
     """
     theta = np.asarray(theta0, dtype=float)
-    r, jac = residuals(theta), jacobian(theta)
+    r, jac = model(theta)
     cost = float(r @ r)
-    if not np.isfinite(cost):
-        raise NumericFailure(f"non-finite residuals at the start point {theta}")
+    if not (np.isfinite(cost) and np.isfinite(jac).all()):
+        raise NumericFailure(f"non-finite residuals or Jacobian at the start point {theta}")
     lam, accepted = 0.1, 0
     for _ in range(_LM_MAX_TRIALS):
         grad = jac.T @ r
@@ -133,11 +136,12 @@ def _levenberg_marquardt(residuals, jacobian, theta0, lower=-np.inf):
         step[free] = np.linalg.lstsq(damped, -grad[free] / scale, rcond=None)[0] / scale
         trial = np.maximum(theta + step, lower)
         done = np.linalg.norm(trial - theta) <= 1e-12 * (1e-12 + np.linalg.norm(theta))
-        r_trial = residuals(trial)
-        cost_trial = float(r_trial @ r_trial)
-        if cost_trial < cost:
+        with np.errstate(all="ignore"):
+            r_trial, jac_trial = model(trial)
+            cost_trial = float(r_trial @ r_trial)
+        if cost_trial < cost and np.isfinite(jac_trial).all():  # false for a NaN cost
             done |= cost - cost_trial <= 1e-12 * cost
-            theta, r, jac, cost = trial, r_trial, jacobian(trial), cost_trial
+            theta, r, jac, cost = trial, r_trial, jac_trial, cost_trial
             lam, accepted = lam / 10.0, accepted + 1
         else:
             lam *= 10.0
@@ -176,13 +180,13 @@ def fit_linear(data: ScanSeries) -> FitResult:
 def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     """Fit the saturating cavity-noise law, estimating both coefficients.
 
-    Model: :func:`~cavityqfc.noise.noise_cavity_per_fsr` with
+    Model: the law of :func:`~cavityqfc.noise.noise_cavity_per_fsr` with
     ``gamma_r_ratio`` held fixed.  Levenberg-Marquardt on log-parameters
     (which keeps both coefficients positive, ``alpha_tilde`` clipped at
     ``1e-12 / P_max``) with an analytic Jacobian, started from a
     deterministic initializer: the low-power slope fixes ``alpha_noise``,
     the droop of the highest-power point relative to that slope fixes
-    ``alpha_tilde``.
+    ``alpha_tilde``, and a start estimate out of the float range is a ``ValueError``.
     """
     _require("(0, 1]", gamma_r_ratio=gamma_r_ratio)
     if len(data) < 5:
@@ -202,25 +206,18 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     p_max, y_max = xp[-1], yp[-1]
     droop = slope0 * p_max / y_max if y_max > 0 else 1.0
     alpha_tilde0 = max((droop - 1.0) / p_max, 1e-3 / p_max)
+    theta0 = np.log([alpha_noise0, alpha_tilde0])
+    if not np.isfinite(theta0).all():
+        raise ValueError(f"the start estimate alpha_noise={alpha_noise0:g}, "
+                         f"alpha_tilde={alpha_tilde0:g} leaves the float range")
 
     def model(theta):
-        # capped: an overshooting trial step gets a finite, rejected cost
-        a, b = np.exp(np.minimum(theta, 700.0))
-        return noise_cavity_per_fsr(NoiseParams(a, gamma_r_ratio, b), x)
+        a, b = np.exp(theta)
+        f, bx = _per_fsr(a, gamma_r_ratio, b, x), b * x
+        return (f - y) * w, np.column_stack([f * w, -f * bx / (1.0 + bx) * w])
 
-    def residuals(theta):
-        return (model(theta) - y) * w
-
-    def jacobian(theta):
-        b = np.exp(theta[1])
-        f = model(theta)
-        col_a = f * w
-        col_b = -f * (b * x) / (1.0 + b * x) * w
-        return np.column_stack([col_a, col_b])
-
-    theta0 = np.log([alpha_noise0, alpha_tilde0])
     lower = np.array([-np.inf, np.log(1e-12 / p_max)])
-    theta, r, jac, steps = _levenberg_marquardt(residuals, jacobian, theta0, lower)
+    theta, r, jac, steps = _levenberg_marquardt(model, theta0, lower)
     a, b = np.exp(theta)
     residual_norm = float(r @ r)
     err_log = np.sqrt(np.maximum(np.diag(_covariance(jac, residual_norm, data)), 0.0))
@@ -293,34 +290,25 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
     amp0 = float(y.max() - offset0)
     w = _weights(data)
 
-    def residuals(theta):
+    def model(theta):
         center, hwhm, amp, offset = theta
-        return (offset + amp / (1.0 + ((x - center) / hwhm) ** 2) - y) * w
-
-    def jacobian(theta):
-        center, hwhm, amp, _ = theta
         u = (x - center) / hwhm
         shape = 1.0 / (1.0 + u * u)
         slope = 2.0 * amp * shape * shape * u / hwhm
-        return np.column_stack([slope, slope * u, shape, np.ones_like(x)]) * w[:, None]
+        jac = np.column_stack([slope, slope * u, shape, np.ones_like(x)]) * w[:, None]
+        return (offset + amp / (1.0 + u * u) - y) * w, jac
 
-    fwhm = err = None
     try:
-        theta, r, jac, _ = _levenberg_marquardt(residuals, jacobian,
-                                                [center0, width0 / 2.0, amp0, offset0])
+        theta, r, jac, _ = _levenberg_marquardt(model, [center0, width0 / 2.0, amp0, offset0])
         width = 2.0 * abs(float(theta[1]))
         # a width beyond the scan is not constrained by the data
         if 0 < width <= np.ptp(x):
-            fwhm = width
             cov = _covariance(jac, float(r @ r), data)
-            err = 2.0 * float(np.sqrt(max(cov[1, 1], 0.0)))
+            return width, 2.0 * float(np.sqrt(max(cov[1, 1], 0.0)))
     except (NumericFailure, np.linalg.LinAlgError):
         pass
-    if fwhm is None:
-        # fall back to the interpolated half-maximum crossings
-        fwhm = width0
-        err = float(np.max(np.diff(x)))
-    return fwhm, err
+    # fall back to the interpolated half-maximum crossings
+    return width0, float(np.max(np.diff(x)))
 
 
 def periodogram(data: ScanSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +383,13 @@ def enhancement_factor(alpha_tilde: float, B_ref: float, L_ref: float, L: float)
 
     ``4*alpha_tilde / B_ref * (L_ref/L)^2``: the length rescaling accounts
     for the quadratic dependence of the bare conversion coefficient on the
-    interaction length.  Compare against the ideal ``F_cold/pi``.
+    interaction length.  Compare against the ideal ``F_cold/pi``.  Raises
+    ``ValueError`` unless the factor is a finite normal float.
     """
     _require("positive", alpha_tilde=alpha_tilde, B_ref=B_ref, L_ref=L_ref, L=L)
-    return 4.0 * alpha_tilde / B_ref * (L_ref / L) ** 2
+    with np.errstate(over="ignore"):  # numpy's power gives inf where a Python float's raises
+        factor = float(4.0 * alpha_tilde / B_ref * np.float64(L_ref / L) ** 2)
+    if not np.finfo(float).tiny <= factor < np.inf:
+        raise ValueError(f"the enhancement factor of alpha_tilde={alpha_tilde:g}, B_ref={B_ref:g}, "
+                         f"L_ref={L_ref:g} and L={L:g} must be a finite normal float")
+    return factor

@@ -120,17 +120,23 @@ def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MH
     return out if out.ndim else float(out)
 
 
+def _per_fsr(alpha_noise, gamma_r_ratio, alpha_tilde, power):
+    """The saturating law of :func:`noise_cavity_per_fsr`, unchecked."""
+    return gamma_r_ratio * alpha_noise * power / (2.0 * (1.0 + alpha_tilde * power))
+
+
 def noise_cavity_per_fsr(noise: NoiseParams, power_mW):
     """Extracted AS photons per FSR band with the cavity (counts/s).
 
     The saturating law ``gamma_r_ratio * alpha_noise * P / (2*(1 +
     alpha_tilde*P))``; its low-power slope is half the no-cavity slope and
     the curve stays strictly below that linear bound for ``P > 0``.
-    Accepts scalar or array power; a scalar gives a float.
+    Checks the power, then evaluates ``_per_fsr``, the kernel the noise fit
+    shares.  Accepts scalar or array power; a scalar gives a float.
     """
     power = _pump_power(power_mW)
-    coupling = noise.alpha_tilde_per_mW * power
-    out = noise.gamma_r_ratio * noise.alpha_noise_cps_per_mW * power / (2.0 * (1.0 + coupling))
+    out = _per_fsr(noise.alpha_noise_cps_per_mW, noise.gamma_r_ratio,
+                   noise.alpha_tilde_per_mW, power)
     return out if out.ndim else float(out)
 
 

@@ -1,5 +1,7 @@
 """Tests for the estimation module: fits, linewidths, periodograms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
@@ -20,7 +22,7 @@ from cavityqfc import (
     periodogram,
     sample_response,
 )
-from cavityqfc import fitting
+from cavityqfc import cli, fitting
 from cavityqfc.errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
 from cavityqfc.fitting import _half_crossings, _median
 
@@ -113,6 +115,54 @@ class TestSaturatingFit:
             ok_b = abs(result.parameters["alpha_tilde"] - 1 / 144) <= 3 * result.std_errors["alpha_tilde"]
             hits += ok_a and ok_b
         assert hits >= 0.9 * trials
+
+
+# a valid linear scan up to 10^4 mW on which a trial step overflowed the model
+# (b = e^700 in the noise law) and `fit model=noise` exited 4
+OVERFLOW_SCAN = ScanSeries(
+    np.linspace(10000.0 / 7, 10000.0, 7),
+    np.array([34888.0, 62933.0, 149697.0, 143068.0, 137039.0, 193268.0, 287341.0]),
+    np.array([7143.0, 14286.0, 21429.0, 28571.0, 35714.0, 42857.0, 50000.0]),
+    unit="mW",
+)
+
+
+class TestSaturatingFitSolverRule:
+    def test_a_trial_out_of_the_float_range_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_saturating_noise(OVERFLOW_SCAN, 0.5)
+        assert result.parameters["alpha_noise"] == pytest.approx(101.0, abs=0.1)
+        assert result.std_errors["alpha_noise"] == pytest.approx(16.9, abs=0.1)
+        assert result.iterations == 4
+
+    def test_the_cli_fits_the_scan(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        columns = [OVERFLOW_SCAN.abscissa, OVERFLOW_SCAN.values, OVERFLOW_SCAN.sigma]
+        np.savetxt(path, np.column_stack(columns), delimiter=",",
+                   header="power_mW,counts,sigma", comments="")
+        argv = ["fit", "--param", "model=noise", "--param", "gamma_r_ratio=0.5",
+                "--input", str(path), "--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+
+    def test_no_noise_params_are_built(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the fit built a NoiseParams")
+
+        monkeypatch.setattr(NoiseParams, "__post_init__", refuse)
+        result = fit_saturating_noise(noise_scan(230.0, 1.0 / 144.0, 0.7), 0.7)
+        assert result.parameters["alpha_noise"] == pytest.approx(230.0, rel=1e-3)
+
+    def test_a_start_estimate_out_of_the_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="start estimate alpha_noise=inf"):
+            fit_saturating_noise(noise_scan(230.0, 1.0 / 144.0, 0.7), 5e-324)
+
+    def test_a_start_point_without_finite_residuals_is_a_numeric_failure(self):
+        def model(theta):
+            return np.array([np.nan]), np.ones((1, 1))
+
+        with pytest.raises(NumericFailure, match="start point"):
+            fitting._levenberg_marquardt(model, [1.0])
 
 
 class TestExtractFwhm:

@@ -264,6 +264,16 @@ def test_numpy_integer_samples_are_accepted(spectrum):
         (lambda: g2_out(3.8, 1.7e308), r"g2_out of g2_in=3.8 and zeta=1.7e\+308"),
         (lambda: min_finesse_for_dominance(5e-324), "tolerance must be at least"),
         (lambda: min_finesse_for_dominance(np.spacing(16.0) / 2), "tolerance must be at least"),
+        # each returned inf
+        (lambda: enhancement_factor(1.7e308, 0.01, 40.0, 20.0),
+         r"the enhancement factor of alpha_tilde=1.7e\+308"),
+        (lambda: enhancement_factor(1.0 / 144.0, 5e-324, 40.0, 20.0),
+         r"the enhancement factor of .* B_ref=4.94066e-324"),
+        (lambda: enhancement_factor(1.0 / 144.0, 0.01, 40.0, 5e-324),
+         r"the enhancement factor of .* L=4.94066e-324 must be a finite normal float"),
+        # raised OverflowError from a Python float's power
+        (lambda: enhancement_factor(1.0 / 144.0, 0.01, 1.7e308, 20.0),
+         r"the enhancement factor of .* L_ref=1.7e\+308"),
     ],
 )
 def test_result_out_of_the_float_range_is_rejected(call, message):
