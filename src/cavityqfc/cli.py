@@ -1,8 +1,11 @@
 """Command-line workbench.
 
 Each subcommand runs in one mode, picked by the ``--param`` key that
-``_SUBCOMMANDS`` names.  ``_MODES`` gives each mode its handler and the
-``--param`` keys that handler reads; any other key is a usage error.
+``_SUBCOMMANDS`` names.  ``_MODES`` gives each mode its handler and the parser
+and default of each ``--param`` key that handler reads; any other key is a
+usage error.  A default is a plain value, which ``--help`` prints, ``None``
+for a key read only when given, or a function of the preset and the keys
+before it.  A handler reads ``params[key]``: the given value or the default.
 
 Every subcommand takes ``--output`` (default stdout) and ``--format
 {csv,json}``.  Each handler computes one result and returns it as
@@ -66,9 +69,10 @@ def _noise(kind: str):
     return parse
 
 
-def _parse_params(command: str, pairs: list[str]):
+def _parse_params(command: str, pairs: list[str], preset):
     """Pick the mode of ``command`` from its ``--param`` pairs and parse the keys
-    that mode reads; return its handler and the values, the picking key's too."""
+    that mode reads; return its handler and the effective values, the picking
+    key's too, with the default of each key not given (``preset`` may be None)."""
     _, pick, mode = _SUBCOMMANDS[command]
     items = []
     for pair in pairs:
@@ -101,14 +105,17 @@ def _parse_params(command: str, pairs: list[str]):
     parsed = []
     for key, value, pair in items:
         try:
-            parsed.append((key, value, schema[key](value)))
+            parsed.append((key, value, schema[key][0](value)))
         except ValueError:
             raise UsageError(f"cannot parse --param {pair!r}") from None
     for key, value, number in parsed:
-        if schema[key] in (float, _floats) and not np.all(np.isfinite(number)):
+        if schema[key][0] in (float, _floats) and not np.all(np.isfinite(number)):
             raise ValueError(f"--param {key} must be finite, got {value!r}")
     params: dict = {} if pick is None else {pick: mode}
     params.update((key, number) for key, _, number in parsed)  # the last of a key wins
+    for key, (_, default) in schema.items():
+        if key not in params:
+            params[key] = default(preset, params) if callable(default) else default
     return handler, params
 
 
@@ -137,8 +144,9 @@ def _render(form: str, payload: dict, csv, provenance: dict | None) -> str:
                       provenance)
 
 
-def _count(params, key: str, default: int, least: int) -> int:
-    value = params.get(key, default)
+def _count(params, key: str, least: int) -> int:
+    """``params[key]``, a size that must lie in ``[least, MAX_POINTS]``."""
+    value = params[key]
     if value < least:
         raise ValueError(f"{key} must be at least {least}")
     if value > MAX_POINTS:
@@ -146,19 +154,22 @@ def _count(params, key: str, default: int, least: int) -> int:
     return value
 
 
+def _span_MHz(preset, params) -> float:
+    """Default detuning span of ``model``: eight broadened widths at the strongest pump."""
+    strongest = conversion.PumpDrive(max(params["powers"]), preset.alpha_tilde_per_mW)
+    return 8.0 * conversion.power_broadened_fwhm(preset.cavity, strongest)
+
+
 def cmd_model(args, params):
     preset = PRESETS[args.preset]
-    cav = preset.cavity
-    powers = params.get("powers", [33.3, 94.0, 148.0])
-    samples = _count(params, "samples", 1201, 16)
-    strongest = conversion.PumpDrive(max(powers), preset.alpha_tilde_per_mW)
-    span = params.get("span_MHz", 8.0 * conversion.power_broadened_fwhm(cav, strongest))
+    samples = _count(params, "samples", 16)
+    span = params["span_MHz"]
     conversion._require("finite", span_MHz=span)  # the default overflows at a huge power
     grid = np.linspace(-span / 2.0, span / 2.0, samples)
     blocks = []
-    for power in powers:
+    for power in params["powers"]:
         drive = conversion.PumpDrive(power, preset.alpha_tilde_per_mW)
-        response = conversion.sample_response(cav, drive, grid)
+        response = conversion.sample_response(preset.cavity, drive, grid)
         blocks.append((power, np.abs(response.t_ss) ** 2, np.abs(response.r_rs) ** 2))
     payload = {
         "preset": preset.name,
@@ -183,8 +194,7 @@ def cmd_fit_fwhm(args, params):
 
 
 def cmd_fit_noise(args, params):
-    gamma_r = params.get("gamma_r_ratio", PRESETS[args.preset].cavity.gamma_r_ratio)
-    result = fitting.fit_saturating_noise(read_scan_csv(args.input)[0], gamma_r)
+    result = fitting.fit_saturating_noise(read_scan_csv(args.input)[0], params["gamma_r_ratio"])
     return _fit_result(args, params, result, list(result.parameters))
 
 
@@ -208,9 +218,7 @@ def _fit_result(args, params, result, names: list):
 
 
 def cmd_snr_curves(args, params):
-    finesses = params.get("finesse", [8.0 / np.pi, 25.0])
-    grid = params.get("grid", 256)
-    pairs = [snr.normalized_snr_curves(F, grid) for F in finesses]
+    pairs = [snr.normalized_snr_curves(F, params["grid"]) for F in params["finesse"]]
     # the no-cavity curve does not depend on the finesse
     curves = [cavity for cavity, _ in pairs] + [pairs[0][1]]
     payload = {"curves": [
@@ -231,15 +239,14 @@ def cmd_snr_curves(args, params):
 
 
 def cmd_snr_table(args, params):
-    fc = params.get("fc", 74.0)
-    fs = params.get("fs", 1.0)
+    fc = params["fc"]
+    fs = params["fs"]
     return {"F_c": fc, "F_s": fs, "table": snr.snr_config_table(fc, fs)}, None, None
 
 
 def cmd_snr_min_finesse(args, params):
-    tolerance = params.get("tolerance", 1e-3)
-    value = snr.min_finesse_for_dominance(tolerance)
-    return {"min_finesse": value, "tolerance": tolerance}, None, None
+    value = snr.min_finesse_for_dominance(params["tolerance"])
+    return {"min_finesse": value, "tolerance": params["tolerance"]}, None, None
 
 
 def cmd_fsr(args, params):
@@ -256,9 +263,9 @@ def cmd_fsr(args, params):
 
 def _power_scan(params, seed, power, values, unit: str, name: str, provenance):
     """Columns of a power scan, with seeded Gaussian noise and its sigma on request."""
-    if "noise" not in params:
+    if params["noise"] is None:
         return [("power_mW", power), (f"{name}_{unit}", values)], provenance
-    frac = params.get("noise_frac", 0.05)
+    frac = params["noise_frac"]
     sigma = frac * values
     provenance["noise"] = f"gauss {fmt(frac)}"
     return [
@@ -269,39 +276,30 @@ def _power_scan(params, seed, power, values, unit: str, name: str, provenance):
 
 
 def _generate_fwhm(params, preset, seed):
-    points = _count(params, "points", 26, 1)
-    pmax = params.get("pmax_mW", 250.0)
-    alpha = params.get("alpha_MHz_per_mW", preset.alpha_MHz_per_mW)
-    gamma_all = params.get("gamma_all_MHz", preset.cavity.gamma_all_MHz)
-    power = np.linspace(0.0, pmax, points)
-    provenance = {"alpha_MHz_per_mW": alpha, "gamma_all_MHz": gamma_all}
-    return _power_scan(params, seed, power, gamma_all + alpha * power, "MHz", "fwhm", provenance)
+    power = np.linspace(0.0, params["pmax_mW"], _count(params, "points", 1))
+    provenance = {name: params[name] for name in ("alpha_MHz_per_mW", "gamma_all_MHz")}
+    values = params["gamma_all_MHz"] + params["alpha_MHz_per_mW"] * power
+    return _power_scan(params, seed, power, values, "MHz", "fwhm", provenance)
 
 
 def _generate_noise(params, preset, seed):
-    points = _count(params, "points", 12, 1)
-    pmax = params.get("pmax_mW", 250.0)
-    alpha_noise = params.get("alpha_noise_cps_per_mW", preset.alpha_noise_cps_per_mW)
-    alpha_tilde = params.get("alpha_tilde_per_mW", preset.alpha_tilde_per_mW)
-    gamma_r = params.get("gamma_r_ratio", preset.cavity.gamma_r_ratio)
+    points = _count(params, "points", 1)
+    pmax = params["pmax_mW"]
     power = np.linspace(pmax / points, pmax, points)
-    law = noise.NoiseParams(alpha_noise, gamma_r, alpha_tilde)
-    values = noise.noise_cavity_per_fsr(law, power)
-    provenance = {
-        "alpha_noise_cps_per_mW": alpha_noise,
-        "alpha_tilde_per_mW": alpha_tilde, "gamma_r_ratio": gamma_r,
-    }
+    names = ("alpha_noise_cps_per_mW", "alpha_tilde_per_mW", "gamma_r_ratio")
+    provenance = {name: params[name] for name in names}
+    values = noise.noise_cavity_per_fsr(noise.NoiseParams(**provenance), power)
     return _power_scan(params, seed, power, values, "cps", "counts", provenance)
 
 
 def _generate_comb(params, preset, seed):
-    span_nm = params.get("span_nm", 2.0)
-    step_nm = params.get("step_nm", 0.01)
+    span_nm = params["span_nm"]
+    step_nm = params["step_nm"]
     conversion._require("positive", step_nm=step_nm)
     if not 0 <= span_nm <= MAX_POINTS * step_nm:
         raise ValueError(f"span_nm must lie in [0, {MAX_POINTS} * step_nm]")
-    bpf_nm = params.get("bpf_nm", 0.03)
-    power = params.get("power_mW", 100.0)
+    bpf_nm = params["bpf_nm"]
+    power = params["power_mW"]
     center_nm = preset.wavelengths.converted_nm if preset.wavelengths else 1540.0
     ghz_per_nm = conversion.bandwidth_nm_to_GHz(1.0, center_nm)
     wavelengths = center_nm + np.arange(
@@ -316,8 +314,8 @@ def _generate_comb(params, preset, seed):
         "power_mW": power, "bpf_nm": bpf_nm,
         "center_nm": center_nm, "fsr_GHz": preset.cavity.fsr_MHz * 1e-3,
     }
-    if "noise" in params:
-        target = params.get("target_mean", 25.0)
+    if params["noise"] is not None:
+        target = params["target_mean"]
         mean = values.mean()
         if not mean > 0:
             raise ValueError("poisson noise needs a comb with counts in band")
@@ -329,27 +327,22 @@ def _generate_comb(params, preset, seed):
 
 def _simulate_from(params, seed):
     """Source model and its coincidence histogram from the Monte Carlo parameters."""
-    mu = params.get("mu", 0.55)
-    eta_h = params.get("eta_herald", 0.1)
-    eta_s = params.get("eta_signal", 0.1)
-    if "nu" in params:
-        nu = params["nu"]
-    elif "zeta" in params:
-        nu = photon_stats.noise_rate_for_intensity_ratio(mu, eta_s, params["zeta"])
-    else:
-        nu = 0.0
+    nu = params["nu"]
+    if params["zeta"] is not None:
+        nu = photon_stats.noise_rate_for_intensity_ratio(
+            params["mu"], params["eta_signal"], params["zeta"])
     model = photon_stats.SourceModel(
-        mean_pairs_per_bin=mu,
-        herald_efficiency=eta_h,
-        signal_efficiency=eta_s,
+        mean_pairs_per_bin=params["mu"],
+        herald_efficiency=params["eta_herald"],
+        signal_efficiency=params["eta_signal"],
         noise_rate_per_bin=nu,
-        bins=params.get("bins", 10_000_000),
+        bins=params["bins"],
         seed=seed,
     )
     histogram = photon_stats.simulate_coincidences(
         model,
-        delay_span_bins=params.get("span_bins", 30),
-        resolution_ns=params.get("resolution_ns", 0.8),
+        delay_span_bins=params["span_bins"],
+        resolution_ns=params["resolution_ns"],
     )
     return model, histogram
 
@@ -375,8 +368,7 @@ def cmd_generate(generator, args, params):
 
 def cmd_g2_mc(args, params):
     _, histogram = _simulate_from(params, args.seed)
-    window = params.get("window_ns", histogram.resolution_ns)
-    record = photon_stats.g2_from_histogram(histogram, window)
+    record = photon_stats.g2_from_histogram(histogram, params["window_ns"])
     payload = {
         "g2": record.g2, "stderr": record.stderr,
         "window_ns": record.window_ns, "resolution_ns": record.resolution_ns,
@@ -390,15 +382,15 @@ def cmd_g2_mc(args, params):
 
 
 def cmd_g2(args, params):
-    g2_in = params.get("g2_in", 3.819)
+    g2_in = params["g2_in"]
     payload: dict = {"g2_in": g2_in}
-    if "g2_out_obs" in params:
+    if params["g2_out_obs"] is not None:
         payload["zeta_from_g2"] = photon_stats.zeta_from_g2(g2_in, params["g2_out_obs"])
-    zeta = params.get("zeta")
+    zeta = params["zeta"]
     if zeta is not None:
         payload["zeta"] = zeta
         payload["g2_out"] = photon_stats.g2_out(g2_in, zeta)
-        enhancement = params.get("enhancement")
+        enhancement = params["enhancement"]
         if enhancement is not None:
             payload["enhancement"] = enhancement
             payload["g2_nocav"] = photon_stats.predict_nocavity_g2(g2_in, zeta, enhancement)
@@ -409,10 +401,7 @@ def cmd_g2(args, params):
 
 def cmd_design(args, params):
     report = snr.nv_design_report(
-        params.get("finesse", 45.0),
-        params.get("fsr_GHz", 5.0),
-        params.get("bpf_nm", 0.03),
-        params.get("center_nm", 1587.0),
+        params["finesse"], params["fsr_GHz"], params["bpf_nm"], params["center_nm"]
     )
     return {
         "finesse": report.finesse,
@@ -437,40 +426,53 @@ _SUBCOMMANDS = {
     "design": ("anti-resonant SPDC-noise suppression report", None, None),
 }
 
-_SCAN = {"points": int, "pmax_mW": float, "noise": _noise("gauss"), "noise_frac": float}
-_MONTE_CARLO = {"mu": float, "eta_herald": float, "eta_signal": float, "nu": float,
-                "zeta": float, "bins": int, "span_bins": int, "resolution_ns": float}
+_SCAN = {"pmax_mW": (float, 250.0), "noise": (_noise("gauss"), None), "noise_frac": (float, 0.05)}
+_MONTE_CARLO = {"mu": (float, 0.55), "eta_herald": (float, 0.1), "eta_signal": (float, 0.1),
+                "nu": (float, 0.0), "zeta": (float, None), "bins": (int, 10_000_000),
+                "span_bins": (int, 30), "resolution_ns": (float, 0.8)}
+_GAMMA_R = {"gamma_r_ratio": (float, lambda preset, _: preset.cavity.gamma_r_ratio)}
 
 # a key that its handler reads only when another key is given
 _NEEDS = {"noise_frac": "noise", "target_mean": "noise", "enhancement": "zeta"}
 
-# subcommand: {mode: (handler, {each --param key the handler reads: its parser})}
+# subcommand: {mode: (handler, {each --param key the handler reads: (parser, default)})}; a
+# default is a value, None (read only when given) or a function of (preset, earlier keys)
 _MODES: dict[str, dict] = {
-    "model": {None: (cmd_model, {"powers": _floats, "span_MHz": float, "samples": int})},
-    "fit": {"fwhm": (cmd_fit_fwhm, {}), "noise": (cmd_fit_noise, {"gamma_r_ratio": float})},
+    "model": {None: (cmd_model, {"powers": (_floats, (33.3, 94.0, 148.0)),
+                                 "span_MHz": (float, _span_MHz), "samples": (int, 1201)})},
+    "fit": {"fwhm": (cmd_fit_fwhm, {}), "noise": (cmd_fit_noise, _GAMMA_R)},
     "snr": {
-        "curves": (cmd_snr_curves, {"finesse": _floats, "grid": int}),
-        "table": (cmd_snr_table, {"fc": float, "fs": float}),
-        "min-finesse": (cmd_snr_min_finesse, {"tolerance": float}),
+        "curves": (cmd_snr_curves, {"finesse": (_floats, (8.0 / np.pi, 25.0)),
+                                    "grid": (int, 256)}),
+        "table": (cmd_snr_table, {"fc": (float, 74.0), "fs": (float, 1.0)}),
+        "min-finesse": (cmd_snr_min_finesse, {"tolerance": (float, 1e-3)}),
     },
     "fsr": {None: (cmd_fsr, {})},
     "generate": {
         "fwhm": (partial(cmd_generate, _generate_fwhm),
-                 {**_SCAN, "alpha_MHz_per_mW": float, "gamma_all_MHz": float}),
+                 {"points": (int, 26), **_SCAN,
+                  "alpha_MHz_per_mW": (float, lambda preset, _: preset.alpha_MHz_per_mW),
+                  "gamma_all_MHz": (float, lambda preset, _: preset.cavity.gamma_all_MHz)}),
         "noise": (partial(cmd_generate, _generate_noise),
-                  {**_SCAN, "alpha_noise_cps_per_mW": float, "alpha_tilde_per_mW": float,
-                   "gamma_r_ratio": float}),
+                  {"points": (int, 12), **_SCAN,
+                   "alpha_noise_cps_per_mW": (float,
+                                              lambda preset, _: preset.alpha_noise_cps_per_mW),
+                   "alpha_tilde_per_mW": (float, lambda preset, _: preset.alpha_tilde_per_mW),
+                   **_GAMMA_R}),
         "comb": (partial(cmd_generate, _generate_comb),
-                 {"span_nm": float, "step_nm": float, "bpf_nm": float, "power_mW": float,
-                  "noise": _noise("poisson"), "target_mean": float}),
+                 {"span_nm": (float, 2.0), "step_nm": (float, 0.01), "bpf_nm": (float, 0.03),
+                  "power_mW": (float, 100.0), "noise": (_noise("poisson"), None),
+                  "target_mean": (float, 25.0)}),
         "coincidence": (partial(cmd_generate, _generate_coincidence), _MONTE_CARLO),
     },
     "g2": {
-        "0": (cmd_g2, {"g2_in": float, "g2_out_obs": float, "zeta": float, "enhancement": float}),
-        "1": (cmd_g2_mc, {**_MONTE_CARLO, "window_ns": float}),
+        "0": (cmd_g2, {"g2_in": (float, 3.819), "g2_out_obs": (float, None),
+                       "zeta": (float, None), "enhancement": (float, None)}),
+        "1": (cmd_g2_mc, {**_MONTE_CARLO,
+                          "window_ns": (float, lambda _, params: params["resolution_ns"])}),
     },
-    "design": {None: (cmd_design, {"finesse": float, "fsr_GHz": float, "bpf_nm": float,
-                                   "center_nm": float})},
+    "design": {None: (cmd_design, {"finesse": (float, 45.0), "fsr_GHz": (float, 5.0),
+                                   "bpf_nm": (float, 0.03), "center_nm": (float, 1587.0)})},
 }
 
 
@@ -487,10 +489,16 @@ _ERRORS = {
 
 
 def _param_help(pick, default, modes: dict) -> str:
-    """The ``--param`` help of a subcommand: the keys of each of its modes."""
+    """The ``--param`` help of a subcommand: each mode's keys, plain defaults as key=default."""
+    def key_help(key, value):
+        if value is None or callable(value):
+            return key  # read only when given, or derived
+        # a tuple as the comma list that ``_floats`` reads back
+        return f"{key}={','.join(map(str, value)) if isinstance(value, tuple) else value}"
     return "repeatable; " + "; ".join(
         ("" if pick is None else f"{pick}={mode}{' (default)' * (mode == default)}: ")
-        + (", ".join(schema) or "no other key") for mode, (_, schema) in modes.items())
+        + (", ".join(key_help(key, value) for key, (_, value) in schema.items())
+           or "no other key") for mode, (_, schema) in modes.items())
 
 
 @cache  # parse_args leaves the parser as it was, so one serves every call
@@ -523,8 +531,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        handler, params = _parse_params(args.command, vars(args).get("param") or [])
+        # the derived defaults are computed under the handler's float policy
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            handler, params = _parse_params(args.command, vars(args).get("param") or [],
+                                            PRESETS.get(vars(args).get("preset")))
             payload, csv, provenance = handler(args, params)
         write_text(args.output, _render(args.format, payload, csv, provenance))
         return EXIT_OK

@@ -8,6 +8,10 @@ intracavity up-conversion makes the total per free spectral range saturate,
 
     N(P) = gamma_r_ratio * alpha_noise * P / (2 * (1 + alpha_tilde * P)).
 
+The cavity SNR of ``snr.snr_cav`` divides by the tangent of this law at low
+power, ``gamma_r_ratio * alpha_noise * P / 2``, not by ``N(P)``; by ``N(P)``
+it would be larger by ``1 + alpha_tilde * P``.
+
 ``alpha_noise`` is defined as the no-cavity AS rate per mW collected in one
 full FSR-wide band, so bandpass ratios enter explicitly.  The comb is a sum
 of identical Lorentzian teeth; summing the periodic images in closed form

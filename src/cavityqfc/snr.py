@@ -1,8 +1,11 @@
 """Signal-to-noise comparison of cavity and cavity-free converters.
 
 The figure of merit is conversion efficiency divided by the anti-Stokes
-noise rate inside the detection band.  For the cavity converter the
-extraction ratio cancels between numerator and denominator, leaving
+noise rate inside the detection band.  For the cavity converter that rate
+is the unsaturated ``gamma_r_ratio*alpha_noise*P/2``, the low-power tangent
+of the saturating per-FSR law ``noise.noise_cavity_per_fsr``, not that law
+itself.  The extraction ratio cancels between numerator and denominator,
+leaving
 
     SNR_cav   = 8*alpha_tilde / (alpha_noise * (1 + alpha_tilde*P)^2),
     SNR_nocav = B * sinc^2(sqrt(B*P)) / (alpha_noise * bpf/fsr),
@@ -12,6 +15,12 @@ pi^2/4`` so the no-cavity SNR equals one at unit efficiency, which makes
 the cavity advantage read off directly: the cavity curve sits at
 ``F*pi/2`` for vanishing efficiency and ``F*pi/8`` at full conversion, so
 a cold finesse of at least ``8/pi`` keeps it on top everywhere.
+
+Dividing by the saturating rate instead would give ``8*alpha_tilde /
+(alpha_noise * (1 + alpha_tilde*P))``, larger by ``1 + alpha_tilde*P``.
+Its curve sits at ``F*pi/4`` at full conversion, and the dominance
+threshold becomes ``pi/2``, set at vanishing efficiency, in place of
+``8/pi``.
 """
 
 from __future__ import annotations

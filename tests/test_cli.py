@@ -13,6 +13,8 @@ import io
 import itertools
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -640,7 +642,7 @@ class TestDomainLimits:
         assert result.stdout == ""
 
     def test_limits_are_inclusive(self):
-        assert cli._count({"samples": cli.MAX_POINTS}, "samples", 1201, 16) == cli.MAX_POINTS
+        assert cli._count({"samples": cli.MAX_POINTS}, "samples", 16) == cli.MAX_POINTS
         run_cli("generate", "--param", "model=coincidence", "--param", "bins=50",
                 "--param", "span_bins=50")
 
@@ -679,6 +681,14 @@ _SWEEP_VALUES = {float: ["0", "-1", "1e-300", "1e300"],
 _SWEEP_HUGE = {"samples", "grid", "points", "span_bins", "bins"}
 
 
+def _sweep_pairs(command):
+    """(mode, key, value) of every ``--param`` value the edge sweep gives ``command``."""
+    for mode, (_, schema) in cli._MODES[command].items():
+        for key, (parser, _) in schema.items():
+            for value in _SWEEP_VALUES.get(parser, ["bogus"]) + [HUGE] * (key in _SWEEP_HUGE):
+                yield mode, key, value
+
+
 def _mode_args(command, mode):
     """The arguments that pick ``mode`` of ``command``."""
     pick = cli._SUBCOMMANDS[command][1]
@@ -699,24 +709,28 @@ class TestInputContract:
     )
     def test_every_param_edge_value(self, command, inputs):
         faults = []
-        for mode, (_, schema) in cli._MODES[command].items():
+        for mode, key, value in _sweep_pairs(command):
             extra = [arg.format(**inputs) for arg in _SWEEP_EXTRA.get((command, mode), [])]
-            for key, kind in schema.items():
-                values = _SWEEP_VALUES.get(kind, ["bogus"]) + [HUGE] * (key in _SWEEP_HUGE)
-                for value in values:
-                    for fmt in ("json", "csv"):
-                        args = [command, *_mode_args(command, mode), *extra,
-                                "--param", f"{key}={value}", "--format", fmt]
-                        try:
-                            result = run_cli(*args, expect=None)
-                            assert result.returncode in (0, 2, 3, 4, 5, 6), result.stderr
-                            if result.returncode == 0 and fmt == "json":
-                                json.loads(result.stdout, parse_constant=_reject_constant)
-                            elif result.returncode == 0:
-                                _check_csv(result.stdout)
-                        except Exception as exc:  # collect every fault, not only the first
-                            faults.append(f"{' '.join(args)}: {type(exc).__name__}: {exc}")
+            for fmt in ("json", "csv"):
+                args = [command, *_mode_args(command, mode), *extra,
+                        "--param", f"{key}={value}", "--format", fmt]
+                try:
+                    result = run_cli(*args, expect=None)
+                    assert result.returncode in (0, 2, 3, 4, 5, 6), result.stderr
+                    if result.returncode == 0 and fmt == "json":
+                        json.loads(result.stdout, parse_constant=_reject_constant)
+                    elif result.returncode == 0:
+                        _check_csv(result.stdout)
+                except Exception as exc:  # collect every fault, not only the first
+                    faults.append(f"{' '.join(args)}: {type(exc).__name__}: {exc}")
         assert faults == []
+
+    def test_sweep_gives_each_kind_of_key_its_edge_values(self):
+        # 197 (key, value) pairs, each run in both formats; a change to the shape of
+        # the mode table that leaves only "bogus" for every key fails here
+        pairs = [pair for command in cli._MODES for pair in _sweep_pairs(command)]
+        assert len(pairs) == 197
+        assert sum(value == "bogus" for _, _, value in pairs) == 3  # the three noise keys
 
 
 class TestModeTable:
@@ -876,6 +890,100 @@ class TestModeTable:
         text = " ".join(run_cli("--help").stdout.split()).replace("- ", "-")
         for command, (line, _, _) in cli._SUBCOMMANDS.items():
             assert f"{command} {line}" in text
+
+
+# the keys --help names without a value: a default taken from the preset (each
+# preset's own value, as a function of the preset), from another key, or none
+_PRESET_DEFAULTS = {
+    "gamma_r_ratio": lambda preset: preset.cavity.gamma_r_ratio,
+    "alpha_MHz_per_mW": lambda preset: preset.alpha_MHz_per_mW,
+    "gamma_all_MHz": lambda preset: preset.cavity.gamma_all_MHz,
+    "alpha_noise_cps_per_mW": lambda preset: preset.alpha_noise_cps_per_mW,
+    "alpha_tilde_per_mW": lambda preset: preset.alpha_tilde_per_mW,
+}
+_UNSTATED = {*_PRESET_DEFAULTS, "span_MHz", "window_ns", "noise", "zeta", "g2_out_obs",
+             "enhancement"}
+# keys given on both sides of the comparison: a short Monte Carlo, and the noise
+# that lets noise_frac and target_mean be read
+_DEFAULTS_FIXED = {
+    ("generate", "fwhm"): ["noise=gauss"],
+    ("generate", "noise"): ["noise=gauss"],
+    ("generate", "comb"): ["noise=poisson"],
+    ("generate", "coincidence"): ["bins=20000"],
+    ("g2", "1"): ["bins=20000"],
+}
+
+
+def _help_entries(command, mode, monkeypatch):
+    """The ``key`` or ``key=default`` entries that ``--help`` prints for ``mode``."""
+    monkeypatch.setenv("COLUMNS", "10000")  # no wrapping
+    text = run_cli(command, "--help").stdout
+    line = next(line for line in text.splitlines() if "repeatable; " in line)
+    segment = line.split("repeatable; ")[1].split("; ")[list(cli._MODES[command]).index(mode)]
+    return segment.split(": ")[-1].split(", ")
+
+
+def _defaults_cases():
+    for command, modes in cli._MODES.items():
+        presets = sorted(PRESETS) if command in ("model", "fit", "generate") else [None]
+        for mode, (_, schema) in modes.items():
+            if schema:
+                for preset in presets:
+                    yield pytest.param(command, mode, preset, id=f"{command}-{mode}-{preset}")
+
+
+class TestStatedDefaults:
+    @pytest.fixture(scope="class")
+    def noise_scan(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("defaults") / "noise.csv")
+        run_cli("generate", "--param", "model=noise", "--output", path)
+        return path
+
+    @pytest.mark.parametrize("command, mode, preset", _defaults_cases())
+    def test_help_defaults_are_the_defaults_used(self, command, mode, preset, noise_scan,
+                                                 monkeypatch):
+        entries = _help_entries(command, mode, monkeypatch)
+        _, schema = cli._MODES[command][mode]
+        assert [entry.partition("=")[0] for entry in entries] == list(schema)
+        assert [entry for entry in entries if "=" not in entry] == [
+            key for key in schema if key in _UNSTATED]
+        pick = cli._SUBCOMMANDS[command][1]
+        fixed = [] if pick is None else [f"{pick}={mode}"]
+        fixed += _DEFAULTS_FIXED.get((command, mode), [])
+        given = {pair.partition("=")[0] for pair in fixed}
+        explicit = []
+        for entry in entries:
+            key, stated, _ = entry.partition("=")
+            needed = cli._NEEDS.get(key)
+            if stated and key not in given and (needed is None or needed in given):
+                explicit.append(entry)
+        if preset is not None:
+            explicit += [f"{key}={_PRESET_DEFAULTS[key](PRESETS[preset])!r}"
+                         for key in schema if key in _PRESET_DEFAULTS]
+        flags = (["--preset", preset] if preset else []) + (
+            ["--input", noise_scan] if command == "fit" else [])
+
+        def stdout(pairs):
+            params = [arg for pair in pairs for arg in ("--param", pair)]
+            return run_cli(command, *flags, *params).stdout
+
+        assert explicit
+        assert stdout(fixed) == stdout(fixed + explicit)
+
+    def test_readme_key_table_lists_each_mode_s_keys(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| subcommand, mode | keys besides the one that picks the mode |")[1]
+        rows = {}
+        for line in table.split("\n\n")[0].splitlines()[2:]:
+            name, keys = [cell.strip() for cell in line.strip("|").split("|")]
+            command, _, picked = re.findall(r"`([^`]+)`", name)[0].partition(" ")
+            listed = re.findall(r"`([^`]+)`", keys)
+            if listed[:1] == ["coincidence"]:  # "the `coincidence` keys and ..."
+                listed = [*cli._MODES["generate"]["coincidence"][1], *listed[1:]]
+            rows[command, picked.partition("=")[2] or None] = listed
+        # fsr takes no --param, so it has no row
+        assert rows == {(command, mode): list(schema) for command, modes in cli._MODES.items()
+                        for mode, (_, schema) in modes.items() if command != "fsr"}
 
 
 class TestGenerateProvenance:

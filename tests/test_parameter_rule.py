@@ -417,15 +417,21 @@ def _cli_cases():
             base = [command] + ([] if pick is None else ["--param", f"{pick}={mode}"])
             if "bins" in schema:  # a Monte Carlo mode: a short run
                 base += ["--param", "bins=20000"]
-            for key, parser in schema.items():
+            for key, (parser, _) in schema.items():
                 if parser not in (float, cli._floats):
                     continue
                 needed = cli._NEEDS.get(key)
                 needs = [] if needed is None else [
-                    "--param", f"{needed}={_valid_text(schema[needed])}"]
+                    "--param", f"{needed}={_valid_text(schema[needed][0])}"]
                 for value in _EXTREMES:
                     yield pytest.param([*base, *needs, "--param", f"{key}={value}"],
                                        id=f"{command}-{mode}-{key}={value}")
+
+
+def test_float_extreme_sweep_covers_every_float_key():
+    # 42 float keys over all modes, three extremes each; a change to the shape of
+    # the mode table that hides the keys from the sweep fails here, not silently
+    assert len(list(_cli_cases())) == 126
 
 
 @pytest.mark.parametrize("argv", _cli_cases())

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavityqfc import (
     DesignReport,
@@ -38,15 +40,19 @@ class TestPointwiseSnr:
         values = [snr_cav(p, 1.0 / 144.0, 230.0) for p in powers]
         assert np.all(np.diff(values) < 0)
 
-    def test_snr_cav_is_efficiency_over_noise_bound(self):
-        # dual route: eta_cav / (gamma_r * alpha_noise * P / 2) for any extraction
-        alpha_tilde, alpha_noise, power = 1.0 / 144.0, 230.0, 95.0
-        drive = PumpDrive(power, alpha_tilde)
+    @given(power=st.floats(1e-3, 1e4), alpha_tilde=st.floats(1e-4, 1.0),
+           alpha_noise=st.floats(1e-2, 1e4), ratio=st.floats(1e-3, 1.0))
+    def test_snr_cav_is_efficiency_over_noise_bound(self, power, alpha_tilde, alpha_noise, ratio):
+        # dual route: eta_cav / (gamma_r * alpha_noise * P / 2) for any extraction,
+        # the unsaturated noise, which is the low-power tangent of the saturating law
         expected = snr_cav(power, alpha_tilde, alpha_noise)
-        for ratio in (0.2, 0.7, 1.0):
-            eta = peak_efficiency(drive, ratio)
-            noise_bound = ratio * alpha_noise * power / 2.0
-            assert eta / noise_bound == pytest.approx(expected, rel=1e-14)
+        eta = peak_efficiency(PumpDrive(power, alpha_tilde), ratio)
+        noise_bound = ratio * alpha_noise * power / 2.0
+        assert eta / noise_bound == pytest.approx(expected, rel=1e-13)
+        saturating = noise_cavity_per_fsr(NoiseParams(alpha_noise, ratio, alpha_tilde), power)
+        assert noise_bound / saturating == pytest.approx(1.0 + alpha_tilde * power, rel=1e-13)
+        assert eta / saturating == pytest.approx(
+            8.0 * alpha_tilde / (alpha_noise * (1.0 + alpha_tilde * power)), rel=1e-13)
 
     def test_snr_nocav_values(self):
         B, alpha_noise = np.pi**2 / 4, 1.0
