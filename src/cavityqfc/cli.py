@@ -9,10 +9,10 @@ before it.  A handler reads ``params[key]``: the given value or the default.
 
 Every subcommand takes ``--output`` (default stdout) and ``--format
 {csv,json}``.  Each handler computes one result and returns it as
-``(payload, csv, provenance)``; ``--format`` only chooses how ``main``
-writes it.  ``fit`` and ``fsr`` require ``--input``; ``generate`` and ``g2``
-take ``--seed`` (default 1234); ``model``, ``fit`` and ``generate`` take
-``--preset {1540,1522,nv}``.  Any other flag is a usage error.
+``(payload, csv, provenance)``; ``--format`` only chooses how ``main`` writes
+it.  ``fit`` and ``fsr`` require ``--input``; ``generate`` and ``g2`` take
+``--seed`` (default 1234); ``model``, ``fit`` and ``generate`` take ``--preset
+{1540,1522,nv}``.  Any other flag, or one the mode does not read, is a usage error.
 
 Limits, checked before anything is allocated (exit 4): ``model samples``,
 ``snr grid`` and ``generate points`` at most 10^6, a comb scan at most
@@ -21,8 +21,8 @@ Limits, checked before anything is allocated (exit 4): ``model samples``,
 at most 2^32 and its span's arrays at most 256 MB.
 
 Exit codes: 0 success, 2 usage error, 3 parse error, 4 domain error (an
-out-of-range value, or a float overflow, division by zero or invalid operation,
-which numpy raises in a handler, not warns), 5 numeric failure, 6 I/O error.
+out-of-range value, or a float fault: a law's ``ValueError`` naming the law, or
+numpy's error in the handler's own arithmetic), 5 numeric failure, 6 I/O error.
 """
 
 from __future__ import annotations
@@ -69,10 +69,18 @@ def _noise(kind: str):
     return parse
 
 
-def _parse_params(command: str, pairs: list[str], preset):
-    """Pick the mode of ``command`` from its ``--param`` pairs and parse the keys
-    that mode reads; return its handler and the effective values, the picking
-    key's too, with the default of each key not given (``preset`` may be None)."""
+class _Given(argparse.Action):
+    """Store a flag's value and note in ``namespace.given`` that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*vars(namespace).get("given", ()), self.dest}
+
+
+def _parse_params(command: str, pairs: list[str], preset, given):
+    """Pick the mode of ``command`` from its ``--param`` pairs, refuse a ``given`` flag
+    it does not read and parse its keys; return its handler and the effective values,
+    the picking key's too, with the default of each key not given (``preset`` may be None)."""
     _, pick, mode = _SUBCOMMANDS[command]
     items = []
     for pair in pairs:
@@ -88,6 +96,9 @@ def _parse_params(command: str, pairs: list[str], preset):
             raise UsageError(f"{command} takes --param {pick}={'|'.join(modes)}, got {got}")
     handler, schema = modes[mode]
     where = command if pick is None else f"{command} {pick}={mode}"
+    for flag in sorted(given):
+        if (command, mode) in _UNREAD[flag]:
+            raise UsageError(f"--{flag} is not read by {where!r}")
     items = [item for item in items if item[0] != pick]
     # checked in phases, so the exit code does not depend on the pairs' order
     for key, _, _ in items:
@@ -214,6 +225,7 @@ def _fit_result(args, params, result, names: list):
     flat = dict(parameters)
     flat.update({f"stderr_{k}": v for k, v in errors.items()})
     flat["residual_norm"] = result.residual_norm
+    flat["iterations"] = result.iterations
     return payload, flat, {"command": "fit", "model": params["model"]}
 
 
@@ -434,6 +446,8 @@ _GAMMA_R = {"gamma_r_ratio": (float, lambda preset, _: preset.cavity.gamma_r_rat
 
 # a key that its handler reads only when another key is given
 _NEEDS = {"noise_frac": "noise", "target_mean": "noise", "enhancement": "zeta"}
+# a flag and the (subcommand, mode)s that do not read it, though the subcommand takes it
+_UNREAD = {"preset": {("fit", "fwhm"), ("generate", "coincidence")}, "seed": {("g2", "0")}}
 
 # subcommand: {mode: (handler, {each --param key the handler reads: (parser, default)})}; a
 # default is a value, None (read only when given) or a function of (preset, earlier keys)
@@ -518,9 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("fit", "fsr"):
             p.add_argument("--input", required=True)
         if name in ("generate", "g2"):
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, action=_Given)
         if name in ("model", "fit", "generate"):
-            p.add_argument("--preset", choices=sorted(PRESETS), default=DEFAULT_PRESET)
+            p.add_argument("--preset", choices=sorted(PRESETS), default=DEFAULT_PRESET,
+                           action=_Given)
         if pick is not None or _MODES[name][None][1]:
             p.add_argument("--param", action="append", metavar="KEY=VALUE",
                            help=_param_help(pick, default, _MODES[name]))
@@ -531,10 +546,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # the derived defaults are computed under the handler's float policy
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        # the derived defaults are computed under the laws' float policy
+        with np.errstate(**conversion._FLOAT_FAULTS):
             handler, params = _parse_params(args.command, vars(args).get("param") or [],
-                                            PRESETS.get(vars(args).get("preset")))
+                                            PRESETS.get(vars(args).get("preset")),
+                                            vars(args).get("given", ()))
             payload, csv, provenance = handler(args, params)
         write_text(args.output, _render(args.format, payload, csv, provenance))
         return EXIT_OK

@@ -17,16 +17,24 @@ cold-cavity FWHM.  Only ratios of these quantities enter the amplitudes, so
 the convention is self-consistent.  Free spectral ranges are quoted in MHz
 inside :class:`CavityParams` and in GHz by the conversion helpers, powers in
 mW, vacuum wavelengths in nm.
+
+Each public law here and in ``noise``, ``snr``, ``photon_stats`` and
+``fitting`` runs under ``_float_rule``: a float fault in its arithmetic, or a
+non-finite result, raises ``ValueError`` naming the innermost law.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 _C_VACUUM = 299_792_458.0  # m/s, exact by definition
+# numpy's float policy of the laws and of the CLI's own arithmetic; underflow stays ignored
+_FLOAT_FAULTS = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 __all__ = [
     "CavityParams",
@@ -47,18 +55,21 @@ __all__ = [
 ]
 
 
+def _finite(value) -> bool:
+    """False for a number or array that is not finite, or a list, tuple or dict holding one.
+    Text, None, Python integers (finite past the float range) and dataclasses pass."""
+    if isinstance(value, float):  # numpy's float64 too: the cheap test of the common case
+        return math.isfinite(value)
+    if isinstance(value, (list, tuple, dict)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, (complex, np.number, np.ndarray)) or np.isfinite(value).all()
+
+
 def _require_finite(params) -> None:
-    """The finiteness gate of every public dataclass: each number, array or dict of numbers
-    among its fields must be finite.  Text, None (unset), Python integers (always finite,
-    even past the float range) and nested dataclasses are skipped."""
+    """The finiteness gate of every public dataclass: each of its fields must be ``_finite``."""
     for field in fields(params):
         value = getattr(params, field.name)
-        if value is None or isinstance(value, (int, str)) or is_dataclass(value):
-            continue
-        if isinstance(value, dict):
-            value = list(value.values())
-        # math.isfinite is the cheap test of the common field, a float (numpy's float64 too)
-        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        if not _finite(value):
             got = f", got {value}" if np.ndim(value) == 0 else ""
             raise ValueError(f"{field.name} must be finite{got}")
 
@@ -90,6 +101,31 @@ def _require(rule: str, **values) -> None:
             raise ValueError(f"{name} must {clause}{got}")
 
 
+def _float_rule(law):
+    """``law`` under ``_FLOAT_FAULTS``; a float fault or a non-finite result (a dataclass
+    checks its own fields) raises ``ValueError`` naming the law and its scalar arguments."""
+    @functools.wraps(law)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(**_FLOAT_FAULTS):
+                result = law(*args, **kwargs)
+            if _finite(result):
+                return result
+        except (FloatingPointError, ZeroDivisionError, OverflowError):
+            pass
+        bound = inspect.signature(law).bind(*args, **kwargs).arguments.items()
+        scalars = ", ".join(f"{k}={v}" for k, v in bound if isinstance(v, (int, float)))
+        raise ValueError(f"{law.__name__}({scalars}) leaves the float range")
+    return checked
+
+
+def _guard(namespace: dict) -> None:
+    """Put each public function of a module, listed in its ``__all__``, under ``_float_rule``."""
+    for name in namespace["__all__"]:
+        if not isinstance(namespace[name], type):
+            namespace[name] = _float_rule(namespace[name])
+
+
 def _is_integer(value) -> bool:
     """True for a Python or NumPy integer; a bool is not a number."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -105,9 +141,7 @@ def _centered_grid(span: float, samples: int) -> np.ndarray:
 def _pump_power(power_mW) -> np.ndarray:
     """Scalar or array pump power as an array; rejects negative and non-finite entries."""
     power = np.asarray(power_mW, dtype=float)
-    if np.any(power < 0):  # -inf too
-        raise ValueError("power_mW must be non-negative")
-    _require("finite", power_mW=power)
+    _require("non-negative", power_mW=power)
     return power
 
 
@@ -324,13 +358,13 @@ def alpha_tilde_from_finesse(F_cold: float, B_per_mW: float) -> float:
     Matching the low-power slopes of the cavity efficiency
     ``4*alpha_tilde*P`` and the cavity-enhanced bare-waveguide efficiency
     ``(F/pi)*B*P`` gives ``alpha_tilde = F * B / (4*pi)``, rejected unless it
-    is a finite normal float (an extreme ``F_cold`` takes it out of that range).
+    is a normal float (an extreme ``F_cold`` takes it out of that range).
     """
     _require("positive", F_cold=F_cold, B_per_mW=B_per_mW)
     alpha_tilde = F_cold * B_per_mW / (4.0 * np.pi)
-    if not np.finfo(float).tiny <= alpha_tilde < math.inf:
+    if not np.finfo(float).tiny <= alpha_tilde:
         raise ValueError(f"alpha_tilde of F_cold={F_cold:g} and B_per_mW={B_per_mW:g} "
-                         "must be a finite normal float")
+                         "must be a normal float")
     return alpha_tilde
 
 
@@ -343,19 +377,9 @@ def dfg_wavelength(signal_nm: float, pump_nm: float) -> float:
 
 
 def bandwidth_nm_to_GHz(delta_nm: float, center_nm: float) -> float:
-    """Convert a small wavelength bandwidth to frequency, ``c*dl/l^2`` (GHz).
-
-    Raises ``ValueError`` when the result is not finite and positive, as
-    when ``center_nm`` is so small or so large that its square leaves the
-    float range.
-    """
+    """Convert a small wavelength bandwidth to frequency, ``c*dl/l^2`` (GHz)."""
     _require("positive", delta_nm=delta_nm, center_nm=center_nm)
-    try:
-        bandwidth = _C_VACUUM * (delta_nm * 1e-9) / (center_nm * 1e-9) ** 2 * 1e-9
-    except (OverflowError, ZeroDivisionError):  # the square left the float range
-        bandwidth = math.nan
-    if not 0.0 < bandwidth < math.inf:
-        raise ValueError(
-            f"bandwidth of {delta_nm:g} nm at {center_nm:g} nm must be finite and positive in GHz"
-        )
-    return bandwidth
+    return _C_VACUUM * (delta_nm * 1e-9) / (center_nm * 1e-9) ** 2 * 1e-9
+
+
+_guard(globals())

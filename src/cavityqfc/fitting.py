@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import _require, _require_finite, bandwidth_nm_to_GHz
+from .conversion import _guard, _require, _require_finite, bandwidth_nm_to_GHz
 from .errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
 from .noise import _per_fsr
 
@@ -113,15 +113,16 @@ def _levenberg_marquardt(model, theta0, lower=-np.inf):
     """Minimize ``|r|^2``, where ``model(theta)`` returns the weighted residuals
     ``r`` and their Jacobian, by Levenberg-Marquardt with Marquardt's damping
     ``lam * diag(J^T J)``.  ``theta`` is clipped at ``lower``, where an outward
-    gradient holds a coordinate out of the step.  A trial, evaluated with float
-    warnings off, is rejected unless its cost is finite and below the current
-    one and its Jacobian finite; a non-finite start point is a ``NumericFailure``.
+    gradient holds a coordinate out of the step.  Points are evaluated with float
+    warnings off: a trial is rejected unless its cost is finite and below the
+    current one and its Jacobian finite; a non-finite start is a ``NumericFailure``.
     Stops when a step changes ``theta`` or the cost by under 1e-12 relative;
     returns ``(theta, residuals, jacobian, accepted_steps)``.
     """
     theta = np.asarray(theta0, dtype=float)
-    r, jac = model(theta)
-    cost = float(r @ r)
+    with np.errstate(all="ignore"):
+        r, jac = model(theta)
+        cost = float(r @ r)
     if not (np.isfinite(cost) and np.isfinite(jac).all()):
         raise NumericFailure(f"non-finite residuals or Jacobian at the start point {theta}")
     lam, accepted = 0.1, 0
@@ -384,12 +385,14 @@ def enhancement_factor(alpha_tilde: float, B_ref: float, L_ref: float, L: float)
     ``4*alpha_tilde / B_ref * (L_ref/L)^2``: the length rescaling accounts
     for the quadratic dependence of the bare conversion coefficient on the
     interaction length.  Compare against the ideal ``F_cold/pi``.  Raises
-    ``ValueError`` unless the factor is a finite normal float.
+    ``ValueError`` unless the factor is a normal float.
     """
     _require("positive", alpha_tilde=alpha_tilde, B_ref=B_ref, L_ref=L_ref, L=L)
-    with np.errstate(over="ignore"):  # numpy's power gives inf where a Python float's raises
-        factor = float(4.0 * alpha_tilde / B_ref * np.float64(L_ref / L) ** 2)
-    if not np.finfo(float).tiny <= factor < np.inf:
+    factor = float(4.0 * alpha_tilde / B_ref * np.float64(L_ref / L) ** 2)
+    if not np.finfo(float).tiny <= factor:
         raise ValueError(f"the enhancement factor of alpha_tilde={alpha_tilde:g}, B_ref={B_ref:g}, "
-                         f"L_ref={L_ref:g} and L={L:g} must be a finite normal float")
+                         f"L_ref={L_ref:g} and L={L:g} must be a normal float")
     return factor
+
+
+_guard(globals())

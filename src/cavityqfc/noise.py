@@ -21,12 +21,12 @@ anti-resonant suppression estimates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import CavityParams, _centered_grid, _pump_power, _require, _require_finite
+from .conversion import (CavityParams, _centered_grid, _float_rule, _guard, _pump_power, _require,
+                         _require_finite)
 
 __all__ = [
     "NoiseParams",
@@ -229,7 +229,7 @@ def comb_density(cav: CavityParams, noise: NoiseParams, power_mW: float):
         u = np.asarray(f_GHz, dtype=float) / fsr_GHz
         return total / fsr_GHz * _wrapped_lorentzian_density(u, hwhm_ratio)
 
-    return density
+    return _float_rule(density)
 
 
 def comb_rate_in_band(cav: CavityParams, noise: NoiseParams, power_mW, f_lo_GHz, f_hi_GHz):
@@ -279,8 +279,7 @@ def spdc_antiresonant_suppression(F: float, fsr_GHz: float, bpf_GHz: float) -> f
     noise in the bandpass window) / (comb noise in the same window centered
     midway between teeth).  Greater than one whenever the comb is
     meaningfully peaked (``F > pi``); at ``F = 1`` the teeth merge and the
-    factor sits near one.  Raises ``ValueError`` when the factor is not a
-    finite positive float, as when the comb's mass in the window underflows.
+    factor sits near one.
     """
     _require("at least 1", F=F)
     _require("positive", fsr_GHz=fsr_GHz, bpf_GHz=bpf_GHz)
@@ -293,12 +292,7 @@ def spdc_antiresonant_suppression(F: float, fsr_GHz: float, bpf_GHz: float) -> f
     comb_mass = float(
         2.0 / np.pi * np.arctan(np.tanh(np.pi * hwhm_ratio) * np.tan(np.pi * half_window))
     )
-    flat_mass = bpf_GHz / fsr_GHz
-    factor = flat_mass / comb_mass if comb_mass > 0 else math.inf
-    if not 0 < factor < math.inf:
-        raise ValueError(f"the suppression factor at F={F:g}, fsr_GHz={fsr_GHz:g} and "
-                         f"bpf_GHz={bpf_GHz:g} leaves the float range")
-    return factor
+    return bpf_GHz / fsr_GHz / comb_mass
 
 
 def normalized_noise_coefficient(
@@ -318,3 +312,6 @@ def normalized_noise_coefficient(
     _require("positive", alpha_noise=alpha_noise, length_mm=length_mm, bpf_GHz=bpf_GHz,
              t_circ=t_circ, gamma_r_ratio_opt=gamma_r_ratio_opt)
     return alpha_noise / (length_mm * bpf_GHz * t_circ * gamma_r_ratio_opt)
+
+
+_guard(globals())

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import ConversionResponse, _centered_grid, _is_integer, _require, _require_finite
+from .conversion import (ConversionResponse, _centered_grid, _guard, _is_integer, _require,
+                         _require_finite)
 from .errors import CoverageError
 from .fitting import ScanSeries
 
@@ -133,10 +134,7 @@ def g2_out(g2_in: float, zeta: float) -> float:
     if zeta == math.inf:  # the noise-free limit
         return g2_in
     _require("non-negative", zeta=zeta)
-    g2 = (g2_in * zeta + 1.0) / (zeta + 1.0)
-    if not math.isfinite(g2):  # g2_in * zeta overflowed
-        raise ValueError(f"g2_out of g2_in={g2_in:g} and zeta={zeta:g} leaves the float range")
-    return g2
+    return (g2_in * zeta + 1.0) / (zeta + 1.0)
 
 
 def zeta_from_g2(g2_in: float, g2_out_value: float) -> float:
@@ -516,3 +514,6 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
         window_ns=float(window_ns),
         resolution_ns=histogram.resolution_ns,
     )
+
+
+_guard(globals())

@@ -177,6 +177,17 @@ class TestGenerateFitRoundTrip:
         assert payload["parameters"]["gamma_all_MHz"] == pytest.approx(70.4, rel=1e-8)
         assert payload["converged"]
 
+    @pytest.mark.parametrize("model", ["fwhm", "noise"])
+    def test_csv_and_json_give_the_same_iterations(self, tmp_path, model):
+        data = tmp_path / f"{model}.csv"
+        run_cli("generate", "--param", f"model={model}", "--output", str(data))
+        args = ("fit", "--input", str(data), "--param", f"model={model}")
+        rows = dict(line.split(",") for line in run_cli(*args, "--format", "csv").stdout.splitlines()
+                    if not line.startswith("#"))
+        iterations = json.loads(run_cli(*args, "--format", "json").stdout)["iterations"]
+        assert int(rows["iterations"]) == iterations
+        assert iterations == 0 if model == "fwhm" else iterations > 0
+
     def test_fwhm_1522_preset(self, tmp_path):
         data = tmp_path / "fwhm1522.csv"
         run_cli("generate", "--preset", "1522", "--param", "model=fwhm",
@@ -401,6 +412,21 @@ class TestDeterminismAndErrors:
         assert "unrecognized arguments" in result.stderr
 
     @pytest.mark.parametrize(
+        "args, flag, where",
+        [
+            (["fit", "--input", "x", "--param", "model=fwhm", "--preset", "nv"], "preset",
+             "fit model=fwhm"),
+            (["generate", "--param", "model=coincidence", "--preset", "1522"], "preset",
+             "generate model=coincidence"),
+            (["g2", "--seed", "2"], "seed", "g2 mc=0"),
+        ],
+    )
+    def test_flag_the_mode_does_not_read_is_usage_error(self, args, flag, where):
+        result = run_cli(*args, expect=2)
+        assert f"usage error: --{flag} is not read by {where!r}" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["design", "--param", "finesse=nan"],
@@ -415,7 +441,12 @@ class TestDeterminismAndErrors:
     )
     def test_nonfinite_param_is_domain_error(self, args):
         result = run_cli(*args, expect=4)
-        assert "must be finite" in result.stderr
+        key, _, value = args[2].partition("=")
+        if key == "center_nm":  # a finite value whose square leaves the float range
+            assert f"bandwidth_nm_to_GHz(delta_nm=0.03, center_nm={float(value)}) leaves the " \
+                "float range" in result.stderr
+        else:
+            assert "must be finite" in result.stderr
         assert result.stdout == ""
 
     @pytest.mark.parametrize("model", ["fwhm", "noise"])
@@ -434,10 +465,10 @@ class TestDeterminismAndErrors:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_result_is_domain_error(self, fmt):
-        # 2*fc/pi overflows to inf: the input is out of the law's float range
+        # 2*fc/pi overflows to inf in the nested law, which names itself
         result = run_cli("snr", "--param", "mode=table", "--param", "fc=1e308",
                          "--format", fmt, expect=4)
-        assert "domain error: the SNR table of F_c=1e+308 and F_s=1 leaves the float range" \
+        assert "domain error: low_power_snr_gain(F_cold=1e+308) leaves the float range" \
             in result.stderr
         assert result.stdout == ""
 
@@ -610,7 +641,7 @@ class TestDomainLimits:
             (["g2", "--param", "mc=1", "--param", "bins=20000", "--param", "window_ns=-1.7e308"],
              "window_ns must be a positive integer multiple of the resolution"),
             # the comb's mass in the window underflowed to 0: ZeroDivisionError
-            (["design", "--param", "finesse=1.7e308"], "suppression factor at F=1.7e+308"),
+            (["design", "--param", "finesse=1.7e308"], "spdc_antiresonant_suppression(F=1.7e+308"),
             (["design", "--param", "fsr_GHz=1.7e308"], "fsr_GHz=1.7e+308"),
             # alpha_tilde overflowed to inf (a NaN, exit 5) or left the normal range
             (["snr", "--param", "mode=curves", "--param", "finesse=1.7e308"], "F_cold=1.7e+308"),
@@ -960,7 +991,9 @@ class TestStatedDefaults:
         if preset is not None:
             explicit += [f"{key}={_PRESET_DEFAULTS[key](PRESETS[preset])!r}"
                          for key in schema if key in _PRESET_DEFAULTS]
-        flags = (["--preset", preset] if preset else []) + (
+        # a mode that does not read the preset refuses --preset
+        reads_preset = preset is not None and (command, mode) not in cli._UNREAD["preset"]
+        flags = (["--preset", preset] if reads_preset else []) + (
             ["--input", noise_scan] if command == "fit" else [])
 
         def stdout(pairs):

@@ -254,6 +254,17 @@ class TestExtractFwhm:
         assert fwhm == pytest.approx(right - left, rel=1e-12)
         assert err == np.max(np.diff(x)) == 5.0
 
+    def test_a_start_point_out_of_the_float_range_falls_back_without_a_warning(self):
+        # (x - center) / hwhm overflows at the far point, so the start point has no
+        # finite cost: a NumericFailure, which the half-maximum crossings answer
+        x = np.append(np.linspace(-1e-150, 1e-150, 41), 1e300)
+        y = np.append(1.0 / (1.0 + (x[:-1] / 2e-151) ** 2), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fwhm, err = extract_fwhm(ScanSeries(x, y))
+        assert fwhm == pytest.approx(4e-151, rel=1e-12)
+        assert err == 1e300
+
     def test_half_crossings_interpolate_linearly(self):
         x = np.arange(9.0)
         assert np.array_equal(

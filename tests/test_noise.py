@@ -138,9 +138,9 @@ class TestRates:
         with pytest.raises(ValueError, match="non-negative"):
             law(np.array([1.0, -1e-9, 2.0]))
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="must be finite"):
+            with pytest.raises(ValueError, match="must be non-negative and finite"):
                 law(bad)
-            with pytest.raises(ValueError, match="must be finite"):
+            with pytest.raises(ValueError, match="must be non-negative and finite"):
                 law(np.array([1.0, bad, 2.0]))
         with pytest.raises(ValueError, match="non-negative"):
             law(-np.inf)

@@ -5,8 +5,9 @@ NaN, +inf and -inf raise ``ValueError`` naming the parameter, whatever its
 range.  The only non-finite value a law accepts is ``g2_out``'s
 ``zeta = inf``, the noise-free limit, which ``predict_nocavity_g2`` passes on.
 Every public dataclass checks its fields through ``_require_finite`` and
-``_require`` the same way, and a CLI call whose float ``--param`` drives a
-computation out of the float range exits 4, with no numpy warning.
+``_require`` the same way.  A finite argument that drives a public law out of
+the float range raises ``ValueError`` naming the law, with no numpy warning,
+and a CLI call whose float ``--param`` does so exits 4.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 import cavityqfc
-from cavityqfc import PRESETS, cli
+from cavityqfc import PRESETS, cli, conversion, fitting, noise, photon_stats, snr
 from cavityqfc.conversion import (
     CavityParams,
     ConversionResponse,
@@ -45,6 +46,7 @@ from cavityqfc.noise import (
     NoiseParams,
     as_spectral_density,
     beta_tilde_from,
+    comb_density,
     comb_rate_in_band,
     comb_spectrum,
     noise_cavity_per_fsr,
@@ -258,27 +260,76 @@ def test_numpy_integer_samples_are_accepted(spectrum):
 @pytest.mark.parametrize(
     "call, message",
     [
-        # each exited 5 from a later check, or ran out its iterations
-        (lambda: snr_config_table(1.7e308, 1.0), r"the SNR table of F_c=1.7e\+308 and F_s=1"),
-        (lambda: snr_config_table(1e200, 1e200), r"the SNR table of F_c=1e\+200"),
-        (lambda: g2_out(3.8, 1.7e308), r"g2_out of g2_in=3.8 and zeta=1.7e\+308"),
+        # each exited 5 from a later check, or ran out its iterations; a nested law names itself
+        (lambda: snr_config_table(1.7e308, 1.0),
+         r"^low_power_snr_gain\(F_cold=1.7e\+308\) leaves the float range$"),
+        (lambda: snr_config_table(1e200, 1e200), r"^snr_config_table\(F_c=1e\+200, F_s=1e\+200\)"),
+        (lambda: g2_out(3.8, 1.7e308), r"^g2_out\(g2_in=3.8, zeta=1.7e\+308\)"),
         (lambda: min_finesse_for_dominance(5e-324), "tolerance must be at least"),
         (lambda: min_finesse_for_dominance(np.spacing(16.0) / 2), "tolerance must be at least"),
         # each returned inf
         (lambda: enhancement_factor(1.7e308, 0.01, 40.0, 20.0),
-         r"the enhancement factor of alpha_tilde=1.7e\+308"),
+         r"^enhancement_factor\(alpha_tilde=1.7e\+308, "),
         (lambda: enhancement_factor(1.0 / 144.0, 5e-324, 40.0, 20.0),
-         r"the enhancement factor of .* B_ref=4.94066e-324"),
+         r"^enhancement_factor\(.* B_ref=5e-324, "),
         (lambda: enhancement_factor(1.0 / 144.0, 0.01, 40.0, 5e-324),
-         r"the enhancement factor of .* L=4.94066e-324 must be a finite normal float"),
+         r"^enhancement_factor\(.* L=5e-324\) leaves the float range$"),
         # raised OverflowError from a Python float's power
         (lambda: enhancement_factor(1.0 / 144.0, 0.01, 1.7e308, 20.0),
-         r"the enhancement factor of .* L_ref=1.7e\+308"),
+         r"^enhancement_factor\(.* L_ref=1.7e\+308, "),
     ],
 )
 def test_result_out_of_the_float_range_is_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _numbers(result):
+    """The numbers in a law's result: scalars, arrays, and those in tuples, dicts and dataclasses."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, field.name) for field in dataclasses.fields(result)]
+    if isinstance(result, dict):
+        result = list(result.values())
+    if isinstance(result, (list, tuple)):
+        return [number for item in result for number in _numbers(item)]
+    if isinstance(result, (float, complex, np.ndarray)):
+        return [result]
+    return []
+
+
+def _extreme_cases():
+    for law, kwargs, floats in LAWS:
+        for name in floats:
+            for value in (1.7e308, -1.7e308, 5e-324):
+                yield pytest.param(law, kwargs, name, value, id=f"{law.__name__}-{name}={value}")
+
+
+@pytest.mark.parametrize("law, kwargs, name, value", _extreme_cases())
+def test_finite_extreme_gives_a_finite_result_or_a_value_error(law, kwargs, name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = law(**{**kwargs, name: value})
+        except ValueError:
+            return
+    assert all(np.isfinite(number).all() for number in _numbers(result))
+
+
+LAW_MODULES = [conversion, noise, snr, photon_stats, fitting]
+
+
+@pytest.mark.parametrize("module", LAW_MODULES, ids=[m.__name__ for m in LAW_MODULES])
+def test_every_public_law_is_under_the_float_rule(module):
+    laws = [getattr(module, name) for name in module.__all__]
+    laws = [law for law in laws if not isinstance(law, type)]
+    assert laws and all(hasattr(law, "__wrapped__") for law in laws)
+
+
+def test_the_comb_density_closure_is_under_the_float_rule():
+    density = comb_density(CAV, NOISE, 10.0)
+    assert hasattr(density, "__wrapped__")
+    with pytest.raises(ValueError, match=r"^density\(f_GHz=inf\) leaves the float range$"):
+        density(math.inf)  # cos(inf) is an invalid operation
 
 
 def test_the_smallest_accepted_tolerance_converges():
