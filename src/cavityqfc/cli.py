@@ -361,13 +361,9 @@ def _simulate_from(params, seed):
 
 def _generate_coincidence(params, preset, seed):
     model, histogram = _simulate_from(params, seed)
-    provenance = {
-        "mu": model.mean_pairs_per_bin,
-        "eta_herald": model.herald_efficiency,
-        "eta_signal": model.signal_efficiency,
-        "nu": model.noise_rate_per_bin, "bins": model.bins,
-        "resolution_ns": histogram.resolution_ns,
-    }
+    keys = ("mu", "eta_herald", "eta_signal", "nu", "bins", "resolution_ns")
+    # nu as simulated: a given zeta sets it
+    provenance = {key: params[key] for key in keys} | {"nu": model.noise_rate_per_bin}
     return [("delay_ns", histogram.delay_bins_ns), ("counts", histogram.counts)], provenance
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -101,9 +101,20 @@ def _require(rule: str, **values) -> None:
             raise ValueError(f"{name} must {clause}{got}")
 
 
+def _named(name: str, value) -> list[str]:
+    """How a failing law names one argument: a number as itself, a dataclass by each of
+    its fields, an array, list or tuple by its size, anything else not at all."""
+    if is_dataclass(value):
+        return [term for field in fields(value)
+                for term in _named(f"{name}.{field.name}", getattr(value, field.name))]
+    if isinstance(value, (np.ndarray, list, tuple)):
+        return [f"{name}=<{np.size(value)} values>"]
+    return [f"{name}={value}"] if isinstance(value, (int, float)) else []
+
+
 def _float_rule(law):
     """``law`` under ``_FLOAT_FAULTS``; a float fault or a non-finite result (a dataclass
-    checks its own fields) raises ``ValueError`` naming the law and its scalar arguments."""
+    checks its own fields) raises ``ValueError`` naming the law and its arguments."""
     @functools.wraps(law)
     def checked(*args, **kwargs):
         try:
@@ -114,9 +125,17 @@ def _float_rule(law):
         except (FloatingPointError, ZeroDivisionError, OverflowError):
             pass
         bound = inspect.signature(law).bind(*args, **kwargs).arguments.items()
-        scalars = ", ".join(f"{k}={v}" for k, v in bound if isinstance(v, (int, float)))
-        raise ValueError(f"{law.__name__}({scalars}) leaves the float range")
+        named = ", ".join(term for k, v in bound for term in _named(k, v))
+        raise ValueError(f"{law.__name__}({named}) leaves the float range")
     return checked
+
+
+def _normal(value: float) -> float:
+    """``value`` if it is a normal float; a smaller one, which lost its digits to underflow,
+    is a float fault of the law that returns it, which ``_float_rule`` reports."""
+    if not np.finfo(float).tiny <= value:
+        raise FloatingPointError("underflow")
+    return value
 
 
 def _guard(namespace: dict) -> None:
@@ -361,11 +380,7 @@ def alpha_tilde_from_finesse(F_cold: float, B_per_mW: float) -> float:
     is a normal float (an extreme ``F_cold`` takes it out of that range).
     """
     _require("positive", F_cold=F_cold, B_per_mW=B_per_mW)
-    alpha_tilde = F_cold * B_per_mW / (4.0 * np.pi)
-    if not np.finfo(float).tiny <= alpha_tilde:
-        raise ValueError(f"alpha_tilde of F_cold={F_cold:g} and B_per_mW={B_per_mW:g} "
-                         "must be a normal float")
-    return alpha_tilde
+    return _normal(F_cold * B_per_mW / (4.0 * np.pi))
 
 
 def dfg_wavelength(signal_nm: float, pump_nm: float) -> float:
@@ -377,9 +392,10 @@ def dfg_wavelength(signal_nm: float, pump_nm: float) -> float:
 
 
 def bandwidth_nm_to_GHz(delta_nm: float, center_nm: float) -> float:
-    """Convert a small wavelength bandwidth to frequency, ``c*dl/l^2`` (GHz)."""
+    """Convert a small wavelength bandwidth to frequency, ``c*dl/l^2`` (GHz), rejected
+    unless it is a normal float (a subnormal ``delta_nm`` underflows it to zero)."""
     _require("positive", delta_nm=delta_nm, center_nm=center_nm)
-    return _C_VACUUM * (delta_nm * 1e-9) / (center_nm * 1e-9) ** 2 * 1e-9
+    return _normal(_C_VACUUM * (delta_nm * 1e-9) / (center_nm * 1e-9) ** 2 * 1e-9)
 
 
 _guard(globals())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import _guard, _require, _require_finite, bandwidth_nm_to_GHz
+from .conversion import _guard, _normal, _require, _require_finite, bandwidth_nm_to_GHz
 from .errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
 from .noise import _per_fsr
 
@@ -388,11 +388,7 @@ def enhancement_factor(alpha_tilde: float, B_ref: float, L_ref: float, L: float)
     ``ValueError`` unless the factor is a normal float.
     """
     _require("positive", alpha_tilde=alpha_tilde, B_ref=B_ref, L_ref=L_ref, L=L)
-    factor = float(4.0 * alpha_tilde / B_ref * np.float64(L_ref / L) ** 2)
-    if not np.finfo(float).tiny <= factor:
-        raise ValueError(f"the enhancement factor of alpha_tilde={alpha_tilde:g}, B_ref={B_ref:g}, "
-                         f"L_ref={L_ref:g} and L={L:g} must be a normal float")
-    return factor
+    return _normal(float(4.0 * alpha_tilde / B_ref * np.float64(L_ref / L) ** 2))
 
 
 _guard(globals())

@@ -108,7 +108,11 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class CoincidenceHistogram:
-    """Delay-binned coincidence counts."""
+    """Delay-binned coincidence counts.
+
+    ``accidental_level`` is the expected accidental count per delay bin: the level
+    :func:`g2_from_histogram` divides by, so a hand-built histogram must state it.
+    """
 
     delay_bins_ns: np.ndarray
     counts: np.ndarray
@@ -481,32 +485,33 @@ def simulate_coincidences(
 
 
 def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Record:
-    """Estimate g2 as peak-window counts over the accidental expectation.
+    """Estimate g2 as the counts at delays ``[0, m)`` over ``m * histogram.accidental_level``.
 
-    The window must span an integer number of delay bins; it is placed on
-    the contiguous stretch with the highest total.  The standard error
-    propagates Poisson fluctuations of both the window and the off-window
-    counts.  Widening the window beyond the correlation peak dilutes the
-    estimate toward one.
+    The window of ``m`` delay bins opens at delay 0, where the model puts every
+    correlated pair, and must end within the histogram.  The standard error
+    propagates Poisson fluctuations of the window and of the counts behind the
+    level, at every delay but 0.  A window wider than the peak dilutes g2 toward one.
     """
     _require("finite", window_ns=window_ns)
     m_float = window_ns / histogram.resolution_ns
     m = int(round(m_float)) if math.isfinite(m_float) else 0  # past the float range: no multiple
     if m < 1 or abs(m_float - m) > 1e-9:
         raise ValueError("window_ns must be a positive integer multiple of the resolution")
-    counts = np.asarray(histogram.counts, dtype=float)
-    n_bins = len(counts)
-    if n_bins - m < 10:
+    counts = np.asarray(histogram.counts)
+    if len(counts) - m < 10:
         raise ValueError("need at least 10 off-window bins for the accidental level")
-    window_sums = np.convolve(counts, np.ones(m), mode="valid")
-    start = int(np.argmax(window_sums))
-    peak = float(window_sums[start])
-    off = np.concatenate([counts[:start], counts[start + m :]])
-    off_total = float(off.sum())
-    if off_total == 0:
+    zero = np.flatnonzero(np.asarray(histogram.delay_bins_ns) == 0.0)
+    if not zero.size:
+        raise ValueError("the histogram has no delay-0 bin to open the window at")
+    start = int(zero[0])
+    if start + m > len(counts):
+        raise ValueError(f"window_ns={window_ns:g} runs past the last delay: at most "
+                         f"{(len(counts) - start) * histogram.resolution_ns:g} ns from delay 0")
+    peak = float(counts[start : start + m].sum())
+    off_total = float(counts.sum() - counts[start])
+    if off_total == 0 or histogram.accidental_level == 0:
         raise ValueError("zero accidental counts: g2 ratio undefined")
-    accidental_per_window = off.mean() * m
-    g2 = peak / accidental_per_window
+    g2 = peak / (m * histogram.accidental_level)
     stderr = g2 * np.sqrt(1.0 / max(peak, 1.0) + 1.0 / off_total)
     return G2Record(
         g2=float(g2),

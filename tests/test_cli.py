@@ -341,6 +341,17 @@ class TestG2Command:
         expected = thermal_source_g2(0.55, 0.1, 0.1)
         assert abs(payload["g2"] - expected) < 3 * payload["stderr"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_window_past_the_last_delay_is_domain_error(self, fmt):
+        # 32 bins from delay 0 at the default span of 30: a searched window printed g2 = 1.088
+        result = run_cli("g2", "--param", "mc=1", "--param", "bins=20000",
+                         "--param", "window_ns=25.6", "--format", fmt, expect=4)
+        assert "window_ns=25.6 runs past the last delay: at most 24.8 ns from delay 0" \
+            in result.stderr
+        assert result.stdout == ""
+        run_cli("g2", "--param", "mc=1", "--param", "bins=20000", "--param", "window_ns=24.8",
+                "--format", fmt)
+
     @pytest.mark.parametrize("key", ["shards", "workers"])
     def test_parallel_plan_keys_are_usage_errors(self, key):
         result = run_cli("g2", "--param", "mc=1", "--param", f"{key}=2", expect=2)
@@ -646,13 +657,20 @@ class TestDomainLimits:
             # alpha_tilde overflowed to inf (a NaN, exit 5) or left the normal range
             (["snr", "--param", "mode=curves", "--param", "finesse=1.7e308"], "F_cold=1.7e+308"),
             (["snr", "--param", "mode=curves", "--param", "finesse=1e-308"], "F_cold=1e-308"),
-            (["snr", "--param", "mode=curves", "--param", "finesse=5e-324"], "F_cold=4.94066e-324"),
+            (["snr", "--param", "mode=curves", "--param", "finesse=5e-324"], "F_cold=5e-324"),
             # the default span overflowed to inf, with numpy warnings from linspace
             (["model", "--param", "powers=1.7e308"], "span_MHz must be finite"),
+            # the bandwidth underflowed to 0.0 and a later law named bpf_GHz
+            (["design", "--param", "bpf_nm=5e-324"],
+             "bandwidth_nm_to_GHz(delta_nm=5e-324, center_nm=1587.0) leaves the float range"),
+            # the law named none of its inputs: they are a dataclass and an array
+            (["generate", "--param", "model=noise", "--param", "alpha_tilde_per_mW=1.7e308"],
+             "noise_cavity_per_fsr(noise.alpha_noise_cps_per_mW=230.0, noise.gamma_r_ratio=0.7, "
+             "noise.alpha_tilde_per_mW=1.7e+308, power_mW=<12 values>) leaves the float range"),
         ],
         ids=["g2_window_huge", "g2_window_huge_negative", "design_finesse_huge",
              "design_fsr_huge", "snr_finesse_huge", "snr_finesse_subnormal", "snr_finesse_tiny",
-             "model_power_huge"],
+             "model_power_huge", "design_bpf_subnormal", "generate_noise_alpha_tilde_huge"],
     )
     def test_float_extreme_is_domain_error_in_a_fresh_process(self, args, message, fmt):
         result = run_module(*args, "--format", fmt, expect=4)

@@ -277,6 +277,20 @@ def test_numpy_integer_samples_are_accepted(spectrum):
         # raised OverflowError from a Python float's power
         (lambda: enhancement_factor(1.0 / 144.0, 0.01, 1.7e308, 20.0),
          r"^enhancement_factor\(.* L_ref=1.7e\+308, "),
+        # each underflowed below the normal floats; the bandwidth returned 0.0
+        (lambda: bandwidth_nm_to_GHz(5e-324, 1540.0),
+         r"^bandwidth_nm_to_GHz\(delta_nm=5e-324, center_nm=1540.0\) leaves the float range$"),
+        (lambda: alpha_tilde_from_finesse(5e-324, 0.01),
+         r"^alpha_tilde_from_finesse\(F_cold=5e-324, B_per_mW=0.01\) leaves the float range$"),
+        (lambda: enhancement_factor(1.0 / 144.0, 0.01, 5e-324, 20.0),
+         r"^enhancement_factor\(.* L_ref=5e-324, L=20.0\) leaves the float range$"),
+        # a dataclass argument is named by its fields, an array by its size
+        (lambda: noise_cavity_per_fsr(NoiseParams(230.0, 0.7, 1.7e308), POWERS),
+         r"^noise_cavity_per_fsr\(noise.alpha_noise_cps_per_mW=230.0, noise.gamma_r_ratio=0.7, "
+         r"noise.alpha_tilde_per_mW=1.7e\+308, power_mW=<12 values>\) leaves the float range$"),
+        (lambda: peak_efficiency(PumpDrive(1.7e308, 1.0), 0.7),
+         r"^peak_efficiency\(drive.power_mW=1.7e\+308, drive.alpha_tilde_per_mW=1.0, "
+         r"drive.phase_rad=0.0, gamma_r_ratio=0.7\) leaves the float range$"),
     ],
 )
 def test_result_out_of_the_float_range_is_rejected(call, message):

@@ -491,6 +491,39 @@ class TestG2FromHistogram:
         with pytest.raises(ValueError):
             g2_from_histogram(self.histogram(counts), 0.8)
 
+    def test_window_opens_at_delay_zero(self):
+        # exact g2 1.499; a window searched for the highest total took the 17 counts at
+        # +14.4 ns and read 2.684 +- 0.665, nonclassical
+        model = SourceModel(0.01, 0.5, 0.002, 0.004, bins=300_000, seed=47)
+        histogram = simulate_coincidences(model)
+        record = g2_from_histogram(histogram, 0.8)
+        k = len(histogram.counts) // 2
+        assert record.g2 == histogram.counts[k] / histogram.accidental_level
+        assert not record.nonclassical
+
+    @given(k=st.integers(10, 30), level=st.floats(1e-3, 1e6), data=st.data())
+    def test_g2_times_the_window_accidentals_is_the_window_counts(self, k, level, data):
+        counts = data.draw(st.lists(st.integers(0, 10**6), min_size=2 * k + 1,
+                                    max_size=2 * k + 1))
+        assume(sum(counts) > counts[k])
+        histogram = CoincidenceHistogram(np.arange(-k, k + 1) * 0.8, np.array(counts), level, 0.8)
+        for m in range(1, k + 2):
+            record = g2_from_histogram(histogram, 0.8 * m)
+            assert record.g2 * m * level == pytest.approx(sum(counts[k : k + m]), rel=1e-12)
+
+    def test_histogram_without_a_delay_zero_bin_is_rejected(self):
+        flat = self.histogram([10] * 41)
+        shifted = CoincidenceHistogram(flat.delay_bins_ns + 0.4, flat.counts, 10.0, 0.8)
+        with pytest.raises(ValueError, match="^the histogram has no delay-0 bin"):
+            g2_from_histogram(shifted, 0.8)
+
+    def test_window_past_the_last_delay_is_rejected(self):
+        flat = self.histogram([10] * 41)  # delays -16 to +16 ns
+        assert g2_from_histogram(flat, 16.8).g2 == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(ValueError, match=r"^window_ns=17.6 runs past the last delay: "
+                           r"at most 16.8 ns from delay 0$"):
+            g2_from_histogram(flat, 17.6)
+
 
 @given(g2_in=st.floats(1.01, 1e4), zeta=st.floats(1e-6, 1e6))
 def test_g2_out_and_zeta_from_g2_are_inverses(g2_in, zeta):
