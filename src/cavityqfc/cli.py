@@ -362,8 +362,9 @@ def _simulate_from(params, seed):
 def _generate_coincidence(params, preset, seed):
     model, histogram = _simulate_from(params, seed)
     keys = ("mu", "eta_herald", "eta_signal", "nu", "bins", "resolution_ns")
-    # nu as simulated: a given zeta sets it
-    provenance = {key: params[key] for key in keys} | {"nu": model.noise_rate_per_bin}
+    singles = {key: getattr(histogram, key) for key in ("herald_clicks", "signal_clicks")}
+    # nu as simulated: a given zeta sets it; the singles let a saved histogram be analysed again
+    provenance = {key: params[key] for key in keys} | {"nu": model.noise_rate_per_bin} | singles
     return [("delay_ns", histogram.delay_bins_ns), ("counts", histogram.counts)], provenance
 
 

@@ -108,24 +108,30 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class CoincidenceHistogram:
-    """Delay-binned coincidence counts.
-
-    ``accidental_level`` is the expected accidental count per delay bin: the level
-    :func:`g2_from_histogram` divides by, so a hand-built histogram must state it.
-    """
+    """Delay-binned coincidence counts and the singles behind them: of ``bins`` time
+    bins, the herald arm clicked in ``herald_clicks`` and the signal arm in ``signal_clicks``.
+    They fix the level :func:`g2_from_histogram` divides by; a hand-built histogram states them."""
 
     delay_bins_ns: np.ndarray
     counts: np.ndarray
-    accidental_level: float
+    herald_clicks: float
+    signal_clicks: float
+    bins: float
     resolution_ns: float
     low_statistics: bool = False
 
     def __post_init__(self):
         _require_finite(self)
-        _require("non-negative", counts=self.counts, accidental_level=self.accidental_level)
-        _require("positive", resolution_ns=self.resolution_ns)
+        _require("non-negative", counts=self.counts, herald_clicks=self.herald_clicks,
+                 signal_clicks=self.signal_clicks)
+        _require("positive", bins=self.bins, resolution_ns=self.resolution_ns)
         if len(self.delay_bins_ns) != len(self.counts):
             raise ValueError("delay axis and counts must have equal length")
+
+    @property
+    def accidental_level(self) -> float:
+        """Expected accidental counts per delay bin, ``H*S/N`` from the singles."""
+        return self.herald_clicks * self.signal_clicks / self.bins
 
 
 def g2_out(g2_in: float, zeta: float) -> float:
@@ -457,13 +463,15 @@ def simulate_coincidences(
     # pair codes 16*delay + 4*label_earlier + label_later; the last, dropped, takes delays past k
     codes = np.zeros(16 * (k + 1) + 1, dtype=np.int64)
     keys = np.empty((2, _PIECE + k), dtype=np.int64)  # a tail holds at most k clicks
-    both = tail = 0
+    clicked = signal = both = tail = 0
     for clicks, labels in _click_chunks(model):
         n = tail + clicks.size
         a, b = keys[:, tail:n]
         np.multiply(clicks, 16, out=a)
         np.subtract(a, 4 * labels, out=b)
         a += labels
+        clicked += labels.size
+        signal += int(np.count_nonzero(labels >= 2))
         both += int(np.count_nonzero(labels == 3))
         _count_pairs(keys[:, :n], tail, codes)
         # only clicks within k bins of the last can pair again; they may span pieces
@@ -478,7 +486,9 @@ def simulate_coincidences(
     return CoincidenceHistogram(
         delay_bins_ns=np.arange(-k, k + 1, dtype=float) * resolution_ns,
         counts=counts,
-        accidental_level=float(np.delete(counts, k).mean()),
+        herald_clicks=clicked - signal + both,
+        signal_clicks=signal,
+        bins=model.bins,
         resolution_ns=resolution_ns,
         low_statistics=model.bins < _LOW_STATISTICS_BINS,
     )
@@ -488,9 +498,10 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
     """Estimate g2 as the counts at delays ``[0, m)`` over ``m * histogram.accidental_level``.
 
     The window of ``m`` delay bins opens at delay 0, where the model puts every
-    correlated pair, and must end within the histogram.  The standard error
-    propagates Poisson fluctuations of the window and of the counts behind the
-    level, at every delay but 0.  A window wider than the peak dilutes g2 toward one.
+    correlated pair, and must end within the histogram.  The level is the singles'
+    ``H*S/N``, so a one-bin g2 is ``n11*N/(H*S)``, :func:`thermal_source_g2`'s law on the
+    run's own tallies.  The standard error is the delta method on ``log g2`` over the
+    per-bin click law, to leading order in ``N``.  A wide window dilutes g2 toward one.
     """
     _require("finite", window_ns=window_ns)
     m_float = window_ns / histogram.resolution_ns
@@ -498,8 +509,6 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
     if m < 1 or abs(m_float - m) > 1e-9:
         raise ValueError("window_ns must be a positive integer multiple of the resolution")
     counts = np.asarray(histogram.counts)
-    if len(counts) - m < 10:
-        raise ValueError("need at least 10 off-window bins for the accidental level")
     zero = np.flatnonzero(np.asarray(histogram.delay_bins_ns) == 0.0)
     if not zero.size:
         raise ValueError("the histogram has no delay-0 bin to open the window at")
@@ -507,15 +516,26 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
     if start + m > len(counts):
         raise ValueError(f"window_ns={window_ns:g} runs past the last delay: at most "
                          f"{(len(counts) - start) * histogram.resolution_ns:g} ns from delay 0")
-    peak = float(counts[start : start + m].sum())
-    off_total = float(counts.sum() - counts[start])
-    if off_total == 0 or histogram.accidental_level == 0:
+    n, n11 = histogram.bins, float(counts[start])
+    herald, signal = histogram.herald_clicks, histogram.signal_clicks
+    if herald == 0 or signal == 0:
         raise ValueError("zero accidental counts: g2 ratio undefined")
-    g2 = peak / (m * histogram.accidental_level)
-    stderr = g2 * np.sqrt(1.0 / max(peak, 1.0) + 1.0 / off_total)
+    if n11 > min(herald, signal) or herald + signal - n11 > n:
+        raise ValueError("the delay-0 count and the singles do not fit in the bins")
+    h, s = herald / n, signal / n
+    window = float(counts[start : start + m].sum())
+    # plug-in per-bin law; an empty delay 0 or window reads as one count
+    p, w, a, j = max(n11, 1.0) / n, max(window, 1.0) / n, h * s, m - 1
+    c, x = p - a, s * (1 - h) + h * (1 - s)
+    var_w = p * (1 - p) + j * a * (1 - a + 2 * c) + 2 * j * p * x + j * (j - 1) * a * (x + 2 * c)
+    cov_wh = p * (1 - h) + j * (a * (1 - h) + h * c)
+    cov_ws = p * (1 - s) + j * (a * (1 - s) + s * c)
+    var_log = (var_w / w**2 + (1 - h) / h + (1 - s) / s - 2 * cov_wh / (w * h)
+               - 2 * cov_ws / (w * s) + 2 * c / a) / n
+    g2 = window / (m * histogram.accidental_level)
     return G2Record(
         g2=float(g2),
-        stderr=float(stderr),
+        stderr=float(g2 * np.sqrt(max(var_log, 0.0))),  # a law without spread rounds below 0
         window_ns=float(window_ns),
         resolution_ns=histogram.resolution_ns,
     )

@@ -196,31 +196,37 @@ def test_09_monte_carlo_validation():
     with criterion(9, "Monte Carlo vs analytic photon statistics"):
         start = time.perf_counter()
         bins = 10_000_000
-
-        # low-efficiency regime where the 2 + 1/mu law holds
-        model = q.SourceModel(0.55, 0.01, 0.01, bins=bins, seed=SEED)
-        record = q.g2_from_histogram(q.simulate_coincidences(model), 0.8)
-        target = 2.0 + 1.0 / 0.55
-        assert abs(record.g2 - target) < 3 * record.stderr, (
-            f"g2={record.g2:.4f} +- {record.stderr:.4f}, target {target:.4f}"
-        )
-
-        # noise admixture vs the mixing formula over a 3x3 grid
         eta = 0.05
+        # the low-efficiency source, then a pure and three noisy sources per mu
+        models = [q.SourceModel(0.55, 0.01, 0.01, bins=bins, seed=SEED)]
         for i, mu in enumerate((0.3, 0.55, 1.0)):
-            pure_model = q.SourceModel(mu, eta, eta, bins=bins, seed=SEED + 10 * i)
-            pure = q.g2_from_histogram(q.simulate_coincidences(pure_model), 0.8)
+            models.append(q.SourceModel(mu, eta, eta, bins=bins, seed=SEED + 10 * i))
             for j, zeta in enumerate((1.0, 2.1, 5.0)):
                 nu = q.noise_rate_for_intensity_ratio(mu, eta, zeta)
-                mixed_model = q.SourceModel(
-                    mu, eta, eta, nu, bins=bins, seed=SEED + 10 * i + j + 1
-                )
-                mixed = q.g2_from_histogram(q.simulate_coincidences(mixed_model), 0.8)
-                predicted = q.g2_out(pure.g2, zeta)
-                sigma = np.hypot(mixed.stderr, pure.stderr * zeta / (zeta + 1.0))
-                assert abs(mixed.g2 - predicted) < 3 * sigma, (
-                    f"mu={mu}, zeta={zeta}: mc {mixed.g2:.4f}, "
-                    f"mixing formula {predicted:.4f}, sigma {sigma:.4f}"
+                seed = SEED + 10 * i + j + 1
+                models.append(q.SourceModel(mu, eta, eta, nu, bins=bins, seed=seed))
+
+        # each Monte Carlo record against the exact click-level g2 of its own model
+        for model in models:
+            record = q.g2_from_histogram(q.simulate_coincidences(model), 0.8)
+            exact = q.thermal_source_g2(model.mean_pairs_per_bin, model.herald_efficiency,
+                                        model.signal_efficiency, model.noise_rate_per_bin)
+            assert abs(record.g2 - exact) < 3 * record.stderr, (
+                f"{model}: g2={record.g2:.4f} +- {record.stderr:.4f}, exact {exact:.4f}"
+            )
+
+        # the closed forms against the exact law: 2 + 1/mu at low efficiency, and the
+        # mixing formula over the 3x3 grid, within 2 % (worst 0.8 % and 1.2 %)
+        exact = q.thermal_source_g2(0.55, 0.01, 0.01)
+        assert abs(2.0 + 1.0 / 0.55 - exact) < 0.02 * exact
+        for mu in (0.3, 0.55, 1.0):
+            pure = q.thermal_source_g2(mu, eta, eta)
+            for zeta in (1.0, 2.1, 5.0):
+                nu = q.noise_rate_for_intensity_ratio(mu, eta, zeta)
+                mixed = q.thermal_source_g2(mu, eta, eta, nu)
+                assert abs(q.g2_out(pure, zeta) - mixed) < 0.02 * mixed, (
+                    f"mu={mu}, zeta={zeta}: mixing formula {q.g2_out(pure, zeta):.4f}, "
+                    f"exact {mixed:.4f}"
                 )
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"runtime {elapsed:.1f} s exceeds 2 min"

@@ -341,6 +341,16 @@ class TestG2Command:
         expected = thermal_source_g2(0.55, 0.1, 0.1)
         assert abs(payload["g2"] - expected) < 3 * payload["stderr"]
 
+    def test_mc_estimate_does_not_depend_on_the_span(self):
+        # the level comes from the singles: a one-bin span has no tails to average
+        narrow, wide = (
+            json.loads(run_cli("g2", "--param", "mc=1", "--param", "bins=1000000",
+                               "--param", f"span_bins={span}", "--seed", "6").stdout)
+            for span in (1, 30)
+        )
+        for key in ("g2", "stderr", "accidental_level"):
+            assert narrow[key] == wide[key]
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_window_past_the_last_delay_is_domain_error(self, fmt):
         # 32 bins from delay 0 at the default span of 30: a searched window printed g2 = 1.088
@@ -368,14 +378,17 @@ class TestCoincidenceRoundTrip:
         assert provenance["model"] == "coincidence"
         from cavityqfc import CoincidenceHistogram, g2_from_histogram, thermal_source_g2
 
-        counts = series.values
-        off = np.delete(counts, len(counts) // 2)
-        histogram = CoincidenceHistogram(
-            series.abscissa, counts, float(off.mean()), resolution_ns=0.8
-        )
+        singles = [float(provenance[key]) for key in ("herald_clicks", "signal_clicks", "bins")]
+        histogram = CoincidenceHistogram(series.abscissa, series.values, *singles,
+                                         resolution_ns=0.8)
         record = g2_from_histogram(histogram, 0.8)
         expected = thermal_source_g2(0.55, 0.1, 0.1)
         assert abs(record.g2 - expected) < 3 * record.stderr
+        # the file holds all that g2 reads: the same run's estimate, digit for digit
+        direct = json.loads(run_cli("g2", "--param", "mc=1", "--param", "bins=1000000",
+                                    "--seed", "31").stdout)
+        assert (record.g2, record.stderr) == (direct["g2"], direct["stderr"])
+        assert histogram.accidental_level == direct["accidental_level"]
 
 
 class TestDesignCommand:
@@ -565,8 +578,8 @@ _GOLDEN = {
                       "e38415730295f6032ad5e0c979710bf44f9b73a2982e66c72576d4fadbe222fa"),
     "generate_coincidence": (["generate", "--param", "model=coincidence",
                               "--param", "bins=1000000", "--seed", "7"],
-                             "e14a1819dc517785013772aa974b3e44d0cffb07d7f957811b09e3e21f67e618",
-                             "7d45d5ad8fca1997c186c352c0327cc8a2695736e201e734d1187a6accc07b1c"),
+                             "843abda6d8d39397a38770dc64d16c234875ee74b7bc94f6d295ef68fca45e0d",
+                             "a3ffaea49d8c96e48e0a2e0b23274e7c4a2256bc6b5446b8bbe6b20ea2cc358e"),
 }
 
 

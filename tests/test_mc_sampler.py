@@ -193,6 +193,12 @@ class TestSamplerEdgeCases:
         assert np.array_equal(histogram.counts, np.zeros(11, dtype=np.int64))
         assert histogram.accidental_level == 0.0
 
+    def test_singles_are_the_clicks_of_each_arm(self):
+        model = SourceModel(*ACCEPTANCE, bins=1_000_000, seed=11)  # several pieces of clicks
+        herald, signal = sample_clicks(model)
+        histogram = simulate_coincidences(model, delay_span_bins=3)
+        assert (histogram.herald_clicks, histogram.signal_clicks) == (herald.size, signal.size)
+
     def test_tiny_click_probability_does_not_overflow(self):
         # gaps drawn at q ~ 1e-21 saturate int64; the walk must still end cleanly
         model = SourceModel(1e-12, 1e-9, 1e-9, bins=10**9, seed=2)

@@ -86,7 +86,8 @@ CAV, NOISE = PRESET.cavity, PRESET.noise()
 DRIVE = PumpDrive(50.0, PRESET.alpha_tilde_per_mW)
 POWERS = np.linspace(10.0, 250.0, 12)
 NOISE_SCAN = ScanSeries(POWERS, noise_cavity_per_fsr(NOISE, POWERS), unit="mW")
-HISTOGRAM = CoincidenceHistogram(np.arange(-20, 21) * 0.8, np.full(41, 10.0), 10.0, 0.8)
+HISTOGRAM = CoincidenceHistogram(np.arange(-20, 21) * 0.8, np.full(41, 10.0), 1000.0, 1000.0,
+                                 100_000.0, 0.8)
 
 # law, valid keyword arguments, the float parameters among them
 LAWS = [
@@ -389,7 +390,8 @@ CONSTRUCTORS = [
                    "seed": 1},
      {"herald_efficiency": 1.2}, r"herald_efficiency must lie in \[0, 1\]"),
     (CoincidenceHistogram, {"delay_bins_ns": 0.8 * _GRID, "counts": np.full(5, 10.0),
-                            "accidental_level": 10.0, "resolution_ns": 0.8,
+                            "herald_clicks": 1000.0, "signal_clicks": 1000.0,
+                            "bins": 100_000.0, "resolution_ns": 0.8,
                             "low_statistics": False},
      {"resolution_ns": 0.0}, "resolution_ns must be positive"),
     (Preset, {"name": "test", "cavity": CAV, "alpha_tilde_per_mW": 1.0 / 144.0,

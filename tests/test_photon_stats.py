@@ -421,9 +421,15 @@ class TestRecordsHoldFiniteValues:
             ("counts", np.nan),
             ("counts", np.inf),
             ("counts", -1.0),
-            ("accidental_level", np.nan),
-            ("accidental_level", np.inf),
-            ("accidental_level", -1.0),
+            ("herald_clicks", np.nan),
+            ("herald_clicks", np.inf),
+            ("herald_clicks", -1.0),
+            ("signal_clicks", np.nan),
+            ("signal_clicks", np.inf),
+            ("signal_clicks", -1.0),
+            ("bins", np.nan),
+            ("bins", np.inf),
+            ("bins", 0.0),
             ("resolution_ns", np.nan),
             ("resolution_ns", np.inf),
             ("resolution_ns", 0.0),
@@ -434,7 +440,9 @@ class TestRecordsHoldFiniteValues:
         kwargs = {
             "delay_bins_ns": np.arange(-2.0, 3.0) * 0.8,
             "counts": np.array([10.0, 10.0, 30.0, 10.0, 10.0]),
-            "accidental_level": 10.0,
+            "herald_clicks": 1000.0,
+            "signal_clicks": 1000.0,
+            "bins": 100_000.0,
             "resolution_ns": 0.8,
         }
         if np.ndim(kwargs[field]):
@@ -451,8 +459,9 @@ class TestG2FromHistogram:
         counts = np.asarray(counts, dtype=np.int64)
         k = len(counts) // 2
         delays = (np.arange(len(counts)) - k) * resolution
-        off = np.delete(counts, k)
-        return CoincidenceHistogram(delays, counts, float(off.mean()), resolution)
+        bins = 10.0**8
+        singles = np.sqrt(np.delete(counts, k).mean() * bins)  # the off-delay mean as the level
+        return CoincidenceHistogram(delays, counts, singles, singles, bins, resolution)
 
     def test_flat_histogram_is_unity(self):
         record = g2_from_histogram(self.histogram([1000] * 41), 0.8)
@@ -482,14 +491,23 @@ class TestG2FromHistogram:
         with pytest.raises(ValueError, match="window_ns must be finite"):
             g2_from_histogram(self.histogram([10] * 41), window)
 
-    def test_needs_off_window_bins(self):
-        with pytest.raises(ValueError):
-            g2_from_histogram(self.histogram([10] * 9), 0.8)
-
     def test_zero_accidentals(self):
         counts = [0] * 20 + [5] + [0] * 20
         with pytest.raises(ValueError):
             g2_from_histogram(self.histogram(counts), 0.8)
+
+    @pytest.mark.parametrize("herald, n11", [(10, 50), (200, 5)], ids=["over_an_arm", "over_bins"])
+    def test_delay_zero_count_must_fit_the_singles(self, herald, n11):
+        histogram = CoincidenceHistogram(np.arange(-1, 2) * 0.8, np.array([1, n11, 1]), herald,
+                                         10, 100, 0.8)
+        with pytest.raises(ValueError, match="^the delay-0 count and the singles do not fit"):
+            g2_from_histogram(histogram, 0.8)
+
+    def test_an_arm_that_clicks_in_every_bin_gives_no_spread(self):
+        # 1/n11 - 1/H - 1/S + (2*g2 - 1)/N is 0 here, and rounds to just below it
+        histogram = CoincidenceHistogram(np.arange(-1, 2) * 0.8, np.array([0, 2, 0]), 2, 7, 7, 0.8)
+        record = g2_from_histogram(histogram, 0.8)
+        assert (record.g2, record.stderr) == (1.0, 0.0)
 
     def test_window_opens_at_delay_zero(self):
         # exact g2 1.499; a window searched for the highest total took the 17 counts at
@@ -501,19 +519,27 @@ class TestG2FromHistogram:
         assert record.g2 == histogram.counts[k] / histogram.accidental_level
         assert not record.nonclassical
 
-    @given(k=st.integers(10, 30), level=st.floats(1e-3, 1e6), data=st.data())
-    def test_g2_times_the_window_accidentals_is_the_window_counts(self, k, level, data):
+    @given(k=st.integers(1, 30), data=st.data())
+    def test_g2_times_the_window_accidentals_is_the_window_counts(self, k, data):
+        bins = data.draw(st.integers(1, 10**12))
+        herald, signal = data.draw(st.integers(1, bins)), data.draw(st.integers(1, bins))
         counts = data.draw(st.lists(st.integers(0, 10**6), min_size=2 * k + 1,
                                     max_size=2 * k + 1))
-        assume(sum(counts) > counts[k])
-        histogram = CoincidenceHistogram(np.arange(-k, k + 1) * 0.8, np.array(counts), level, 0.8)
+        # a delay-0 count the singles allow: no more than either arm, and room in the bins
+        counts[k] = data.draw(st.integers(max(0, herald + signal - bins), min(herald, signal)))
+        histogram = CoincidenceHistogram(np.arange(-k, k + 1) * 0.8, np.array(counts),
+                                         herald, signal, bins, 0.8)
+        level = herald * signal / bins
+        assert histogram.accidental_level == level
         for m in range(1, k + 2):
             record = g2_from_histogram(histogram, 0.8 * m)
             assert record.g2 * m * level == pytest.approx(sum(counts[k : k + m]), rel=1e-12)
+            assert record.stderr >= 0
 
     def test_histogram_without_a_delay_zero_bin_is_rejected(self):
         flat = self.histogram([10] * 41)
-        shifted = CoincidenceHistogram(flat.delay_bins_ns + 0.4, flat.counts, 10.0, 0.8)
+        shifted = CoincidenceHistogram(flat.delay_bins_ns + 0.4, flat.counts, flat.herald_clicks,
+                                       flat.signal_clicks, flat.bins, 0.8)
         with pytest.raises(ValueError, match="^the histogram has no delay-0 bin"):
             g2_from_histogram(shifted, 0.8)
 
