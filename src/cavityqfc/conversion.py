@@ -114,14 +114,15 @@ def _named(name: str, value) -> list[str]:
 
 def _float_rule(law):
     """``law`` under ``_FLOAT_FAULTS``; a float fault or a non-finite result (a dataclass
-    checks its own fields) raises ``ValueError`` naming the law and its arguments."""
+    checks its own fields) raises ``ValueError`` naming the law and its arguments.  A
+    numpy scalar or 0-d array result is returned as the Python number it holds."""
     @functools.wraps(law)
     def checked(*args, **kwargs):
         try:
             with np.errstate(**_FLOAT_FAULTS):
                 result = law(*args, **kwargs)
             if _finite(result):
-                return result
+                return result.item() if getattr(result, "ndim", None) == 0 else result
         except (FloatingPointError, ZeroDivisionError, OverflowError):
             pass
         bound = inspect.signature(law).bind(*args, **kwargs).arguments.items()
@@ -290,8 +291,7 @@ def transmission_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
     detuning = np.asarray(detuning_MHz, dtype=float)
     coupling = drive.coupling
     d = detuning / cav.gamma_all_MHz
-    t = (0.5 * (1.0 - coupling) - 1j * d) / (0.5 * (1.0 + coupling) - 1j * d)
-    return t if np.ndim(t) else complex(t)
+    return (0.5 * (1.0 - coupling) - 1j * d) / (0.5 * (1.0 + coupling) - 1j * d)
 
 
 def conversion_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
@@ -307,8 +307,7 @@ def conversion_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
     coupling = drive.coupling
     d = detuning / cav.gamma_all_MHz
     numerator = np.sqrt(cav.gamma_r_ratio) * np.exp(-1j * drive.phase_rad) * np.sqrt(coupling)
-    r = numerator / (0.5 * (1.0 + coupling) - 1j * d)
-    return r if np.ndim(r) else complex(r)
+    return numerator / (0.5 * (1.0 + coupling) - 1j * d)
 
 
 def sample_response(cav: CavityParams, drive: PumpDrive, detunings_MHz) -> ConversionResponse:
@@ -357,7 +356,7 @@ def finesse_from_reflectances(
     rho = np.sqrt(r_front * r_rear) * (1.0 - internal_loss_per_pass)
     if rho >= 1.0:
         raise ValueError("lossless closed cavity: round-trip survival >= 1")
-    return float(np.pi * np.sqrt(rho) / (1.0 - rho))
+    return np.pi * np.sqrt(rho) / (1.0 - rho)
 
 
 def nocavity_efficiency(power_mW: float, B_per_mW: float) -> float:
@@ -368,7 +367,7 @@ def nocavity_efficiency(power_mW: float, B_per_mW: float) -> float:
     """
     power = _pump_power(power_mW)
     _require("positive", B_per_mW=B_per_mW)
-    return float(np.sin(np.sqrt(B_per_mW * power)) ** 2)
+    return np.sin(np.sqrt(B_per_mW * power)) ** 2
 
 
 def alpha_tilde_from_finesse(F_cold: float, B_per_mW: float) -> float:

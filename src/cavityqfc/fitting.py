@@ -388,7 +388,7 @@ def enhancement_factor(alpha_tilde: float, B_ref: float, L_ref: float, L: float)
     ``ValueError`` unless the factor is a normal float.
     """
     _require("positive", alpha_tilde=alpha_tilde, B_ref=B_ref, L_ref=L_ref, L=L)
-    return _normal(float(4.0 * alpha_tilde / B_ref * np.float64(L_ref / L) ** 2))
+    return _normal(4.0 * alpha_tilde / B_ref * np.float64(L_ref / L) ** 2)
 
 
 _guard(globals())

@@ -120,8 +120,7 @@ def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MH
     beta = noise.alpha_noise_cps_per_mW / (4.0 * np.pi * gamma_all_MHz * 1e-3)  # per GHz
     d = np.asarray(detuning_MHz, dtype=float) / gamma_all_MHz
     coupling = noise.alpha_tilde_per_mW * power
-    out = noise.gamma_r_ratio * beta * power / (0.25 * (1.0 + coupling) ** 2 + d * d)
-    return out if out.ndim else float(out)
+    return noise.gamma_r_ratio * beta * power / (0.25 * (1.0 + coupling) ** 2 + d * d)
 
 
 def _per_fsr(alpha_noise, gamma_r_ratio, alpha_tilde, power):
@@ -139,9 +138,8 @@ def noise_cavity_per_fsr(noise: NoiseParams, power_mW):
     shares.  Accepts scalar or array power; a scalar gives a float.
     """
     power = _pump_power(power_mW)
-    out = _per_fsr(noise.alpha_noise_cps_per_mW, noise.gamma_r_ratio,
-                   noise.alpha_tilde_per_mW, power)
-    return out if out.ndim else float(out)
+    return _per_fsr(noise.alpha_noise_cps_per_mW, noise.gamma_r_ratio,
+                    noise.alpha_tilde_per_mW, power)
 
 
 def noise_nocavity(alpha_noise: float, power_mW, bpf_GHz: float, fsr_GHz: float):
@@ -157,8 +155,7 @@ def noise_nocavity(alpha_noise: float, power_mW, bpf_GHz: float, fsr_GHz: float)
     _require("positive", bpf_GHz=bpf_GHz, fsr_GHz=fsr_GHz)
     if bpf_GHz > fsr_GHz:
         raise ValueError("bpf_GHz must not exceed fsr_GHz")
-    out = alpha_noise * power * bpf_GHz / fsr_GHz
-    return out if out.ndim else float(out)
+    return alpha_noise * power * bpf_GHz / fsr_GHz
 
 
 def half_noise_check(noise: NoiseParams, power_mW):
@@ -173,8 +170,7 @@ def half_noise_check(noise: NoiseParams, power_mW):
     zero = power == 0
     flat = noise.gamma_r_ratio * noise_nocavity(noise.alpha_noise_cps_per_mW, power, 1.0, 1.0)
     # both laws vanish at zero power, where the ratio is its limit 1/2
-    out = np.where(zero, 0.5, noise_cavity_per_fsr(noise, power) / np.where(zero, 1.0, flat))
-    return out if out.ndim else float(out)
+    return np.where(zero, 0.5, noise_cavity_per_fsr(noise, power) / np.where(zero, 1.0, flat))
 
 
 def beta_tilde_from(F_cold: float, alpha_noise: float, fsr: float) -> float:
@@ -243,11 +239,10 @@ def comb_rate_in_band(cav: CavityParams, noise: NoiseParams, power_mW, f_lo_GHz,
     if np.any(f_hi < f_lo):
         raise ValueError("f_hi_GHz must not be below f_lo_GHz")
     fsr_GHz, hwhm_ratio, total = _comb_scales(cav, noise, power_mW)
-    out = total * (
+    return total * (
         _wrapped_lorentzian_cdf(f_hi / fsr_GHz, hwhm_ratio)
         - _wrapped_lorentzian_cdf(f_lo / fsr_GHz, hwhm_ratio)
     )
-    return out if out.ndim else float(out)
 
 
 def comb_spectrum(

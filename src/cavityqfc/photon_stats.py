@@ -58,7 +58,6 @@ _CHUNK = 1 << 18  # clicking bins placed per skip-ahead draw
 _PIECE = 1 << 15  # clicks labelled and yielded at a time
 _SHRINK = 0.5  # share of later clicks still pairing below which passes index them
 _MAX_BINS = 1 << 44  # last + 2^18 * (bins + 1) and 16 * bins stay inside int64
-_LOW_STATISTICS_BINS = 10_000
 _MAX_OPERATIONS = 1 << 32  # expected clicks plus pairs within the span: minutes of work
 _MAX_SPAN_BYTES = 1 << 28  # pair codes, keys and histogram of the span: 256 MB
 
@@ -108,25 +107,42 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class CoincidenceHistogram:
-    """Delay-binned coincidence counts and the singles behind them: of ``bins`` time
-    bins, the herald arm clicked in ``herald_clicks`` and the signal arm in ``signal_clicks``.
-    They fix the level :func:`g2_from_histogram` divides by; a hand-built histogram states them."""
+    """What a coincidence run counted: ``counts`` over delays ``[-k, +k]`` bins of
+    ``resolution_ns``, and the singles behind them: of ``bins`` time bins, the herald arm
+    clicked in ``herald_clicks`` and the signal arm in ``signal_clicks``.  They fix the level
+    :func:`g2_from_histogram` divides by; a hand-built histogram states them.  The delay-0
+    count and the singles must fit in the bins: ``n11 <= min(H, S)`` and ``H + S - n11 <= N``.
+    The delay axis and the low-statistics flag are derived from these fields."""
 
-    delay_bins_ns: np.ndarray
     counts: np.ndarray
     herald_clicks: float
     signal_clicks: float
     bins: float
     resolution_ns: float
-    low_statistics: bool = False
 
     def __post_init__(self):
         _require_finite(self)
         _require("non-negative", counts=self.counts, herald_clicks=self.herald_clicks,
                  signal_clicks=self.signal_clicks)
         _require("positive", bins=self.bins, resolution_ns=self.resolution_ns)
-        if len(self.delay_bins_ns) != len(self.counts):
-            raise ValueError("delay axis and counts must have equal length")
+        if np.ndim(self.counts) != 1 or len(self.counts) % 2 == 0:
+            raise ValueError("counts must cover delays [-k, +k]: an odd number of them")
+        herald, signal = self.herald_clicks, self.signal_clicks
+        n11 = self.counts[len(self.counts) // 2]
+        if n11 > min(herald, signal) or herald + signal - n11 > self.bins:
+            raise ValueError("the delay-0 count and the singles do not fit in the bins")
+
+    @property
+    def delay_bins_ns(self) -> np.ndarray:
+        """The delay of each count, ``-k`` to ``+k`` bins of ``resolution_ns``."""
+        k = len(self.counts) // 2
+        return np.arange(-k, k + 1, dtype=float) * self.resolution_ns
+
+    @property
+    def low_statistics(self) -> bool:
+        """True when delay 0 holds fewer than 10 coincidences.  Delay 0 is the smallest
+        window :func:`g2_from_histogram` reads, so the flag is conservative for wider ones."""
+        return bool(self.counts[len(self.counts) // 2] < 10)
 
     @property
     def accidental_level(self) -> float:
@@ -205,7 +221,7 @@ def noise_rate_for_intensity_ratio(mu: float, eta_signal: float, zeta: float) ->
     noise_rate = signal_rate / zeta
     if noise_rate >= 1.0:
         raise ValueError("requested zeta implies a noise click rate of one or more")
-    return float(-np.log1p(-noise_rate))
+    return -np.log1p(-noise_rate)
 
 
 def _normalized_spectrum(offsets_GHz: np.ndarray, weights: np.ndarray) -> ScanSeries:
@@ -255,7 +271,7 @@ def broadband_conversion_efficiency(
     if abs(area - 1.0) > 1e-6:
         raise ValueError(f"photon spectrum must have unit area, got {area:.6g}")
     efficiency = np.interp(offsets_MHz, grid, np.abs(response.r_rs) ** 2)
-    return float(np.trapezoid(photon_spectrum.values * efficiency, photon_spectrum.abscissa))
+    return np.trapezoid(photon_spectrum.values * efficiency, photon_spectrum.abscissa)
 
 
 def _click_probabilities(model: SourceModel) -> tuple[float, float, float, float]:
@@ -484,24 +500,24 @@ def simulate_coincidences(
     minus = pairs[:, 9] + pairs[:, 11] + pairs[:, 13] + pairs[:, 15]
     counts = np.concatenate((minus[::-1], [both], plus))
     return CoincidenceHistogram(
-        delay_bins_ns=np.arange(-k, k + 1, dtype=float) * resolution_ns,
         counts=counts,
         herald_clicks=clicked - signal + both,
         signal_clicks=signal,
         bins=model.bins,
         resolution_ns=resolution_ns,
-        low_statistics=model.bins < _LOW_STATISTICS_BINS,
     )
 
 
 def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Record:
     """Estimate g2 as the counts at delays ``[0, m)`` over ``m * histogram.accidental_level``.
 
-    The window of ``m`` delay bins opens at delay 0, where the model puts every
-    correlated pair, and must end within the histogram.  The level is the singles'
+    The window of ``m`` delay bins opens at delay 0, the middle count, where the model
+    puts every correlated pair, and must end within the histogram.  The level is the singles'
     ``H*S/N``, so a one-bin g2 is ``n11*N/(H*S)``, :func:`thermal_source_g2`'s law on the
     run's own tallies.  The standard error is the delta method on ``log g2`` over the
     per-bin click law, to leading order in ``N``.  A wide window dilutes g2 toward one.
+    Where ``histogram.low_statistics`` is set, delay 0 holds fewer than 10 counts and the
+    error is no longer one sigma.
     """
     _require("finite", window_ns=window_ns)
     m_float = window_ns / histogram.resolution_ns
@@ -509,10 +525,7 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
     if m < 1 or abs(m_float - m) > 1e-9:
         raise ValueError("window_ns must be a positive integer multiple of the resolution")
     counts = np.asarray(histogram.counts)
-    zero = np.flatnonzero(np.asarray(histogram.delay_bins_ns) == 0.0)
-    if not zero.size:
-        raise ValueError("the histogram has no delay-0 bin to open the window at")
-    start = int(zero[0])
+    start = len(counts) // 2
     if start + m > len(counts):
         raise ValueError(f"window_ns={window_ns:g} runs past the last delay: at most "
                          f"{(len(counts) - start) * histogram.resolution_ns:g} ns from delay 0")
@@ -520,8 +533,6 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
     herald, signal = histogram.herald_clicks, histogram.signal_clicks
     if herald == 0 or signal == 0:
         raise ValueError("zero accidental counts: g2 ratio undefined")
-    if n11 > min(herald, signal) or herald + signal - n11 > n:
-        raise ValueError("the delay-0 count and the singles do not fit in the bins")
     h, s = herald / n, signal / n
     window = float(counts[start : start + m].sum())
     # plug-in per-bin law; an empty delay 0 or window reads as one count

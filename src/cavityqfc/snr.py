@@ -91,7 +91,7 @@ def _sinc(x):
     out = np.ones_like(x)
     nz = x != 0
     out[nz] = np.sin(x[nz]) / x[nz]
-    return out if out.ndim else float(out)
+    return out
 
 
 def snr_cav(power_mW, alpha_tilde: float, alpha_noise: float):
@@ -99,8 +99,7 @@ def snr_cav(power_mW, alpha_tilde: float, alpha_noise: float):
     power = _pump_power(power_mW)
     _require("positive", alpha_tilde=alpha_tilde, alpha_noise=alpha_noise)
     # float_power is libm pow for scalars and arrays; ndarray ** 2 may differ by 1 ulp
-    out = 8.0 * alpha_tilde / (alpha_noise * np.float_power(1.0 + alpha_tilde * power, 2))
-    return out if out.ndim else float(out)
+    return 8.0 * alpha_tilde / (alpha_noise * np.float_power(1.0 + alpha_tilde * power, 2))
 
 
 def snr_nocav(power_mW, B: float, alpha_noise: float, band_ratio: float):
@@ -108,8 +107,7 @@ def snr_nocav(power_mW, B: float, alpha_noise: float, band_ratio: float):
     power = _pump_power(power_mW)
     _require("positive", B=B, alpha_noise=alpha_noise)
     _require("(0, 1]", band_ratio=band_ratio)
-    out = B * np.float_power(_sinc(np.sqrt(B * power)), 2) / (alpha_noise * band_ratio)
-    return out if out.ndim else float(out)
+    return B * np.float_power(_sinc(np.sqrt(B * power)), 2) / (alpha_noise * band_ratio)
 
 
 _B = np.pi**2 / 4.0  # B/alpha_noise of the normalized curves
@@ -158,7 +156,7 @@ def cavity_dominates(F_cold: float, efficiencies=None) -> bool:
     _require("[0, 1]", efficiencies=eff)
     u = np.sqrt(1.0 - eff)
     snr_c, snr_n = _normalized_snr(F_cold, (1.0 - u) / (1.0 + u), np.arcsin(np.sqrt(eff)))
-    return bool(np.all(snr_c >= snr_n))
+    return np.all(snr_c >= snr_n)
 
 
 def min_finesse_for_dominance(tolerance: float = 1e-3) -> float:

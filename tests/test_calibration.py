@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from cavityqfc.photon_stats import (SourceModel, _click_probabilities, expected_histogram,
-                                    g2_from_histogram, simulate_coincidences)
+                                    g2_from_histogram, simulate_coincidences, thermal_source_g2)
 
 SEEDS = range(1, 101)
+SPARSE = (0.01, 0.5, 0.002, 0.001)  # delay 0 expects 4.5 counts in 3e5 bins, 15 in 1e6
 
 
 @pytest.mark.parametrize("params", [(0.55, 0.1, 0.1, 0.01), (1.0, 0.1, 0.1, 0.0)],
@@ -24,6 +25,7 @@ def test_g2_stderr_is_one_sigma(params):
         level = model.bins * (p10 + p11) * (p01 + p11)  # the exact level behind H*S/N
         expected = expected_histogram(model, 1)
         histogram = simulate_coincidences(model, delay_span_bins=6)
+        assert not histogram.low_statistics
         for m, scores in z.items():
             record = g2_from_histogram(histogram, 0.8 * m)
             exact = expected[1 : 1 + m].sum() / (m * level)  # the window's ratio from delay 0
@@ -32,3 +34,17 @@ def test_g2_stderr_is_one_sigma(params):
         mean, spread = np.mean(scores), np.std(scores, ddof=1)
         assert abs(mean) < 0.2, f"window of {m}: z mean {mean:.3f}"
         assert 0.8 <= spread <= 1.25, f"window of {m}: z spread {spread:.3f}"
+
+
+@pytest.mark.parametrize("bins", [300_000, 1_000_000])
+def test_low_statistics_flags_every_estimate_beyond_3_sigma(bins):
+    # where delay 0 holds few counts the error is not one sigma: at 3e5 bins 13 of 200
+    # seeds land beyond 3 stderr, where one sigma would put 0.5
+    exact = thermal_source_g2(*SPARSE)
+    flags = []
+    for seed in range(1, 201):
+        histogram = simulate_coincidences(SourceModel(*SPARSE, bins=bins, seed=seed), 1)
+        record = g2_from_histogram(histogram, 0.8)
+        if abs(record.g2 - exact) > 3 * record.stderr:
+            flags.append(histogram.low_statistics)
+    assert flags and all(flags), f"{sum(flags)} of {len(flags)} beyond 3 stderr flagged"

@@ -362,6 +362,21 @@ class TestG2Command:
         run_cli("g2", "--param", "mc=1", "--param", "bins=20000", "--param", "window_ns=24.8",
                 "--format", fmt)
 
+    @pytest.mark.parametrize(
+        "params, flagged",
+        [
+            # 5000 bins at eta 0.5 hold 694 coincidences at delay 0
+            (["bins=5000", "eta_herald=0.5", "eta_signal=0.5"], False),
+            # 3e5 sparse bins hold 4 where 4.5 are expected
+            (["mu=0.01", "eta_herald=0.5", "eta_signal=0.002", "nu=0.001", "bins=300000"], True),
+        ],
+        ids=["few_bins_many_counts", "many_bins_few_counts"],
+    )
+    def test_low_statistics_reads_the_delay_zero_count(self, params, flagged):
+        args = [arg for param in params for arg in ("--param", param)]
+        payload = json.loads(run_cli("g2", "--param", "mc=1", *args, "--seed", "1").stdout)
+        assert payload["low_statistics"] is flagged
+
     @pytest.mark.parametrize("key", ["shards", "workers"])
     def test_parallel_plan_keys_are_usage_errors(self, key):
         result = run_cli("g2", "--param", "mc=1", "--param", f"{key}=2", expect=2)
@@ -377,10 +392,12 @@ class TestCoincidenceRoundTrip:
         assert series.unit == "ns"
         assert provenance["model"] == "coincidence"
         from cavityqfc import CoincidenceHistogram, g2_from_histogram, thermal_source_g2
+        from cavityqfc.dataio import fmt
 
         singles = [float(provenance[key]) for key in ("herald_clicks", "signal_clicks", "bins")]
-        histogram = CoincidenceHistogram(series.abscissa, series.values, *singles,
-                                         resolution_ns=0.8)
+        histogram = CoincidenceHistogram(series.values, *singles, resolution_ns=0.8)
+        # the file's delay column is the derived axis, written at 12 digits
+        assert series.abscissa.tolist() == [float(fmt(d)) for d in histogram.delay_bins_ns]
         record = g2_from_histogram(histogram, 0.8)
         expected = thermal_source_g2(0.55, 0.1, 0.1)
         assert abs(record.g2 - expected) < 3 * record.stderr

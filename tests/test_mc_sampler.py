@@ -58,7 +58,8 @@ def stream_histogram(clicks, labels, cuts, k, shrink=photon_stats._SHRINK):
         patch.setattr(photon_stats, "_SHRINK", shrink)
         patch.setattr(photon_stats, "_click_chunks", lambda model: (
             (clicks[lo:hi], labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo))
-        model = SourceModel(0.5, 0.5, 0.5, bins=max(k, 100), seed=0)
+        # the run's bins hold every click, so its singles fit the histogram's rule
+        model = SourceModel(0.5, 0.5, 0.5, bins=max(k, 100, int(clicks.max(initial=0)) + 1), seed=0)
         return simulate_coincidences(model, delay_span_bins=k).counts
 
 
@@ -374,10 +375,10 @@ class TestExponentialGaps:
             (ACCEPTANCE, 3_000_000),  # two chunks
             (LOW_EFFICIENCY, 50_000_000),  # two chunks
             ((1.0, 0.05, 0.05, 0.0), 1_000_000),  # acceptance 09
-            ((0.55, 0.5, 0.5, 0.0), 5_000),  # low statistics, q = 0.29
+            ((0.55, 0.5, 0.5, 0.0), 5_000),  # few bins, q = 0.29
             (ACCEPTANCE, 200_000),  # the pinned realization
         ],
-        ids=["dense", "sparse", "acceptance09", "low_statistics", "pinned"],
+        ids=["dense", "sparse", "acceptance09", "bins_5000", "pinned"],
     )
     def test_same_clicks_as_rng_geometric_below_a_third(self, params, bins):
         # numpy draws geometric gaps as ceil(E / -log1p(-q)) below q = 1/3

@@ -275,11 +275,13 @@ class TestSimulator:
         ]
         assert simulate_coincidences(model).counts.tolist() == expected
 
-    def test_low_statistics_flag(self):
-        small = SourceModel(0.55, 0.5, 0.5, bins=5_000, seed=1)
-        assert simulate_coincidences(small).low_statistics
-        bigger = SourceModel(0.55, 0.5, 0.5, bins=20_000, seed=1)
-        assert not simulate_coincidences(bigger).low_statistics
+    def test_low_statistics_reads_the_delay_zero_count(self):
+        # a few bins may hold many coincidences, and many bins only a few
+        few_bins = simulate_coincidences(SourceModel(0.55, 0.5, 0.5, bins=5_000, seed=1))
+        assert few_bins.counts[30] >= 10 and not few_bins.low_statistics
+        sparse = SourceModel(0.01, 0.5, 0.002, 0.001, bins=300_000, seed=1)  # 4.5 expected
+        many_bins = simulate_coincidences(sparse)
+        assert many_bins.counts[30] < 10 and many_bins.low_statistics
 
     def test_peak_sits_at_zero_delay(self):
         model = SourceModel(0.55, 0.3, 0.3, bins=500_000, seed=9)
@@ -416,8 +418,6 @@ class TestRecordsHoldFiniteValues:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("delay_bins_ns", np.nan),
-            ("delay_bins_ns", np.inf),
             ("counts", np.nan),
             ("counts", np.inf),
             ("counts", -1.0),
@@ -437,14 +437,7 @@ class TestRecordsHoldFiniteValues:
         ],
     )
     def test_coincidence_histogram(self, field, value):
-        kwargs = {
-            "delay_bins_ns": np.arange(-2.0, 3.0) * 0.8,
-            "counts": np.array([10.0, 10.0, 30.0, 10.0, 10.0]),
-            "herald_clicks": 1000.0,
-            "signal_clicks": 1000.0,
-            "bins": 100_000.0,
-            "resolution_ns": 0.8,
-        }
+        kwargs = self.histogram_fields()
         if np.ndim(kwargs[field]):
             kwargs[field][1] = value
         else:
@@ -452,16 +445,42 @@ class TestRecordsHoldFiniteValues:
         with pytest.raises(ValueError, match=field):
             CoincidenceHistogram(**kwargs)
 
+    @staticmethod
+    def histogram_fields():
+        return {
+            "counts": np.array([10.0, 10.0, 30.0, 10.0, 10.0]),
+            "herald_clicks": 1000.0,
+            "signal_clicks": 1000.0,
+            "bins": 100_000.0,
+            "resolution_ns": 0.8,
+        }
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"counts": np.full(4, 10.0)}, "^counts must cover delays \\[-k, \\+k\\]"),
+            ({"counts": 10.0}, "^counts must cover delays"),
+            ({"herald_clicks": 29.0}, "^the delay-0 count and the singles do not fit"),
+            ({"bins": 1_969.0}, "^the delay-0 count and the singles do not fit"),
+        ],
+        ids=["even_length", "scalar", "over_an_arm", "over_bins"],
+    )
+    def test_coincidence_histogram_counts_fit_the_run(self, changes, message):
+        fields = self.histogram_fields()  # n11 = 30 and H = S = 1000
+        CoincidenceHistogram(**{**fields, "herald_clicks": 30.0})  # the bounds hold: n11 = H
+        CoincidenceHistogram(**{**fields, "bins": 1_970.0})  # and H + S - n11 = N
+        with pytest.raises(ValueError, match=message):
+            CoincidenceHistogram(**{**fields, **changes})
+
 
 class TestG2FromHistogram:
     @staticmethod
     def histogram(counts, resolution=0.8):
         counts = np.asarray(counts, dtype=np.int64)
-        k = len(counts) // 2
-        delays = (np.arange(len(counts)) - k) * resolution
         bins = 10.0**8
-        singles = np.sqrt(np.delete(counts, k).mean() * bins)  # the off-delay mean as the level
-        return CoincidenceHistogram(delays, counts, singles, singles, bins, resolution)
+        # the off-delay mean as the level
+        singles = np.sqrt(np.delete(counts, len(counts) // 2).mean() * bins)
+        return CoincidenceHistogram(counts, singles, singles, bins, resolution)
 
     def test_flat_histogram_is_unity(self):
         record = g2_from_histogram(self.histogram([1000] * 41), 0.8)
@@ -492,20 +511,12 @@ class TestG2FromHistogram:
             g2_from_histogram(self.histogram([10] * 41), window)
 
     def test_zero_accidentals(self):
-        counts = [0] * 20 + [5] + [0] * 20
-        with pytest.raises(ValueError):
-            g2_from_histogram(self.histogram(counts), 0.8)
-
-    @pytest.mark.parametrize("herald, n11", [(10, 50), (200, 5)], ids=["over_an_arm", "over_bins"])
-    def test_delay_zero_count_must_fit_the_singles(self, herald, n11):
-        histogram = CoincidenceHistogram(np.arange(-1, 2) * 0.8, np.array([1, n11, 1]), herald,
-                                         10, 100, 0.8)
-        with pytest.raises(ValueError, match="^the delay-0 count and the singles do not fit"):
-            g2_from_histogram(histogram, 0.8)
+        with pytest.raises(ValueError, match="^zero accidental counts"):
+            g2_from_histogram(self.histogram([0] * 41), 0.8)
 
     def test_an_arm_that_clicks_in_every_bin_gives_no_spread(self):
         # 1/n11 - 1/H - 1/S + (2*g2 - 1)/N is 0 here, and rounds to just below it
-        histogram = CoincidenceHistogram(np.arange(-1, 2) * 0.8, np.array([0, 2, 0]), 2, 7, 7, 0.8)
+        histogram = CoincidenceHistogram(np.array([0, 2, 0]), 2, 7, 7, 0.8)
         record = g2_from_histogram(histogram, 0.8)
         assert (record.g2, record.stderr) == (1.0, 0.0)
 
@@ -527,21 +538,15 @@ class TestG2FromHistogram:
                                     max_size=2 * k + 1))
         # a delay-0 count the singles allow: no more than either arm, and room in the bins
         counts[k] = data.draw(st.integers(max(0, herald + signal - bins), min(herald, signal)))
-        histogram = CoincidenceHistogram(np.arange(-k, k + 1) * 0.8, np.array(counts),
-                                         herald, signal, bins, 0.8)
+        histogram = CoincidenceHistogram(np.array(counts), herald, signal, bins, 0.8)
         level = herald * signal / bins
         assert histogram.accidental_level == level
+        assert histogram.low_statistics == (counts[k] < 10)
+        assert np.array_equal(histogram.delay_bins_ns, np.arange(-k, k + 1) * 0.8)
         for m in range(1, k + 2):
             record = g2_from_histogram(histogram, 0.8 * m)
             assert record.g2 * m * level == pytest.approx(sum(counts[k : k + m]), rel=1e-12)
             assert record.stderr >= 0
-
-    def test_histogram_without_a_delay_zero_bin_is_rejected(self):
-        flat = self.histogram([10] * 41)
-        shifted = CoincidenceHistogram(flat.delay_bins_ns + 0.4, flat.counts, flat.herald_clicks,
-                                       flat.signal_clicks, flat.bins, 0.8)
-        with pytest.raises(ValueError, match="^the histogram has no delay-0 bin"):
-            g2_from_histogram(shifted, 0.8)
 
     def test_window_past_the_last_delay_is_rejected(self):
         flat = self.histogram([10] * 41)  # delays -16 to +16 ns
