@@ -18,6 +18,13 @@ the convention is self-consistent.  Free spectral ranges are quoted in MHz
 inside :class:`CavityParams` and in GHz by the conversion helpers, powers in
 mW, vacuum wavelengths in nm.
 
+Two device laws are stated once here, as unchecked kernels that the other
+modules call: ``_half_width``, the pump-broadened half-width ``(1+C)/2`` in
+cold linewidths, read by both amplitudes, :func:`power_broadened_fwhm` and
+the noise spectra of ``noise``; and ``_efficiency``, the on-resonance law
+``4*g*C/(1+C)^2``, read by :func:`peak_efficiency` and the cavity curve of
+``snr.normalized_snr_curves``.  The third, the noise slope, is ``noise._slope``.
+
 Each public law here and in ``noise``, ``snr``, ``photon_stats`` and
 ``fitting`` runs under ``_float_rule``: a float fault in its arithmetic, or a
 non-finite result, raises ``ValueError`` naming the innermost law.
@@ -279,6 +286,16 @@ class ConversionResponse:
             raise ValueError("grid and amplitude arrays must have equal length")
 
 
+def _half_width(coupling):
+    """Half-width ``(1+C)/2`` of the pump-broadened line in cold linewidths, unchecked."""
+    return 0.5 * (1.0 + coupling)
+
+
+def _efficiency(gamma_r_ratio, coupling):
+    """The on-resonance efficiency law of :func:`peak_efficiency`, unchecked."""
+    return 4.0 * gamma_r_ratio * coupling / (1.0 + coupling) ** 2
+
+
 def transmission_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
     """Complex amplitude for the signal to pass unconverted.
 
@@ -291,7 +308,7 @@ def transmission_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
     detuning = np.asarray(detuning_MHz, dtype=float)
     coupling = drive.coupling
     d = detuning / cav.gamma_all_MHz
-    return (0.5 * (1.0 - coupling) - 1j * d) / (0.5 * (1.0 + coupling) - 1j * d)
+    return (0.5 * (1.0 - coupling) - 1j * d) / (_half_width(coupling) - 1j * d)
 
 
 def conversion_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
@@ -307,7 +324,7 @@ def conversion_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
     coupling = drive.coupling
     d = detuning / cav.gamma_all_MHz
     numerator = np.sqrt(cav.gamma_r_ratio) * np.exp(-1j * drive.phase_rad) * np.sqrt(coupling)
-    return numerator / (0.5 * (1.0 + coupling) - 1j * d)
+    return numerator / (_half_width(coupling) - 1j * d)
 
 
 def sample_response(cav: CavityParams, drive: PumpDrive, detunings_MHz) -> ConversionResponse:
@@ -328,13 +345,12 @@ def peak_efficiency(drive: PumpDrive, gamma_r_ratio: float) -> float:
     exactly at ``P = 1/alpha_tilde``.
     """
     _require("[0, 1]", gamma_r_ratio=gamma_r_ratio)
-    coupling = drive.coupling
-    return 4.0 * gamma_r_ratio * coupling / (1.0 + coupling) ** 2
+    return _efficiency(gamma_r_ratio, drive.coupling)
 
 
 def power_broadened_fwhm(cav: CavityParams, drive: PumpDrive) -> float:
     """Pump-broadened resonance width ``gamma_all * (1 + C)`` in MHz."""
-    return cav.gamma_all_MHz * (1.0 + drive.coupling)
+    return cav.gamma_all_MHz * (2.0 * _half_width(drive.coupling))
 
 
 def fsr_from_length(length_mm: float, group_index: float) -> float:

@@ -10,7 +10,10 @@ intracavity up-conversion makes the total per free spectral range saturate,
 
 The cavity SNR of ``snr.snr_cav`` divides by the tangent of this law at low
 power, ``gamma_r_ratio * alpha_noise * P / 2``, not by ``N(P)``; by ``N(P)``
-it would be larger by ``1 + alpha_tilde * P``.
+it would be larger by ``1 + alpha_tilde * P``.  That slope is stated once, as
+``_slope`` beside the saturating kernel ``_per_fsr``, and both read it.  The
+single tooth and the comb take their pump-broadened half-width from
+``conversion._half_width``.
 
 ``alpha_noise`` is defined as the no-cavity AS rate per mW collected in one
 full FSR-wide band, so bandpass ratios enter explicitly.  The comb is a sum
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import (CavityParams, _centered_grid, _float_rule, _guard, _pump_power, _require,
-                         _require_finite)
+from .conversion import (CavityParams, _centered_grid, _float_rule, _guard, _half_width,
+                         _pump_power, _require, _require_finite)
 
 __all__ = [
     "NoiseParams",
@@ -119,13 +122,18 @@ def as_spectral_density(noise: NoiseParams, power_mW, detuning_MHz, gamma_all_MH
     _require("positive", gamma_all_MHz=gamma_all_MHz)
     beta = noise.alpha_noise_cps_per_mW / (4.0 * np.pi * gamma_all_MHz * 1e-3)  # per GHz
     d = np.asarray(detuning_MHz, dtype=float) / gamma_all_MHz
-    coupling = noise.alpha_tilde_per_mW * power
-    return noise.gamma_r_ratio * beta * power / (0.25 * (1.0 + coupling) ** 2 + d * d)
+    half_width = _half_width(noise.alpha_tilde_per_mW * power)
+    return noise.gamma_r_ratio * beta * power / (half_width**2 + d * d)
+
+
+def _slope(alpha_noise, gamma_r_ratio):
+    """Low-power slope ``g*alpha_noise/2`` of the cavity noise law, unchecked."""
+    return gamma_r_ratio * alpha_noise / 2.0
 
 
 def _per_fsr(alpha_noise, gamma_r_ratio, alpha_tilde, power):
     """The saturating law of :func:`noise_cavity_per_fsr`, unchecked."""
-    return gamma_r_ratio * alpha_noise * power / (2.0 * (1.0 + alpha_tilde * power))
+    return _slope(alpha_noise, gamma_r_ratio) * power / (1.0 + alpha_tilde * power)
 
 
 def noise_cavity_per_fsr(noise: NoiseParams, power_mW):
@@ -206,9 +214,8 @@ def _wrapped_lorentzian_cdf(u, hwhm_ratio: float):
 
 def _comb_scales(cav: CavityParams, noise: NoiseParams, power_mW):
     """FSR in GHz, pump-broadened tooth half-width in FSR units, per-FSR total."""
-    hwhm_ratio = cav.gamma_all_MHz * (1.0 + noise.alpha_tilde_per_mW * power_mW) / (
-        2.0 * cav.fsr_MHz
-    )
+    coupling = noise.alpha_tilde_per_mW * power_mW
+    hwhm_ratio = cav.gamma_all_MHz * _half_width(coupling) / cav.fsr_MHz
     return cav.fsr_MHz * 1e-3, hwhm_ratio, noise_cavity_per_fsr(noise, power_mW)
 
 

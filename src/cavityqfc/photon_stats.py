@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import (ConversionResponse, _centered_grid, _guard, _is_integer, _require,
-                         _require_finite)
+from .conversion import (_FLOAT_FAULTS, ConversionResponse, _centered_grid, _finite, _guard,
+                         _is_integer, _require, _require_finite)
 from .errors import CoverageError
 from .fitting import ScanSeries
 
@@ -127,6 +127,14 @@ class CoincidenceHistogram:
         _require("positive", bins=self.bins, resolution_ns=self.resolution_ns)
         if np.ndim(self.counts) != 1 or len(self.counts) % 2 == 0:
             raise ValueError("counts must cover delays [-k, +k]: an odd number of them")
+        try:
+            with np.errstate(**_FLOAT_FAULTS):
+                level = self.accidental_level
+        except (FloatingPointError, OverflowError):  # OverflowError: an integer quotient
+            level = math.inf
+        if not _finite(level):
+            raise ValueError("the accidental level herald_clicks * signal_clicks / bins "
+                             "must be finite")
         herald, signal = self.herald_clicks, self.signal_clicks
         n11 = self.counts[len(self.counts) // 2]
         if n11 > min(herald, signal) or herald + signal - n11 > self.bins:

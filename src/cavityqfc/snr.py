@@ -10,7 +10,10 @@ leaving
     SNR_cav   = 8*alpha_tilde / (alpha_noise * (1 + alpha_tilde*P)^2),
     SNR_nocav = B * sinc^2(sqrt(B*P)) / (alpha_noise * bpf/fsr),
 
-with ``sinc(x) = sin(x)/x``.  Normalized curves use ``B/alpha_noise =
+with ``sinc(x) = sin(x)/x``.  ``snr_cav`` is the efficiency over that noise,
+``4*alpha_tilde / (noise._slope(alpha_noise, 1) * (1 + alpha_tilde*P)^2)``,
+and the cavity curve's efficiency axis is ``conversion._efficiency``, the law
+of ``peak_efficiency``.  Normalized curves use ``B/alpha_noise =
 pi^2/4`` so the no-cavity SNR equals one at unit efficiency, which makes
 the cavity advantage read off directly: the cavity curve sits at
 ``F*pi/2`` for vanishing efficiency and ``F*pi/8`` at full conversion, so
@@ -29,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import (_guard, _pump_power, _require, _require_finite,
+from .conversion import (_efficiency, _guard, _is_integer, _pump_power, _require, _require_finite,
                          alpha_tilde_from_finesse, bandwidth_nm_to_GHz)
 from .errors import NumericFailure
-from .noise import spdc_antiresonant_suppression
+from .noise import _slope, spdc_antiresonant_suppression
 
 __all__ = [
     "SnrCurve",
@@ -99,7 +102,8 @@ def snr_cav(power_mW, alpha_tilde: float, alpha_noise: float):
     power = _pump_power(power_mW)
     _require("positive", alpha_tilde=alpha_tilde, alpha_noise=alpha_noise)
     # float_power is libm pow for scalars and arrays; ndarray ** 2 may differ by 1 ulp
-    return 8.0 * alpha_tilde / (alpha_noise * np.float_power(1.0 + alpha_tilde * power, 2))
+    broadening = np.float_power(1.0 + alpha_tilde * power, 2)
+    return 4.0 * alpha_tilde / (_slope(alpha_noise, 1.0) * broadening)
 
 
 def snr_nocav(power_mW, B: float, alpha_noise: float, band_ratio: float):
@@ -130,14 +134,14 @@ def normalized_snr_curves(F_cold: float, grid_size: int = 256) -> tuple[SnrCurve
     use ``B/alpha_noise = pi^2/4`` so the no-cavity value at unit
     efficiency is exactly one.
     """
-    if grid_size < 32:
-        raise ValueError("grid_size must be at least 32")
+    if not _is_integer(grid_size) or grid_size < 32:
+        raise ValueError(f"grid_size must be an integer of at least 32, got {grid_size!r}")
     if grid_size > 1_000_000:
         raise ValueError("grid_size must be at most 1000000")
     x = np.linspace(0.0, 1.0, grid_size)  # alpha_tilde * P
     y = np.linspace(0.0, np.pi / 2.0, grid_size)  # sqrt(B * P)
     snr_c, snr_n = _normalized_snr(F_cold, x, y)
-    cavity = SnrCurve(4.0 * x / (1.0 + x) ** 2, snr_c, label=f"cavity F={F_cold:g}")
+    cavity = SnrCurve(_efficiency(1.0, x), snr_c, label=f"cavity F={F_cold:g}")
     nocavity = SnrCurve(np.sin(y) ** 2, snr_n, label="no cavity")
     return cavity, nocavity
 

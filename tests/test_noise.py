@@ -13,6 +13,7 @@ from cavityqfc import (
     PRESETS,
     CavityParams,
     NoiseParams,
+    PumpDrive,
     as_spectral_density,
     beta_tilde_from,
     comb_density,
@@ -22,6 +23,7 @@ from cavityqfc import (
     noise_cavity_per_fsr,
     noise_nocavity,
     normalized_noise_coefficient,
+    power_broadened_fwhm,
     spdc_antiresonant_suppression,
 )
 from cavityqfc.noise import _wrapped_lorentzian_cdf
@@ -197,6 +199,14 @@ class TestComb:
         # FWHM of the central tooth ~ cold linewidth (70.4 MHz)
         assert above[-1] - above[0] == pytest.approx(70.4e-3, rel=2e-3)
         assert cold.fwhm_GHz == pytest.approx(70.4e-3, rel=1e-9)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("power", [1.0, 50.0, 144.0, 400.0])
+    def test_pumped_tooth_width_is_the_power_broadened_fwhm(self, preset, power):
+        cav, noise = PRESETS[preset].cavity, PRESETS[preset].noise()
+        spectrum = comb_spectrum(cav, noise, power, span_GHz=12.0, samples=400)
+        expected = power_broadened_fwhm(cav, PumpDrive(power, noise.alpha_tilde_per_mW))
+        assert spectrum.fwhm_GHz * 1e3 == pytest.approx(expected, rel=1e-12)
 
     def test_per_fsr_integral_matches_closed_form(self):
         density = comb_density(CAV, NOISE, 100.0)

@@ -192,6 +192,11 @@ def test_infinite_zeta_is_the_noise_free_limit():
         (lambda: finesse_from_reflectances(1.5, 0.9), r"r_front must lie in \[0, 1\], got 1.5"),
         (lambda: snr_config_table(0.5, 1.0), "F_c must be at least 1"),
         (lambda: fit_saturating_noise(NOISE_SCAN, 0.0), r"gamma_r_ratio must lie in \(0, 1\]"),
+        # a float grid size raised a bare TypeError
+        (lambda: normalized_snr_curves(8.0, 100.5),
+         r"^grid_size must be an integer of at least 32, got 100.5$"),
+        (lambda: normalized_snr_curves(8.0, 64.0), "^grid_size must be an integer"),
+        (lambda: normalized_snr_curves(8.0, True), "^grid_size must be an integer"),
     ],
 )
 def test_out_of_range_is_rejected_by_name(call, message):
@@ -291,6 +296,8 @@ def test_numpy_integer_samples_are_accepted(spectrum):
         (lambda: noise_cavity_per_fsr(NoiseParams(230.0, 0.7, 1.7e308), POWERS),
          r"^noise_cavity_per_fsr\(noise.alpha_noise_cps_per_mW=230.0, noise.gamma_r_ratio=0.7, "
          r"noise.alpha_tilde_per_mW=1.7e\+308, power_mW=<12 values>\) leaves the float range$"),
+        (lambda: as_spectral_density(NoiseParams(230.0, 0.7, 1.0), 3e154, 0.0, 70.4),
+         r"^as_spectral_density\(.* power_mW=3e\+154, .*\) leaves the float range$"),
         (lambda: peak_efficiency(PumpDrive(1.7e308, 1.0), 0.7),
          r"^peak_efficiency\(drive.power_mW=1.7e\+308, drive.alpha_tilde_per_mW=1.0, "
          r"drive.phase_rad=0.0, gamma_r_ratio=0.7\) leaves the float range$"),
@@ -330,6 +337,14 @@ def test_finite_extreme_gives_a_finite_result_or_a_value_error(law, kwargs, name
         except ValueError:
             return
     assert all(np.isfinite(number).all() for number in _numbers(result))
+
+
+# the density divides by the broadened half-width squared, (C/2)**2 at C = P here; squaring
+# 1 + C before quartering it overflowed from a power of about 1.34e154 to 2.68e154
+@pytest.mark.parametrize("power", [1.3e154, 1.4e154])
+def test_squared_half_width_keeps_the_density_in_the_float_range(power):
+    density = as_spectral_density(NoiseParams(230.0, 0.7, 1.0), power, 0.0, 70.4)
+    assert density == pytest.approx(0.7 * 230.0 / (np.pi * 70.4e-3 * power), rel=1e-12)
 
 
 LAW_MODULES = [conversion, noise, snr, photon_stats, fitting]

@@ -472,6 +472,17 @@ class TestRecordsHoldFiniteValues:
         with pytest.raises(ValueError, match=message):
             CoincidenceHistogram(**{**fields, **changes})
 
+    # the floats built a histogram whose level read inf, so g2 read 0.0 +- 0.0; the
+    # integers raised a bare OverflowError
+    @pytest.mark.parametrize(
+        "singles, bins",
+        [(1e200, 1e200), (np.float64(1e200), np.float64(1e200)), (10**400, 10**400)],
+        ids=["float", "numpy_float", "integer_quotient"],
+    )
+    def test_accidental_level_must_be_finite(self, singles, bins):
+        with pytest.raises(ValueError, match="^the accidental level .* must be finite$"):
+            CoincidenceHistogram(np.array([0.0, 1e200, 0.0]), singles, singles, bins, 0.8)
+
 
 class TestG2FromHistogram:
     @staticmethod

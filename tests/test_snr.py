@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cavityqfc import (
+    PRESETS,
     DesignReport,
     NoiseParams,
     PumpDrive,
@@ -108,6 +109,14 @@ class TestNormalizedCurves:
     def test_grid_size_guard(self):
         with pytest.raises(ValueError):
             normalized_snr_curves(25.0, 8)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_cavity_efficiency_axis_is_peak_efficiency(self, preset):
+        cavity, _ = normalized_snr_curves(PRESETS[preset].cavity.finesse)
+        # a unit alpha_tilde makes the coupling exactly x; (x / a) * a can miss x by an ulp
+        couplings = np.linspace(0.0, 1.0, len(cavity.efficiencies))
+        expected = [peak_efficiency(PumpDrive(x, 1.0), 1.0) for x in couplings]
+        assert cavity.efficiencies.tolist() == expected
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
