@@ -268,7 +268,8 @@ def cmd_fsr(args, params):
     half = len(freqs) // 2
     return (
         {"fsr_GHz": value, "uncertainty_GHz": err, "input": args.input},
-        [("frequency_per_unit", freqs[1 : half + 1]), ("power", power[1 : half + 1])],
+        # one-sided: an even-length scan's Nyquist bin sits at -n/2 in fftfreq's order
+        [("frequency_per_unit", np.abs(freqs[1 : half + 1])), ("power", power[1 : half + 1])],
         {"command": "fsr", "fsr_GHz": value, "uncertainty_GHz": err},
     )
 

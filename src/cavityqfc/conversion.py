@@ -89,6 +89,10 @@ _RULES = {
     "[0, 1]": ("lie in [0, 1]", lambda v: (0 <= v) & (v <= 1)),
     "(0, 1]": ("lie in (0, 1]", lambda v: (0 < v) & (v <= 1)),
     "at least 1": ("be at least 1 and finite", lambda v: (1 <= v) & (v < math.inf)),
+    # counts: the integers a float holds exactly, so sums, products and ratios of a few
+    # of them stay finite
+    "[0, 2**53]": ("lie in [0, 2**53]", lambda v: (0 <= v) & (v <= 2**53)),
+    "(0, 2**53]": ("lie in (0, 2**53]", lambda v: (0 < v) & (v <= 2**53)),
 }
 
 
@@ -101,7 +105,9 @@ def _require(rule: str, **values) -> None:
         if isinstance(value, (int, float)):  # numpy's float64 is a float, a bool an int
             ok = holds(value) and not isinstance(value, bool)
         else:
-            value = np.asarray(value, dtype=float)
+            value = np.asarray(value)
+            if value.dtype.kind not in "iu":  # integer arrays compare exactly, as Python ints do
+                value = value.astype(float, copy=False)
             ok = holds(value).all()
         if not ok:
             got = f", got {value}" if np.ndim(value) == 0 else ""

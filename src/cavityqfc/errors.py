@@ -29,7 +29,7 @@ class NumericFailure(WorkbenchError):
 
 
 class SingularFit(NumericFailure):
-    """The fit design matrix is singular (e.g. all abscissa values equal)."""
+    """The fit design matrix is singular."""
 
 
 class ShapeError(WorkbenchError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conversion import _guard, _normal, _require, _require_finite, bandwidth_nm_to_GHz
-from .errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
+from .errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError
 from .noise import _per_fsr
 
 __all__ = [
@@ -160,9 +160,8 @@ def fit_linear(data: ScanSeries) -> FitResult:
     """
     if len(data) < 2:
         raise ValueError("need at least 2 points for a line")
+    # ScanSeries's strictly increasing abscissa keeps two columns independent
     x, y, w = data.abscissa, data.values, _weights(data)
-    if np.ptp(x) == 0:
-        raise SingularFit("all abscissa values are equal")
     design = np.column_stack([x, np.ones_like(x)]) * w[:, None]
     rhs = y * w
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)

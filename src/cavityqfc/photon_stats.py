@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import (_FLOAT_FAULTS, ConversionResponse, _centered_grid, _finite, _guard,
-                         _is_integer, _require, _require_finite)
+from .conversion import (ConversionResponse, _centered_grid, _guard, _is_integer, _require,
+                         _require_finite)
 from .errors import CoverageError
 from .fitting import ScanSeries
 
@@ -112,7 +112,9 @@ class CoincidenceHistogram:
     clicked in ``herald_clicks`` and the signal arm in ``signal_clicks``.  They fix the level
     :func:`g2_from_histogram` divides by; a hand-built histogram states them.  The delay-0
     count and the singles must fit in the bins: ``n11 <= min(H, S)`` and ``H + S - n11 <= N``.
-    The delay axis and the low-statistics flag are derived from these fields."""
+    Counts and singles lie in ``[0, 2**53]`` and ``bins`` in ``(0, 2**53]``, the integers a
+    float holds exactly (2**53 bins of 0.8 ns is 83 days), so the level and every window sum
+    are finite.  The delay axis and the low-statistics flag are derived from these fields."""
 
     counts: np.ndarray
     herald_clicks: float
@@ -122,19 +124,12 @@ class CoincidenceHistogram:
 
     def __post_init__(self):
         _require_finite(self)
-        _require("non-negative", counts=self.counts, herald_clicks=self.herald_clicks,
+        _require("[0, 2**53]", counts=self.counts, herald_clicks=self.herald_clicks,
                  signal_clicks=self.signal_clicks)
-        _require("positive", bins=self.bins, resolution_ns=self.resolution_ns)
+        _require("(0, 2**53]", bins=self.bins)
+        _require("positive", resolution_ns=self.resolution_ns)
         if np.ndim(self.counts) != 1 or len(self.counts) % 2 == 0:
             raise ValueError("counts must cover delays [-k, +k]: an odd number of them")
-        try:
-            with np.errstate(**_FLOAT_FAULTS):
-                level = self.accidental_level
-        except (FloatingPointError, OverflowError):  # OverflowError: an integer quotient
-            level = math.inf
-        if not _finite(level):
-            raise ValueError("the accidental level herald_clicks * signal_clicks / bins "
-                             "must be finite")
         herald, signal = self.herald_clicks, self.signal_clicks
         n11 = self.counts[len(self.counts) // 2]
         if n11 > min(herald, signal) or herald + signal - n11 > self.bins:
@@ -154,7 +149,8 @@ class CoincidenceHistogram:
 
     @property
     def accidental_level(self) -> float:
-        """Expected accidental counts per delay bin, ``H*S/N`` from the singles."""
+        """Expected accidental counts per delay bin, ``H*S/N`` from the singles; the count
+        rule keeps it finite."""
         return self.herald_clicks * self.signal_clicks / self.bins
 
 

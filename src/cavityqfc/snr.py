@@ -34,7 +34,6 @@ import numpy as np
 
 from .conversion import (_efficiency, _guard, _is_integer, _pump_power, _require, _require_finite,
                          alpha_tilde_from_finesse, bandwidth_nm_to_GHz)
-from .errors import NumericFailure
 from .noise import _slope, spdc_antiresonant_suppression
 
 __all__ = [
@@ -170,12 +169,10 @@ def min_finesse_for_dominance(tolerance: float = 1e-3) -> float:
     dense efficiency grid.  The binding point is full conversion, where the
     curves cross at ``F = 8/pi``.
     """
-    lo, hi = 1.0, 16.0
+    lo, hi = 1.0, 16.0  # dominance fails at 1 and holds at 16: the curves cross at 8/pi
     _require("positive", tolerance=tolerance)
     if tolerance < np.spacing(hi):  # below the float spacing the bracket stops shrinking
         raise ValueError(f"tolerance must be at least {np.spacing(hi):g}, got {tolerance:g}")
-    if cavity_dominates(lo) or not cavity_dominates(hi):
-        raise NumericFailure("dominance bisection bracket invalid")
     while True:  # the spacing rule ends it within 52 halvings
         mid = 0.5 * (lo + hi)
         if cavity_dominates(mid):

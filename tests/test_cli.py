@@ -246,6 +246,18 @@ class TestFsrCommand:
         payload = json.loads(run_cli("fsr", "--input", str(data)).stdout)
         assert payload["fsr_GHz"] == pytest.approx(5.2, abs=0.2)
 
+    def test_even_length_scan_has_a_one_sided_axis(self, tmp_path):
+        # fftfreq puts the Nyquist bin of an even-length scan at -n/2
+        data = tmp_path / "even.csv"
+        run_cli("generate", "--param", "model=comb", "--param", "span_nm=1.99",
+                "--output", str(data))
+        assert len(read_scan_csv(str(data))[0]) == 200
+        lines = run_cli("fsr", "--input", str(data), "--format", "csv").stdout.splitlines()
+        header = lines.index("frequency_per_unit,power")
+        freqs = np.array([float(line.split(",")[0]) for line in lines[header + 1 :]])
+        assert len(freqs) == 100 and np.all(np.diff(freqs) > 0)
+        assert freqs[-1] == pytest.approx(100 * freqs[0], rel=1e-9)
+
     def test_constant_input_fails_cleanly(self, tmp_path):
         data = tmp_path / "flat.csv"
         rows = ["wavelength_nm,counts_cps"] + [f"{1539 + i * 0.01},7" for i in range(64)]
@@ -442,6 +454,10 @@ class TestDeterminismAndErrors:
 
     def test_unknown_param_is_usage_error(self):
         run_cli("generate", "--param", "model=fwhm", "--param", "bogus=1", expect=2)
+
+    def test_param_without_equals_is_usage_error(self):
+        result = run_cli("design", "--param", "finesse", expect=2)
+        assert result.stderr == "usage error: --param expects key=value, got 'finesse'\n"
 
     @pytest.mark.parametrize(
         "args",

@@ -10,6 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from cavityqfc import (
     CavityParams,
+    ConversionResponse,
     PumpDrive,
     SourceModel,
     WavelengthConfig,
@@ -270,6 +271,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             PumpDrive(np.nan, 1.0)
         assert PumpDrive(144.0, 1.0 / 144.0).coupling == pytest.approx(1.0)
+
+    def test_conversion_response_arrays_must_match_the_grid(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="^grid and amplitude arrays must have equal length$"):
+            ConversionResponse(grid, np.ones(5, complex), np.ones(4, complex), 10.0)
 
     def test_wavelength_config_round_trip(self):
         converted = dfg_wavelength(780.0, 1581.0)

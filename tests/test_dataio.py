@@ -265,3 +265,32 @@ def test_render_csv_round_trips_through_read_scan_csv(
     for read, (_, written) in zip((series.abscissa, series.values, series.sigma), columns):
         assert np.allclose(read, written, rtol=1e-11, atol=0.0)
     assert (series.sigma is None) == (not with_sigma)
+
+
+def test_render_csv_rejects_unequal_columns():
+    with pytest.raises(ValueError, match="^all columns must have equal length$"):
+        render_csv([("x", np.arange(3.0)), ("y", np.arange(2.0))])
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [({"outer": {1: 2.0}}, "^JSON object keys must be str$"),
+     ({"tags": {"a", "b"}}, "^Object of type set is not JSON serializable$")],
+)
+def test_render_json_rejects_what_json_cannot_hold(payload, message):
+    with pytest.raises(TypeError, match=message):
+        render_json(payload)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("power,fwhm_MHz\n1,2\n", "cannot infer abscissa unit from column name 'power'"),
+     ("# command = test\npower_mW\n1\n", "line 2: need at least two columns"),
+     ("# command = test\npower_mW,fwhm_MHz\n", ": no data rows")],
+    ids=["no_unit_suffix", "one_column", "header_only"],
+)
+def test_read_scan_csv_rejects_a_header_it_cannot_use(tmp_path, text, message):
+    path = tmp_path / "scan.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(message)):
+        read_scan_csv(str(path))

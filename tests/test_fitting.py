@@ -23,7 +23,7 @@ from cavityqfc import (
     sample_response,
 )
 from cavityqfc import cli, fitting
-from cavityqfc.errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError, SingularFit
+from cavityqfc.errors import NoPeriodicity, NumericFailure, SamplingError, ShapeError
 from cavityqfc.fitting import _half_crossings, _median
 
 
@@ -65,8 +65,13 @@ class TestLinearFit:
         assert result.std_errors["slope"] > 0
 
     def test_degenerate_abscissa(self):
-        with pytest.raises((SingularFit, ValueError)):
+        # the series rejects equal abscissa values, so a line fit never sees them
+        with pytest.raises(ValueError, match="^abscissa must be strictly increasing$"):
             fit_linear(ScanSeries(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]), unit="mW"))
+
+    def test_one_point_is_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 points for a line$"):
+            fit_linear(ScanSeries(np.array([1.0]), np.array([2.0]), unit="mW"))
 
 
 class TestSaturatingFit:
@@ -101,6 +106,11 @@ class TestSaturatingFit:
             fit_saturating_noise(narrow, 0.7)
         with pytest.raises(ValueError):
             fit_saturating_noise(noise_scan(230.0, 1 / 144, 0.7), 0.0)
+
+    def test_falling_noise_is_rejected(self):
+        power = np.linspace(10.0, 100.0, 8)
+        with pytest.raises(ValueError, match="^noise values must rise with power$"):
+            fit_saturating_noise(ScanSeries(power, -power, unit="mW"), 0.7)
 
     def test_noisy_recovery_within_three_sigma(self):
         rng = np.random.default_rng(99)
@@ -163,6 +173,19 @@ class TestSaturatingFitSolverRule:
 
         with pytest.raises(NumericFailure, match="start point"):
             fitting._levenberg_marquardt(model, [1.0])
+
+    def test_a_cost_that_falls_forever_stops_after_200_trials(self):
+        def model(theta):
+            return np.exp(-theta), -np.exp(-theta)[:, None]
+
+        with pytest.raises(NumericFailure, match="^Levenberg-Marquardt did not converge in 200 "
+                           "trial steps: residual="):
+            fitting._levenberg_marquardt(model, [0.0])
+
+    def test_a_singular_normal_matrix_takes_the_pseudo_inverse(self):
+        jac = np.ones((3, 2))  # rank 1: np.linalg.inv refuses J^T J
+        scan = ScanSeries(np.arange(3.0), np.arange(3.0), np.ones(3))
+        assert np.array_equal(fitting._covariance(jac, 0.0, scan), np.linalg.pinv(jac.T @ jac))
 
 
 class TestExtractFwhm:
@@ -264,6 +287,16 @@ class TestExtractFwhm:
             fwhm, err = extract_fwhm(ScanSeries(x, y))
         assert fwhm == pytest.approx(4e-151, rel=1e-12)
         assert err == 1e300
+
+    def test_fewer_than_8_points_are_rejected(self):
+        x = np.linspace(-1.0, 1.0, 7)
+        with pytest.raises(ShapeError, match="^need at least 8 points$"):
+            extract_fwhm(ScanSeries(x, 1.0 / (1.0 + x * x)))
+
+    def test_peak_at_the_scan_edge_is_rejected(self):
+        x = np.linspace(0.0, 10.0, 81)  # only the right half of the line
+        with pytest.raises(ShapeError, match="^peak is not resolved within the scan$"):
+            extract_fwhm(ScanSeries(x, 1.0 / (1.0 + (x / 2.0) ** 2)))
 
     def test_half_crossings_interpolate_linearly(self):
         x = np.arange(9.0)
@@ -487,6 +520,22 @@ class TestExtractFsr:
         with pytest.raises(SamplingError):
             extract_fsr(ScanSeries(x, y, unit="GHz"))
 
+    def test_fewer_than_16_samples_are_rejected(self):
+        x = np.linspace(0.0, 1.0, 15)
+        with pytest.raises(ValueError, match="^need at least 16 samples$"):
+            extract_fsr(ScanSeries(x, np.sin(20.0 * x), unit="GHz"))
+
+    def test_flat_spectrum_has_no_dominant_peak(self):
+        impulse = np.zeros(64)
+        impulse[32] = 1.0
+        with pytest.raises(NoPeriodicity, match="^dominant peak below 3x the median"):
+            extract_fsr(ScanSeries(np.arange(64.0), impulse, unit="GHz"))
+
+    def test_fewer_than_4_periods_are_rejected(self):
+        x = np.arange(64.0)
+        with pytest.raises(NoPeriodicity, match="^fewer than 4 oscillation periods"):
+            extract_fsr(ScanSeries(x, np.sin(2 * np.pi * 2 * x / 64), unit="GHz"))
+
     def test_power_scan_rejected(self):
         x = np.linspace(1, 100, 32)
         with pytest.raises(ValueError):
@@ -527,6 +576,10 @@ class TestScanSeries:
             ScanSeries(
                 np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([1.0, 0.0]), "mW"
             )
+
+    def test_sigma_must_match_the_abscissa(self):
+        with pytest.raises(ValueError, match="^sigma must match the abscissa length$"):
+            ScanSeries(np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.ones(3), "mW")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["abscissa", "values", "sigma"])

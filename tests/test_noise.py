@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from cavityqfc import (
     PRESETS,
     CavityParams,
+    CombSpectrum,
     NoiseParams,
     PumpDrive,
     as_spectral_density,
@@ -250,6 +251,10 @@ class TestComb:
     def test_band_rate_rejects_inverted_band_or_negative_power(self, power, lo, hi):
         with pytest.raises(ValueError):
             comb_rate_in_band(CAV, NOISE, power, lo, hi)
+
+    def test_density_must_match_the_grid(self):
+        with pytest.raises(ValueError, match="^grid and density must have equal length$"):
+            CombSpectrum(np.linspace(0.0, 10.0, 5), np.ones(4), 5.2, 0.1)
 
     def test_undersampled_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -221,6 +221,12 @@ class TestBroadbandEfficiency:
         with pytest.raises(CoverageError):
             broadband_conversion_efficiency(flat_top_spectrum(3.8), small)
 
+    def test_spectrum_must_be_in_GHz(self):
+        spectrum = flat_top_spectrum(3.8)
+        in_ns = type(spectrum)(spectrum.abscissa, spectrum.values, unit="ns")
+        with pytest.raises(ValueError, match="^photon spectrum abscissa must be tagged GHz$"):
+            broadband_conversion_efficiency(in_ns, self.response)
+
     def test_normalization_required(self):
         spectrum = flat_top_spectrum(3.8)
         bad = type(spectrum)(spectrum.abscissa, spectrum.values * 2.0, unit="GHz")
@@ -427,9 +433,14 @@ class TestRecordsHoldFiniteValues:
             ("signal_clicks", np.nan),
             ("signal_clicks", np.inf),
             ("signal_clicks", -1.0),
+            ("counts", 2.0**53 + 2),
+            ("herald_clicks", 2**53 + 1),
+            ("herald_clicks", 2.0**53 + 2),
+            ("signal_clicks", 2**53 + 1),
             ("bins", np.nan),
             ("bins", np.inf),
             ("bins", 0.0),
+            ("bins", 2**53 + 1),
             ("resolution_ns", np.nan),
             ("resolution_ns", np.inf),
             ("resolution_ns", 0.0),
@@ -473,15 +484,32 @@ class TestRecordsHoldFiniteValues:
             CoincidenceHistogram(**{**fields, **changes})
 
     # the floats built a histogram whose level read inf, so g2 read 0.0 +- 0.0; the
-    # integers raised a bare OverflowError
+    # integers raised a bare OverflowError; the count rule rejects the counts first
     @pytest.mark.parametrize(
         "singles, bins",
         [(1e200, 1e200), (np.float64(1e200), np.float64(1e200)), (10**400, 10**400)],
         ids=["float", "numpy_float", "integer_quotient"],
     )
     def test_accidental_level_must_be_finite(self, singles, bins):
-        with pytest.raises(ValueError, match="^the accidental level .* must be finite$"):
+        with pytest.raises(ValueError, match=r"^counts must lie in \[0, 2\*\*53\]$"):
             CoincidenceHistogram(np.array([0.0, 1e200, 0.0]), singles, singles, bins, 0.8)
+
+    # past 2**53 the integer singles raised a bare OverflowError, and the float counts
+    # built a histogram whose window sum leaves the float range in g2_from_histogram
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((np.array([0, 1, 0]), 2**64, 2**64, 2**66, 0.8), "herald_clicks"),
+            ((np.array([0.0, 1.0, 0.0]), 10**400, 1, 10**400, 0.8), "herald_clicks"),
+            ((np.array([0.0, 0.0, 1.0, 1e308, 1e308]), 10.0, 10.0, 100.0, 0.8), "counts"),
+            ((np.array([2**53 + 1, 0, 0]), 1, 1, 1, 0.8), "counts"),
+        ],
+        ids=["integer_singles", "integer_singles_past_the_float_range", "float_counts",
+             "integer_counts"],
+    )
+    def test_counts_past_2_53_are_rejected_by_name(self, fields, name):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 2\*\*53\]"):
+            CoincidenceHistogram(*fields)
 
 
 class TestG2FromHistogram:
@@ -543,9 +571,9 @@ class TestG2FromHistogram:
 
     @given(k=st.integers(1, 30), data=st.data())
     def test_g2_times_the_window_accidentals_is_the_window_counts(self, k, data):
-        bins = data.draw(st.integers(1, 10**12))
+        bins = data.draw(st.integers(1, 2**53))  # the whole count range
         herald, signal = data.draw(st.integers(1, bins)), data.draw(st.integers(1, bins))
-        counts = data.draw(st.lists(st.integers(0, 10**6), min_size=2 * k + 1,
+        counts = data.draw(st.lists(st.integers(0, 2**53), min_size=2 * k + 1,
                                     max_size=2 * k + 1))
         # a delay-0 count the singles allow: no more than either arm, and room in the bins
         counts[k] = data.draw(st.integers(max(0, herald + signal - bins), min(herald, signal)))

@@ -25,7 +25,6 @@ from cavityqfc import (
     snr_nocav,
 )
 from cavityqfc import snr as snr_module
-from cavityqfc.errors import NumericFailure
 
 
 class TestPointwiseSnr:
@@ -145,6 +144,11 @@ class TestDominanceThreshold:
     def test_efficiency_outside_unit_interval_is_rejected(self, efficiencies):
         with pytest.raises(ValueError, match="efficiencies must lie in"):
             cavity_dominates(10.0, efficiencies)
+
+    def test_bisection_bracket_holds(self):
+        # min_finesse_for_dominance bisects [1, 16] without checking its ends
+        assert not cavity_dominates(1.0)
+        assert cavity_dominates(16.0)
 
     def test_invalid_tolerance(self):
         with pytest.raises(ValueError):
