@@ -69,6 +69,8 @@ def _finite(value) -> bool:
         return math.isfinite(value)
     if isinstance(value, (list, tuple, dict)):
         return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    if isinstance(value, np.ndarray) and value.dtype.kind not in "biufc":
+        return all(map(_finite, value.flat))  # as a list: isfinite takes numbers only
     return not isinstance(value, (complex, np.number, np.ndarray)) or np.isfinite(value).all()
 
 
@@ -99,16 +101,15 @@ _RULES = {
 def _require(rule: str, **values) -> None:
     """The one parameter check of the public laws: reject each named scalar or array
     that is not finite and real or breaks ``rule``, a key of ``_RULES``.  A bool is
-    not a number; Python integers are finite and may exceed the float range."""
+    not a number; Python integers are finite and may exceed the float range.  An
+    array or list must hold integers or floats, not bools, complex numbers or objects."""
     clause, holds = _RULES[rule]
     for name, value in values.items():
         if isinstance(value, (int, float)):  # numpy's float64 is a float, a bool an int
             ok = holds(value) and not isinstance(value, bool)
         else:
-            value = np.asarray(value)
-            if value.dtype.kind not in "iu":  # integer arrays compare exactly, as Python ints do
-                value = value.astype(float, copy=False)
-            ok = holds(value).all()
+            value = np.asarray(value)  # integer arrays compare exactly, as Python ints do
+            ok = value.dtype.kind in "iuf" and holds(value).all()
         if not ok:
             got = f", got {value}" if np.ndim(value) == 0 else ""
             raise ValueError(f"{name} must {clause}{got}")
@@ -173,9 +174,8 @@ def _centered_grid(span: float, samples: int) -> np.ndarray:
 
 def _pump_power(power_mW) -> np.ndarray:
     """Scalar or array pump power as an array; rejects negative and non-finite entries."""
-    power = np.asarray(power_mW, dtype=float)
-    _require("non-negative", power_mW=power)
-    return power
+    _require("non-negative", power_mW=power_mW)
+    return np.asarray(power_mW, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -335,6 +335,7 @@ def conversion_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
 
 def sample_response(cav: CavityParams, drive: PumpDrive, detunings_MHz) -> ConversionResponse:
     """Evaluate both amplitudes over a detuning grid."""
+    _require("finite", detunings_MHz=detunings_MHz)
     detunings = np.atleast_1d(np.asarray(detunings_MHz, dtype=float))
     return ConversionResponse(
         detunings_MHz=detunings,

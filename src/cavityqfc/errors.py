@@ -6,8 +6,8 @@ that callers, and in particular the command-line front end, need to tell
 apart.
 """
 
-__all__ = ["WorkbenchError", "ParseError", "NumericFailure", "SingularFit", "ShapeError",
-           "SamplingError", "NoPeriodicity", "CoverageError"]
+__all__ = ["WorkbenchError", "ParseError", "NumericFailure", "ShapeError", "SamplingError",
+           "NoPeriodicity", "CoverageError"]
 
 
 class WorkbenchError(Exception):
@@ -26,10 +26,6 @@ class ParseError(WorkbenchError):
 
 class NumericFailure(WorkbenchError):
     """An iterative numerical procedure failed to converge."""
-
-
-class SingularFit(NumericFailure):
-    """The fit design matrix is singular."""
 
 
 class ShapeError(WorkbenchError):

@@ -71,13 +71,14 @@ class ScanSeries:
 @dataclass(frozen=True)
 class FitResult:
     """Estimates with standard errors; ``iterations`` counts the accepted
-    Levenberg-Marquardt steps (0 for the closed-form line)."""
+    Levenberg-Marquardt steps (0 for the closed-form line).  ``converged`` is a
+    constant, not a field: every fit returned has converged."""
 
     parameters: dict[str, float]
     std_errors: dict[str, float]
     residual_norm: float
-    converged: bool
     iterations: int
+    converged = True  # fit_linear is closed form; a diverging fit raises NumericFailure
 
     def __post_init__(self):
         _require_finite(self)
@@ -172,7 +173,6 @@ def fit_linear(data: ScanSeries) -> FitResult:
         parameters={"slope": float(coef[0]), "intercept": float(coef[1])},
         std_errors={"slope": float(err[0]), "intercept": float(err[1])},
         residual_norm=residual_norm,
-        converged=True,
         iterations=0,
     )
 
@@ -225,7 +225,6 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
         parameters={"alpha_noise": float(a), "alpha_tilde": float(b)},
         std_errors={"alpha_noise": float(a * err_log[0]), "alpha_tilde": float(b * err_log[1])},
         residual_norm=residual_norm,
-        converged=True,
         iterations=steps,
     )
 

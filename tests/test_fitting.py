@@ -1,5 +1,6 @@
 """Tests for the estimation module: fits, linewidths, periodograms."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.optimize import least_squares
 from cavityqfc import (
     PRESETS,
     CavityParams,
+    FitResult,
     NoiseParams,
     PumpDrive,
     ScanSeries,
@@ -51,6 +53,13 @@ class TestLinearFit:
         assert result.parameters["slope"] == pytest.approx(alpha, rel=1e-10)
         assert result.parameters["intercept"] == pytest.approx(gamma, rel=1e-10)
         assert result.converged
+
+    def test_converged_is_a_constant_not_a_field(self):
+        result = fit_linear(linear_scan(0.49, 70.4))
+        assert [f.name for f in dataclasses.fields(FitResult)] == [
+            "parameters", "std_errors", "residual_norm", "iterations"]
+        with pytest.raises(TypeError):
+            dataclasses.replace(result, converged=False)
 
     def test_two_points_interpolate(self):
         result = fit_linear(ScanSeries(np.array([0.0, 10.0]), np.array([70.4, 75.3]), unit="mW"))

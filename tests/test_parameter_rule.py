@@ -38,6 +38,7 @@ from cavityqfc.conversion import (
     fsr_from_length,
     nocavity_efficiency,
     peak_efficiency,
+    sample_response,
     transmission_amplitude,
 )
 from cavityqfc.fitting import FitResult, ScanSeries, enhancement_factor, fit_saturating_noise
@@ -125,8 +126,7 @@ LAWS = [
     (snr_nocav, {"power_mW": 50.0, "B": 0.01, "alpha_noise": 230.0, "band_ratio": 0.5},
      ["power_mW", "B", "alpha_noise", "band_ratio"]),
     (normalized_snr_curves, {"F_cold": 25.0, "grid_size": 64}, ["F_cold"]),
-    (cavity_dominates, {"F_cold": 25.0, "efficiencies": [0.1, 0.5, 1.0]},
-     ["F_cold", "efficiencies"]),
+    (cavity_dominates, {"F_cold": 25.0}, ["F_cold"]),
     (min_finesse_for_dominance, {"tolerance": 1e-3}, ["tolerance"]),
     (snr_config_table, {"F_c": 74.0, "F_s": 1.0}, ["F_c", "F_s"]),
     (low_power_snr_gain, {"F_cold": 74.0}, ["F_cold"]),
@@ -235,6 +235,38 @@ class TestRequire:
     def test_first_failing_name_is_reported(self):
         with pytest.raises(ValueError, match="^b must be positive and finite, got -1.0$"):
             _require("positive", a=1.0, b=-1.0, c=math.nan)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # each was accepted as 0/1 floats, as a bool scalar is not
+            (lambda: CoincidenceHistogram(np.array([False, True, False]), 1, 1, 1, 0.8), "counts"),
+            (lambda: sample_response(CAV, DRIVE, np.array([True, False])), "detunings_MHz"),
+            (lambda: noise_cavity_per_fsr(NOISE, np.bool_(True)), "power_mW"),
+            # a bare OverflowError from the float cast
+            (lambda: CoincidenceHistogram([0, 10**400, 0], 1, 1, 1, 0.8), "counts"),
+            # a TypeError from isfinite, which takes no object array
+            (lambda: CoincidenceHistogram(np.array([0, 10**30, 0], dtype=object), 1, 1, 1, 0.8),
+             "counts"),
+            (lambda: CoincidenceHistogram(np.array([0, math.nan, 0], dtype=object), 1, 1, 1, 0.8),
+             "counts"),
+            # a ComplexWarning, then the real part
+            (lambda: noise_cavity_per_fsr(NOISE, np.array([1 + 0j])), "power_mW"),
+            # text cast to a float and accepted
+            (lambda: noise_cavity_per_fsr(NOISE, np.array(["1"])), "power_mW"),
+            (lambda: sample_response(CAV, DRIVE, ["1", "2"]), "detunings_MHz"),
+        ],
+        ids=["bool-counts", "bool-detunings", "numpy-bool-power", "list-int-past-float",
+             "object-array", "object-array-nan", "complex-power", "text-power",
+             "text-detunings"],
+    )
+    def test_an_array_of_other_than_integers_or_floats_is_rejected_by_name(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            call()
+
+    def test_lists_of_numbers_pass(self):
+        _require("[0, 2**53]", counts=[0, 3, 2.5], ints=[0, 2**53], mixed=[1, 2.0, np.int64(3)])
+        assert CoincidenceHistogram([0, 2, 0], 3, 3, 10**15, 0.8).counts == [0, 2, 0]
 
     def test_an_integer_is_a_python_or_numpy_integer_but_not_a_bool(self):
         for value in (0, -3, 10**20, np.int64(7), np.uint32(2**32 - 1)):
@@ -391,14 +423,14 @@ CONSTRUCTORS = [
                 "label": "curve"},
      {"snr_values": np.array([3.0, -1.0, 3.0, 3.0, 3.0])}, "snr_values must be non-negative"),
     (DesignReport, {"finesse": 45.0, "fsr_GHz": 5.0, "bpf_GHz": 3.57,
-                    "suppression_factor": 15.5, "threshold": 10.0},
+                    "suppression_factor": 15.5},
      {"finesse": 0.5}, "finesse must be at least 1"),
     (ScanSeries, {"abscissa": _GRID, "values": np.ones(5), "sigma": np.full(5, 0.1),
                   "unit": "mW"},
      {"sigma": np.array([0.1, 0.0, 0.1, 0.1, 0.1])}, "sigma must be positive"),
     (FitResult, {"parameters": {"slope": 0.5, "intercept": 70.0},
                  "std_errors": {"slope": 0.01, "intercept": 0.1}, "residual_norm": 1.0,
-                 "converged": True, "iterations": 0},
+                 "iterations": 0},
      {"residual_norm": -1.0}, "residual_norm must be non-negative"),
     (G2Record, {"g2": 3.8, "stderr": 0.1, "window_ns": 0.8, "resolution_ns": 0.8},
      {"stderr": -0.1}, "stderr must be non-negative"),
