@@ -233,16 +233,17 @@ def cmd_snr_curves(args, params):
     pairs = [snr.normalized_snr_curves(F, params["grid"]) for F in params["finesse"]]
     # the no-cavity curve does not depend on the finesse
     curves = [cavity for cavity, _ in pairs] + [pairs[0][1]]
+    labels = [f"cavity F={F:g}" for F in params["finesse"]] + ["no cavity"]
     payload = {"curves": [
-        {"label": c.label, "efficiencies": c.efficiencies, "snr": c.snr_values}
-        for c in curves
+        {"label": label, "efficiencies": c.efficiencies, "snr": c.snr_values}
+        for label, c in zip(labels, curves)
     ]}
     label_col = np.concatenate(
         [np.full(len(c.efficiencies), i) for i, c in enumerate(curves)]
     )
     provenance = {"command": "snr", "mode": "curves"}
-    for i, c in enumerate(curves):
-        provenance[f"curve_{i}"] = c.label
+    for i, label in enumerate(labels):
+        provenance[f"curve_{i}"] = label
     return payload, [
         ("curve", label_col),
         ("efficiency", np.concatenate([c.efficiencies for c in curves])),
@@ -381,7 +382,7 @@ def cmd_g2_mc(args, params):
     record = photon_stats.g2_from_histogram(histogram, params["window_ns"])
     payload = {
         "g2": record.g2, "stderr": record.stderr,
-        "window_ns": record.window_ns, "resolution_ns": record.resolution_ns,
+        "window_ns": params["window_ns"], "resolution_ns": histogram.resolution_ns,
         "accidental_level": histogram.accidental_level,
         "nonclassical": record.nonclassical,
         "low_statistics": histogram.low_statistics,
@@ -414,8 +415,8 @@ def cmd_design(args, params):
         params["finesse"], params["fsr_GHz"], params["bpf_nm"], params["center_nm"]
     )
     return {
-        "finesse": report.finesse,
-        "fsr_GHz": report.fsr_GHz,
+        "finesse": params["finesse"],
+        "fsr_GHz": params["fsr_GHz"],
         "bpf_GHz": report.bpf_GHz,
         "suppression_factor": report.suppression_factor,
         "over_tenfold": report.over_tenfold,

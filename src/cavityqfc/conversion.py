@@ -277,16 +277,15 @@ class WavelengthConfig:
 
 @dataclass(frozen=True)
 class ConversionResponse:
-    """Complex transmission / conversion amplitudes over a detuning grid."""
+    """Complex transmission / conversion amplitudes over a detuning grid; the pump that
+    drove them is the caller's ``PumpDrive``."""
 
     detunings_MHz: np.ndarray
     t_ss: np.ndarray
     r_rs: np.ndarray
-    power_mW: float
 
     def __post_init__(self):
         _require_finite(self)
-        _require("non-negative", power_mW=self.power_mW)
         n = len(self.detunings_MHz)
         if len(self.t_ss) != n or len(self.r_rs) != n:
             raise ValueError("grid and amplitude arrays must have equal length")
@@ -334,14 +333,13 @@ def conversion_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
 
 
 def sample_response(cav: CavityParams, drive: PumpDrive, detunings_MHz) -> ConversionResponse:
-    """Evaluate both amplitudes over a detuning grid."""
+    """Evaluate both amplitudes over a detuning grid at ``drive``'s pump."""
     _require("finite", detunings_MHz=detunings_MHz)
     detunings = np.atleast_1d(np.asarray(detunings_MHz, dtype=float))
     return ConversionResponse(
         detunings_MHz=detunings,
         t_ss=np.asarray(transmission_amplitude(cav, drive, detunings)),
         r_rs=np.asarray(conversion_amplitude(cav, drive, detunings)),
-        power_mW=drive.power_mW,
     )
 
 

@@ -47,22 +47,23 @@ class ScanSeries:
     unit: str = "GHz"
 
     def __post_init__(self):
+        _require_finite(self)
+        _require("finite", abscissa=self.abscissa, values=self.values)  # before the casts
+        if self.sigma is not None:
+            _require("positive", sigma=self.sigma)
         x = np.asarray(self.abscissa, dtype=float)
         object.__setattr__(self, "abscissa", x)
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.sigma is not None:
             object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        _require_finite(self)
         if x.ndim != 1 or self.values.shape != x.shape:
             raise ValueError("abscissa and values must be 1-d arrays of equal length")
         if np.any(np.diff(x) <= 0):
             raise ValueError("abscissa must be strictly increasing")
         if self.unit not in _UNITS:
             raise ValueError(f"unit must be one of {_UNITS}")
-        if self.sigma is not None:
-            if self.sigma.shape != x.shape:
-                raise ValueError("sigma must match the abscissa length")
-            _require("positive", sigma=self.sigma)
+        if self.sigma is not None and self.sigma.shape != x.shape:
+            raise ValueError("sigma must match the abscissa length")
 
     def __len__(self) -> int:
         return len(self.abscissa)

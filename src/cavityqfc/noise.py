@@ -88,17 +88,17 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class CombSpectrum:
-    """Sampled noise spectral density of the resonant AS comb."""
+    """Sampled noise spectral density of the resonant AS comb and the pump-broadened width
+    of its teeth; the tooth spacing is the cavity's ``fsr_MHz``."""
 
     frequencies_GHz: np.ndarray
     density: np.ndarray  # counts/s/GHz
-    fsr_GHz: float
     fwhm_GHz: float
 
     def __post_init__(self):
         _require_finite(self)
         _require("non-negative", density=self.density)
-        _require("positive", fsr_GHz=self.fsr_GHz, fwhm_GHz=self.fwhm_GHz)
+        _require("positive", fwhm_GHz=self.fwhm_GHz)
         if len(self.frequencies_GHz) != len(self.density):
             raise ValueError("grid and density must have equal length")
 
@@ -259,7 +259,8 @@ def comb_spectrum(
     span_GHz: float,
     samples: int,
 ) -> CombSpectrum:
-    """Sample the AS comb on a uniform grid centered on a resonance."""
+    """Sample the AS comb on a uniform grid centered on a resonance, with the teeth's
+    pump-broadened FWHM in GHz; the teeth lie ``cav.fsr_MHz`` apart."""
     _require("positive", span_GHz=span_GHz)
     freqs = _centered_grid(span_GHz, samples)
     fsr_GHz, hwhm_ratio, _ = _comb_scales(cav, noise, power_mW)
@@ -268,7 +269,6 @@ def comb_spectrum(
     return CombSpectrum(
         frequencies_GHz=freqs,
         density=comb_density(cav, noise, power_mW)(freqs),
-        fsr_GHz=fsr_GHz,
         fwhm_GHz=2.0 * hwhm_ratio * fsr_GHz,
     )
 

@@ -64,17 +64,15 @@ _MAX_SPAN_BYTES = 1 << 28  # pair codes, keys and histogram of the span: 256 MB
 
 @dataclass(frozen=True)
 class G2Record:
-    """A second-order cross-correlation estimate."""
+    """A second-order cross-correlation estimate and its standard error.  The window and
+    resolution it was read at are the caller's ``window_ns`` and ``histogram.resolution_ns``."""
 
     g2: float
     stderr: float
-    window_ns: float
-    resolution_ns: float
 
     def __post_init__(self):
         _require_finite(self)
         _require("non-negative", g2=self.g2, stderr=self.stderr)
-        _require("positive", window_ns=self.window_ns, resolution_ns=self.resolution_ns)
 
     @property
     def nonclassical(self) -> bool:
@@ -521,7 +519,8 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
     run's own tallies.  The standard error is the delta method on ``log g2`` over the
     per-bin click law, to leading order in ``N``.  A wide window dilutes g2 toward one.
     Where ``histogram.low_statistics`` is set, delay 0 holds fewer than 10 counts and the
-    error is no longer one sigma.
+    error is no longer one sigma.  The record holds g2 and its error only: the window is
+    ``window_ns`` and the resolution ``histogram.resolution_ns``.
     """
     _require("finite", window_ns=window_ns)
     m_float = window_ns / histogram.resolution_ns
@@ -551,8 +550,6 @@ def g2_from_histogram(histogram: CoincidenceHistogram, window_ns: float) -> G2Re
     return G2Record(
         g2=float(g2),
         stderr=float(g2 * np.sqrt(max(var_log, 0.0))),  # a law without spread rounds below 0
-        window_ns=float(window_ns),
-        resolution_ns=histogram.resolution_ns,
     )
 
 

@@ -56,7 +56,6 @@ class SnrCurve:
 
     efficiencies: np.ndarray
     snr_values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         _require_finite(self)
@@ -68,20 +67,17 @@ class SnrCurve:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Outcome of the anti-resonant SPDC-noise design check; ``over_tenfold``
+    """Outcome of the anti-resonant SPDC-noise design check: the filter band in GHz and
+    the suppression factor; the finesse and FSR are the caller's.  ``over_tenfold``
     compares the suppression factor with ``threshold``, a constant 10, not a field."""
 
-    finesse: float
-    fsr_GHz: float
     bpf_GHz: float
     suppression_factor: float
     threshold = 10.0  # the paper's tenfold target
 
     def __post_init__(self):
         _require_finite(self)
-        _require("at least 1", finesse=self.finesse)
-        _require("positive", fsr_GHz=self.fsr_GHz, bpf_GHz=self.bpf_GHz,
-                 suppression_factor=self.suppression_factor)
+        _require("positive", bpf_GHz=self.bpf_GHz, suppression_factor=self.suppression_factor)
 
     @property
     def over_tenfold(self) -> bool:
@@ -132,7 +128,8 @@ def normalized_snr_curves(F_cold: float, grid_size: int = 256) -> tuple[SnrCurve
     1/alpha_tilde]`` with ``alpha_tilde = F_cold*B/(4*pi)`` and unit
     extraction; the no-cavity curve over ``B*P in [0, (pi/2)^2]``.  Both
     use ``B/alpha_noise = pi^2/4`` so the no-cavity value at unit
-    efficiency is exactly one.
+    efficiency is exactly one.  Returns ``(cavity, no_cavity)``, unlabelled:
+    the caller holds ``F_cold``.
     """
     if not _is_integer(grid_size) or grid_size < 32:
         raise ValueError(f"grid_size must be an integer of at least 32, got {grid_size!r}")
@@ -141,12 +138,10 @@ def normalized_snr_curves(F_cold: float, grid_size: int = 256) -> tuple[SnrCurve
     x = np.linspace(0.0, 1.0, grid_size)  # alpha_tilde * P
     y = np.linspace(0.0, np.pi / 2.0, grid_size)  # sqrt(B * P)
     snr_c, snr_n = _normalized_snr(F_cold, x, y)
-    cavity = SnrCurve(_efficiency(1.0, x), snr_c, label=f"cavity F={F_cold:g}")
-    nocavity = SnrCurve(np.sin(y) ** 2, snr_n, label="no cavity")
-    return cavity, nocavity
+    return SnrCurve(_efficiency(1.0, x), snr_c), SnrCurve(np.sin(y) ** 2, snr_n)
 
 
-_DOMINANCE_GRID = np.concatenate([np.logspace(-4, 0, 511), [1.0]])
+_DOMINANCE_GRID = np.logspace(-4, 0, 511)  # ends at exactly 1.0, full conversion
 
 
 def cavity_dominates(F_cold: float) -> bool:
@@ -224,11 +219,12 @@ def nv_design_report(
     """Evaluate the anti-resonant noise-suppression design point.
 
     Converts the filter bandwidth to frequency at the detection wavelength
-    and reports the suppression factor against the tenfold target.
+    and reports it with the suppression factor against the tenfold target;
+    ``F`` and ``fsr_GHz`` stay with the caller.
     """
     bpf_GHz = bandwidth_nm_to_GHz(bpf_nm, center_nm)
     factor = spdc_antiresonant_suppression(F, fsr_GHz, bpf_GHz)
-    return DesignReport(finesse=F, fsr_GHz=fsr_GHz, bpf_GHz=bpf_GHz, suppression_factor=factor)
+    return DesignReport(bpf_GHz=bpf_GHz, suppression_factor=factor)
 
 
 _guard(globals())

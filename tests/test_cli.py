@@ -613,6 +613,9 @@ _GOLDEN = {
                               "--param", "bins=1000000", "--seed", "7"],
                              "843abda6d8d39397a38770dc64d16c234875ee74b7bc94f6d295ef68fca45e0d",
                              "a3ffaea49d8c96e48e0a2e0b23274e7c4a2256bc6b5446b8bbe6b20ea2cc358e"),
+    "g2_mc": (["g2", "--param", "mc=1", "--param", "bins=1000000", "--seed", "7"],
+              "583ff1cefea2dedd4ffbf2b9b4addb8646caf2aa7afb58323c560fe010f690ff",
+              "1f0c166752eed6799e45447ac41fe27edbae788da42ed3df939a0707abe4f497"),
 }
 
 

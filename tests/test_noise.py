@@ -254,7 +254,7 @@ class TestComb:
 
     def test_density_must_match_the_grid(self):
         with pytest.raises(ValueError, match="^grid and density must have equal length$"):
-            CombSpectrum(np.linspace(0.0, 10.0, 5), np.ones(4), 5.2, 0.1)
+            CombSpectrum(np.linspace(0.0, 10.0, 5), np.ones(4), 0.1)
 
     def test_undersampled_grid_rejected(self):
         with pytest.raises(ValueError):

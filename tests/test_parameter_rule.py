@@ -255,10 +255,14 @@ class TestRequire:
             # text cast to a float and accepted
             (lambda: noise_cavity_per_fsr(NOISE, np.array(["1"])), "power_mW"),
             (lambda: sample_response(CAV, DRIVE, ["1", "2"]), "detunings_MHz"),
+            # a scan cast its arrays to float before any check
+            (lambda: ScanSeries(np.array([False, True]), np.array([1.0, 2.0])), "abscissa"),
+            (lambda: ScanSeries(np.array(["1", "2"]), np.array([1.0, 2.0])), "abscissa"),
+            (lambda: ScanSeries(np.array([1.0, 2.0]), np.array([1 + 1j, 2 + 0j])), "values"),
         ],
         ids=["bool-counts", "bool-detunings", "numpy-bool-power", "list-int-past-float",
              "object-array", "object-array-nan", "complex-power", "text-power",
-             "text-detunings"],
+             "text-detunings", "bool-abscissa", "text-abscissa", "complex-values"],
     )
     def test_an_array_of_other_than_integers_or_floats_is_rejected_by_name(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must "):
@@ -411,20 +415,17 @@ CONSTRUCTORS = [
     (WavelengthConfig, {"signal_nm": 780.0, "pump_nm": 1581.0, "converted_nm": 1540.0},
      {"signal_nm": 0.0}, "signal_nm must be positive"),
     (ConversionResponse, {"detunings_MHz": 50.0 * _GRID, "t_ss": np.full(5, 0.5 + 0.1j),
-                          "r_rs": np.full(5, 0.3 - 0.2j), "power_mW": 50.0},
-     {"power_mW": -1.0}, "power_mW must be non-negative"),
+                          "r_rs": np.full(5, 0.3 - 0.2j)},
+     {"r_rs": np.full(4, 0.3 - 0.2j)}, "grid and amplitude arrays must have equal length"),
     (NoiseParams, {"alpha_noise_cps_per_mW": 230.0, "gamma_r_ratio": 0.7,
                    "alpha_tilde_per_mW": 1.0 / 144.0},
      {"gamma_r_ratio": 1.5}, r"gamma_r_ratio must lie in \[0, 1\]"),
-    (CombSpectrum, {"frequencies_GHz": _GRID, "density": np.full(5, 2.0), "fsr_GHz": 5.2,
-                    "fwhm_GHz": 0.07},
-     {"fsr_GHz": -1.0}, "fsr_GHz must be positive"),
-    (SnrCurve, {"efficiencies": np.linspace(0.0, 1.0, 5), "snr_values": np.full(5, 3.0),
-                "label": "curve"},
+    (CombSpectrum, {"frequencies_GHz": _GRID, "density": np.full(5, 2.0), "fwhm_GHz": 0.07},
+     {"fwhm_GHz": -1.0}, "fwhm_GHz must be positive"),
+    (SnrCurve, {"efficiencies": np.linspace(0.0, 1.0, 5), "snr_values": np.full(5, 3.0)},
      {"snr_values": np.array([3.0, -1.0, 3.0, 3.0, 3.0])}, "snr_values must be non-negative"),
-    (DesignReport, {"finesse": 45.0, "fsr_GHz": 5.0, "bpf_GHz": 3.57,
-                    "suppression_factor": 15.5},
-     {"finesse": 0.5}, "finesse must be at least 1"),
+    (DesignReport, {"bpf_GHz": 3.57, "suppression_factor": 15.5},
+     {"bpf_GHz": 0.0}, "bpf_GHz must be positive"),
     (ScanSeries, {"abscissa": _GRID, "values": np.ones(5), "sigma": np.full(5, 0.1),
                   "unit": "mW"},
      {"sigma": np.array([0.1, 0.0, 0.1, 0.1, 0.1])}, "sigma must be positive"),
@@ -432,7 +433,7 @@ CONSTRUCTORS = [
                  "std_errors": {"slope": 0.01, "intercept": 0.1}, "residual_norm": 1.0,
                  "iterations": 0},
      {"residual_norm": -1.0}, "residual_norm must be non-negative"),
-    (G2Record, {"g2": 3.8, "stderr": 0.1, "window_ns": 0.8, "resolution_ns": 0.8},
+    (G2Record, {"g2": 3.8, "stderr": 0.1},
      {"stderr": -0.1}, "stderr must be non-negative"),
     (SourceModel, {"mean_pairs_per_bin": 0.55, "herald_efficiency": 0.1,
                    "signal_efficiency": 0.1, "noise_rate_per_bin": 0.01, "bins": 1000,
@@ -464,6 +465,27 @@ def _public_dataclasses() -> set:
 
 def test_the_constructor_table_covers_every_public_dataclass():
     assert {cls for cls, *_ in CONSTRUCTORS} == _public_dataclasses()
+
+
+# each result record's fields, and the inputs it must not echo: its caller holds them
+_RESULT_FIELDS = [
+    (G2Record, ["g2", "stderr"], ["window_ns", "resolution_ns"]),
+    (DesignReport, ["bpf_GHz", "suppression_factor"], ["finesse", "fsr_GHz"]),
+    (ConversionResponse, ["detunings_MHz", "t_ss", "r_rs"], ["power_mW"]),
+    (CombSpectrum, ["frequencies_GHz", "density", "fwhm_GHz"], ["fsr_GHz"]),
+    (SnrCurve, ["efficiencies", "snr_values"], ["label"]),
+]
+
+
+@pytest.mark.parametrize("cls, names, removed", _RESULT_FIELDS,
+                         ids=[cls.__name__ for cls, *_ in _RESULT_FIELDS])
+def test_a_result_record_holds_only_what_its_law_computed(cls, names, removed):
+    assert [field.name for field in dataclasses.fields(cls)] == names
+    row = next(kwargs for table_cls, kwargs, *_ in CONSTRUCTORS if table_cls is cls)
+    record = cls(**row)
+    for name in removed:
+        with pytest.raises(TypeError):
+            dataclasses.replace(record, **{name: 1.0})
 
 
 def _with_one_bad_entry(value, bad):

@@ -148,6 +148,11 @@ class TestDominanceThreshold:
         with pytest.raises(TypeError):
             cavity_dominates(10.0, [0.5, 1.0])
 
+    def test_the_efficiency_grid_ends_at_full_conversion_once(self):
+        grid = snr_module._DOMINANCE_GRID
+        assert np.all(np.diff(grid) > 0)
+        assert grid[-1] == 1.0
+
     def test_bisection_bracket_holds(self):
         # min_finesse_for_dominance bisects [1, 16] without checking its ends
         assert not cavity_dominates(1.0)
@@ -220,8 +225,7 @@ class TestDesignReport:
         report = nv_design_report(45.0, 5.0, 0.03, 1587.0)
         assert report.threshold == 10.0
         assert report.over_tenfold and not replace(report, suppression_factor=10.0).over_tenfold
-        assert [f.name for f in fields(DesignReport)] == [
-            "finesse", "fsr_GHz", "bpf_GHz", "suppression_factor"]
+        assert [f.name for f in fields(DesignReport)] == ["bpf_GHz", "suppression_factor"]
         with pytest.raises(TypeError):
             replace(report, threshold=1.0)  # a constant, not a field
 
