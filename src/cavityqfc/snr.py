@@ -222,6 +222,7 @@ def nv_design_report(
     and reports it with the suppression factor against the tenfold target;
     ``F`` and ``fsr_GHz`` stay with the caller.
     """
+    _require("positive", bpf_nm=bpf_nm)  # bandwidth_nm_to_GHz would name it delta_nm
     bpf_GHz = bandwidth_nm_to_GHz(bpf_nm, center_nm)
     factor = spdc_antiresonant_suppression(F, fsr_GHz, bpf_GHz)
     return DesignReport(bpf_GHz=bpf_GHz, suppression_factor=factor)

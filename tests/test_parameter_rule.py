@@ -77,6 +77,7 @@ from cavityqfc.snr import (
     low_power_snr_gain,
     min_finesse_for_dominance,
     normalized_snr_curves,
+    nv_design_report,
     snr_cav,
     snr_config_table,
     snr_nocav,
@@ -130,6 +131,9 @@ LAWS = [
     (min_finesse_for_dominance, {"tolerance": 1e-3}, ["tolerance"]),
     (snr_config_table, {"F_c": 74.0, "F_s": 1.0}, ["F_c", "F_s"]),
     (low_power_snr_gain, {"F_cold": 74.0}, ["F_cold"]),
+    # the report no longer holds the finesse and FSR, so the law alone checks them
+    (nv_design_report, {"F": 45.0, "fsr_GHz": 5.0, "bpf_nm": 0.03, "center_nm": 1587.0},
+     ["F", "fsr_GHz", "bpf_nm", "center_nm"]),
     (fit_saturating_noise, {"data": NOISE_SCAN, "gamma_r_ratio": 0.7}, ["gamma_r_ratio"]),
     (enhancement_factor, {"alpha_tilde": 1.0 / 144.0, "B_ref": 0.01, "L_ref": 40.0, "L": 20.0},
      ["alpha_tilde", "B_ref", "L_ref", "L"]),
