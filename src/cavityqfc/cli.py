@@ -136,7 +136,7 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(_flatten(value, prefix=f"{name}."))
-        elif np.isscalar(value) or isinstance(value, bool):
+        elif np.isscalar(value):
             flat[name] = value
     return flat
 

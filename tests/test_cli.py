@@ -486,10 +486,7 @@ class TestDeterminismAndErrors:
     @pytest.mark.parametrize(
         "args",
         [
-            ["design", "--param", "finesse=nan"],
-            ["g2", "--param", "zeta=nan"],
-            ["g2", "--param", "g2_in=inf"],
-            ["snr", "--param", "mode=table", "--param", "fc=-inf"],
+            # a list key's later element; the whole value is swept in test_parameter_rule.py
             ["model", "--param", "powers=33.3,nan"],
             # (center_nm * 1e-9) ** 2 underflows to 0 and overflows to inf
             *(["design", "--param", f"center_nm={center}", "--format", fmt]
@@ -544,19 +541,13 @@ class TestDeterminismAndErrors:
         result = run_cli("fit", "--input", str(bad), "--param", "model=fwhm", expect=3)
         assert "line 2" in result.stderr
 
-    def test_nonfinite_scan_is_parse_error(self, tmp_path, capfd):
-        bad = tmp_path / "nonfinite.csv"
-        bad.write_text("power_mW,fwhm_MHz\n1,2\nnan,3\n2,4\n3,inf\n4,5\n")
-        result = run_cli("fit", "--input", str(bad), "--param", "model=fwhm", expect=3)
-        assert "must be finite" in result.stderr
-        # LAPACK writes straight to file descriptor 2, past redirect_stderr
-        assert "DLASCL" not in capfd.readouterr().err
-
-    def test_nonfinite_scan_names_the_first_bad_line(self, tmp_path):
+    def test_nonfinite_scan_is_parse_error_naming_the_first_bad_line(self, tmp_path, capfd):
         bad = tmp_path / "nonfinite.csv"
         bad.write_text("power_mW,fwhm_MHz\n1,2\nnan,3\n2,4\n3,inf\n4,5\n")
         result = run_cli("fit", "--input", str(bad), "--param", "model=fwhm", expect=3)
         assert "line 3: values must be finite, got ['nan', '3']" in result.stderr
+        # LAPACK writes straight to file descriptor 2, past redirect_stderr
+        assert "DLASCL" not in capfd.readouterr().err
 
     def test_decreasing_abscissa_names_the_first_falling_line(self, tmp_path):
         bad = tmp_path / "decreasing.csv"

@@ -12,7 +12,6 @@ from cavityqfc import (
     CavityParams,
     ConversionResponse,
     PumpDrive,
-    SourceModel,
     WavelengthConfig,
     alpha_tilde_from_finesse,
     bandwidth_nm_to_GHz,
@@ -29,16 +28,6 @@ from cavityqfc import (
 
 CAV = CavityParams(fsr_MHz=5200.0, gamma_all_MHz=70.4, gamma_r_ratio=0.7)
 CAV_OPEN = CavityParams(fsr_MHz=5200.0, gamma_all_MHz=70.4, gamma_r_ratio=1.0)
-
-# a valid value for every field of each parameter type
-_VALID_FIELDS = {
-    CavityParams: dict(fsr_MHz=5200.0, gamma_all_MHz=70.4, gamma_r_ratio=0.7,
-                       length_mm=13.26, group_index=2.1739),
-    PumpDrive: dict(power_mW=144.0, alpha_tilde_per_mW=1.0 / 144.0, phase_rad=0.3),
-    WavelengthConfig: dict(signal_nm=780.0, pump_nm=1581.0, converted_nm=1540.0),
-    SourceModel: dict(mean_pairs_per_bin=0.55, herald_efficiency=0.1, signal_efficiency=0.1,
-                      noise_rate_per_bin=0.01, bins=1000, seed=1),
-}
 
 
 def drive_for(coupling, gamma_all=70.4, phase=0.0):
@@ -113,12 +102,6 @@ class TestAmplitudes:
         fwhm_numeric = above[-1] - above[0]
         expected = power_broadened_fwhm(CAV, drv)
         assert fwhm_numeric == pytest.approx(expected, abs=2 * (grid[1] - grid[0]))
-
-    def test_nonfinite_detuning_rejected(self):
-        with pytest.raises(ValueError):
-            transmission_amplitude(CAV, drive_for(1.0), np.nan)
-        with pytest.raises(ValueError):
-            conversion_amplitude(CAV, drive_for(1.0), np.inf)
 
     def test_sample_response_shape(self):
         grid = np.linspace(-200, 200, 101)
@@ -223,27 +206,6 @@ class TestScalarModel:
             with pytest.raises(ValueError, match=re.escape(message)):
                 bandwidth_nm_to_GHz(0.03, center_nm)
 
-    @pytest.mark.parametrize(
-        "func, args",
-        [
-            (fsr_from_length, (np.nan, 2.1739)),
-            (fsr_from_length, (13.26, np.nan)),
-            (bandwidth_nm_to_GHz, (np.nan, 1540.0)),
-            (bandwidth_nm_to_GHz, (0.03, np.nan)),
-            (alpha_tilde_from_finesse, (np.nan, 4.0)),
-            (alpha_tilde_from_finesse, (25.0, np.nan)),
-            (dfg_wavelength, (np.nan, 1581.0)),
-            (dfg_wavelength, (780.0, np.nan)),
-            (nocavity_efficiency, (np.nan, 1.0)),
-            (nocavity_efficiency, (1.0, np.nan)),
-            (nocavity_efficiency, (np.inf, 1.0)),
-            (nocavity_efficiency, (-np.inf, 1.0)),
-        ],
-    )
-    def test_nan_argument_rejected(self, func, args):
-        with pytest.raises(ValueError):
-            func(*args)
-
 
 class TestDomainTypes:
     def test_cavity_params_validation(self):
@@ -267,8 +229,6 @@ class TestDomainTypes:
             PumpDrive(-1.0, 1.0)
         with pytest.raises(ValueError):
             PumpDrive(1.0, 0.0)
-        with pytest.raises(ValueError):
-            PumpDrive(np.nan, 1.0)
         assert PumpDrive(144.0, 1.0 / 144.0).coupling == pytest.approx(1.0)
 
     def test_conversion_response_arrays_must_match_the_grid(self):
@@ -284,20 +244,6 @@ class TestDomainTypes:
             WavelengthConfig(780.0, 1581.0, 1560.0)
         with pytest.raises(ValueError):
             WavelengthConfig(1581.0, 780.0, 1540.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize(
-        "cls, field",
-        [
-            pytest.param(cls, field, id=f"{cls.__name__}.{field}")
-            for cls, valid in _VALID_FIELDS.items()
-            for field in valid
-        ],
-    )
-    def test_nonfinite_field_rejected(self, cls, field, bad):
-        cls(**_VALID_FIELDS[cls])  # the unmodified fields construct
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            cls(**{**_VALID_FIELDS[cls], field: bad})
 
 
 @given(

@@ -1,13 +1,21 @@
 """One parameter rule for the public laws, the public dataclasses and the CLI.
 
-Every float parameter of a public law is checked by ``conversion._require``:
+Every numeric parameter of a public law is checked by ``conversion._require``:
 NaN, +inf and -inf raise ``ValueError`` naming the parameter, whatever its
 range.  The only non-finite value a law accepts is ``g2_out``'s
 ``zeta = inf``, the noise-free limit, which ``predict_nocavity_g2`` passes on.
 Every public dataclass checks its fields through ``_require_finite`` and
 ``_require`` the same way.  A finite argument that drives a public law out of
-the float range raises ``ValueError`` naming the law, with no numpy warning,
-and a CLI call whose float ``--param`` does so exits 4.
+the float range raises ``ValueError`` naming the law, with no numpy warning.
+A CLI call whose float ``--param`` is NaN or infinite exits 4 naming the key
+and writes nothing; one whose float ``--param`` drives a law out of the float
+range exits 4 too.
+
+Each surface is one table, checked against the package's own list: ``LAWS``
+against the laws in each module's ``__all__``, ``CONSTRUCTORS`` against its
+public dataclasses, and the CLI sweep is read from ``cli._MODES``.  The
+parameters a row checks are its numbers, arrays and dicts, so a new law,
+record or key needs only its row.
 """
 
 import contextlib
@@ -38,10 +46,20 @@ from cavityqfc.conversion import (
     fsr_from_length,
     nocavity_efficiency,
     peak_efficiency,
+    power_broadened_fwhm,
     sample_response,
     transmission_amplitude,
 )
-from cavityqfc.fitting import FitResult, ScanSeries, enhancement_factor, fit_saturating_noise
+from cavityqfc.fitting import (
+    FitResult,
+    ScanSeries,
+    enhancement_factor,
+    extract_fsr,
+    extract_fwhm,
+    fit_linear,
+    fit_saturating_noise,
+    periodogram,
+)
 from cavityqfc.noise import (
     CombSpectrum,
     NoiseParams,
@@ -50,6 +68,7 @@ from cavityqfc.noise import (
     comb_density,
     comb_rate_in_band,
     comb_spectrum,
+    half_noise_check,
     noise_cavity_per_fsr,
     noise_nocavity,
     normalized_noise_coefficient,
@@ -59,6 +78,8 @@ from cavityqfc.photon_stats import (
     CoincidenceHistogram,
     G2Record,
     SourceModel,
+    broadband_conversion_efficiency,
+    expected_histogram,
     flat_top_spectrum,
     g2_from_histogram,
     g2_out,
@@ -67,6 +88,7 @@ from cavityqfc.photon_stats import (
     noise_rate_for_intensity_ratio,
     predict_nocavity_g2,
     simulate_coincidences,
+    thermal_source_g2,
     zeta_from_g2,
 )
 from cavityqfc.presets import Preset
@@ -89,86 +111,96 @@ DRIVE = PumpDrive(50.0, PRESET.alpha_tilde_per_mW)
 POWERS = np.linspace(10.0, 250.0, 12)
 NOISE_SCAN = ScanSeries(POWERS, noise_cavity_per_fsr(NOISE, POWERS), unit="mW")
 HISTOGRAM = CoincidenceHistogram(np.full(41, 10.0), 1000.0, 1000.0, 100_000.0, 0.8)
+_GRID = np.linspace(-2.0, 2.0, 5)
 
-# law, valid keyword arguments, the float parameters among them
+_MODEL = SourceModel(0.55, 0.1, 0.1, bins=1000, seed=1)
+_FRINGES = np.arange(0.0, 40.0, 0.1)
+_LINE = np.linspace(-200.0, 200.0, 81)
+
+# each public law and valid keyword arguments; its numbers, arrays and dicts are the
+# parameters the rule checks
 LAWS = [
-    (peak_efficiency, {"drive": DRIVE, "gamma_r_ratio": 0.7}, ["gamma_r_ratio"]),
-    (transmission_amplitude, {"cav": CAV, "drive": DRIVE, "detuning_MHz": 5.0},
-     ["detuning_MHz"]),
-    (conversion_amplitude, {"cav": CAV, "drive": DRIVE, "detuning_MHz": 5.0}, ["detuning_MHz"]),
-    (fsr_from_length, {"length_mm": 20.0, "group_index": 2.2}, ["length_mm", "group_index"]),
-    (finesse_from_reflectances, {"r_front": 0.9, "r_rear": 0.95, "internal_loss_per_pass": 0.01},
-     ["r_front", "r_rear", "internal_loss_per_pass"]),
-    (nocavity_efficiency, {"power_mW": 50.0, "B_per_mW": 0.01}, ["power_mW", "B_per_mW"]),
-    (alpha_tilde_from_finesse, {"F_cold": 74.0, "B_per_mW": 0.01}, ["F_cold", "B_per_mW"]),
-    (dfg_wavelength, {"signal_nm": 780.0, "pump_nm": 1581.0}, ["signal_nm", "pump_nm"]),
-    (bandwidth_nm_to_GHz, {"delta_nm": 0.03, "center_nm": 1540.0}, ["delta_nm", "center_nm"]),
+    (peak_efficiency, {"drive": DRIVE, "gamma_r_ratio": 0.7}),
+    (transmission_amplitude, {"cav": CAV, "drive": DRIVE, "detuning_MHz": 5.0}),
+    (conversion_amplitude, {"cav": CAV, "drive": DRIVE, "detuning_MHz": 5.0}),
+    (sample_response, {"cav": CAV, "drive": DRIVE, "detunings_MHz": 50.0 * _GRID}),
+    (power_broadened_fwhm, {"cav": CAV, "drive": DRIVE}),
+    (fsr_from_length, {"length_mm": 20.0, "group_index": 2.2}),
+    (finesse_from_reflectances, {"r_front": 0.9, "r_rear": 0.95, "internal_loss_per_pass": 0.01}),
+    (nocavity_efficiency, {"power_mW": 50.0, "B_per_mW": 0.01}),
+    (alpha_tilde_from_finesse, {"F_cold": 74.0, "B_per_mW": 0.01}),
+    (dfg_wavelength, {"signal_nm": 780.0, "pump_nm": 1581.0}),
+    (bandwidth_nm_to_GHz, {"delta_nm": 0.03, "center_nm": 1540.0}),
     (as_spectral_density,
-     {"noise": NOISE, "power_mW": 10.0, "detuning_MHz": 5.0, "gamma_all_MHz": 70.4},
-     ["power_mW", "detuning_MHz", "gamma_all_MHz"]),
-    (noise_nocavity, {"alpha_noise": 230.0, "power_mW": 10.0, "bpf_GHz": 1.0, "fsr_GHz": 5.2},
-     ["alpha_noise", "power_mW", "bpf_GHz", "fsr_GHz"]),
-    (beta_tilde_from, {"F_cold": 74.0, "alpha_noise": 230.0, "fsr": 5.2},
-     ["F_cold", "alpha_noise", "fsr"]),
+     {"noise": NOISE, "power_mW": 10.0, "detuning_MHz": 5.0, "gamma_all_MHz": 70.4}),
+    (noise_cavity_per_fsr, {"noise": NOISE, "power_mW": 50.0}),
+    (noise_nocavity, {"alpha_noise": 230.0, "power_mW": 10.0, "bpf_GHz": 1.0, "fsr_GHz": 5.2}),
+    (half_noise_check, {"noise": NOISE, "power_mW": 50.0}),
+    (beta_tilde_from, {"F_cold": 74.0, "alpha_noise": 230.0, "fsr": 5.2}),
+    (comb_density, {"cav": CAV, "noise": NOISE, "power_mW": 10.0}),
     (comb_rate_in_band,
-     {"cav": CAV, "noise": NOISE, "power_mW": 10.0, "f_lo_GHz": -0.5, "f_hi_GHz": 0.5},
-     ["power_mW", "f_lo_GHz", "f_hi_GHz"]),
+     {"cav": CAV, "noise": NOISE, "power_mW": 10.0, "f_lo_GHz": -0.5, "f_hi_GHz": 0.5}),
     (comb_spectrum,
-     {"cav": CAV, "noise": NOISE, "power_mW": 10.0, "span_GHz": 12.0, "samples": 400},
-     ["power_mW", "span_GHz"]),
-    (spdc_antiresonant_suppression, {"F": 45.0, "fsr_GHz": 5.0, "bpf_GHz": 3.57},
-     ["F", "fsr_GHz", "bpf_GHz"]),
+     {"cav": CAV, "noise": NOISE, "power_mW": 10.0, "span_GHz": 12.0, "samples": 400}),
+    (spdc_antiresonant_suppression, {"F": 45.0, "fsr_GHz": 5.0, "bpf_GHz": 3.57}),
     (normalized_noise_coefficient,
      {"alpha_noise": 230.0, "length_mm": 20.0, "bpf_GHz": 3.8, "t_circ": 0.8,
-      "gamma_r_ratio_opt": 0.7},
-     ["alpha_noise", "length_mm", "bpf_GHz", "t_circ", "gamma_r_ratio_opt"]),
-    (snr_cav, {"power_mW": 50.0, "alpha_tilde": 1.0 / 144.0, "alpha_noise": 230.0},
-     ["power_mW", "alpha_tilde", "alpha_noise"]),
-    (snr_nocav, {"power_mW": 50.0, "B": 0.01, "alpha_noise": 230.0, "band_ratio": 0.5},
-     ["power_mW", "B", "alpha_noise", "band_ratio"]),
-    (normalized_snr_curves, {"F_cold": 25.0, "grid_size": 64}, ["F_cold"]),
-    (cavity_dominates, {"F_cold": 25.0}, ["F_cold"]),
-    (min_finesse_for_dominance, {"tolerance": 1e-3}, ["tolerance"]),
-    (snr_config_table, {"F_c": 74.0, "F_s": 1.0}, ["F_c", "F_s"]),
-    (low_power_snr_gain, {"F_cold": 74.0}, ["F_cold"]),
+      "gamma_r_ratio_opt": 0.7}),
+    (snr_cav, {"power_mW": 50.0, "alpha_tilde": 1.0 / 144.0, "alpha_noise": 230.0}),
+    (snr_nocav, {"power_mW": 50.0, "B": 0.01, "alpha_noise": 230.0, "band_ratio": 0.5}),
+    (normalized_snr_curves, {"F_cold": 25.0, "grid_size": 64}),
+    (cavity_dominates, {"F_cold": 25.0}),
+    (min_finesse_for_dominance, {"tolerance": 1e-3}),
+    (snr_config_table, {"F_c": 74.0, "F_s": 1.0}),
+    (low_power_snr_gain, {"F_cold": 74.0}),
     # the report no longer holds the finesse and FSR, so the law alone checks them
-    (nv_design_report, {"F": 45.0, "fsr_GHz": 5.0, "bpf_nm": 0.03, "center_nm": 1587.0},
-     ["F", "fsr_GHz", "bpf_nm", "center_nm"]),
-    (fit_saturating_noise, {"data": NOISE_SCAN, "gamma_r_ratio": 0.7}, ["gamma_r_ratio"]),
-    (enhancement_factor, {"alpha_tilde": 1.0 / 144.0, "B_ref": 0.01, "L_ref": 40.0, "L": 20.0},
-     ["alpha_tilde", "B_ref", "L_ref", "L"]),
-    (g2_out, {"g2_in": 3.8, "zeta": 2.0}, ["g2_in", "zeta"]),
-    (zeta_from_g2, {"g2_in": 3.8, "g2_out_value": 2.5}, ["g2_in", "g2_out_value"]),
-    (predict_nocavity_g2, {"g2_in": 3.8, "zeta": 2.0, "enhancement": 5.0},
-     ["g2_in", "zeta", "enhancement"]),
-    (noise_rate_for_intensity_ratio, {"mu": 0.55, "eta_signal": 0.1, "zeta": 2.1},
-     ["mu", "eta_signal", "zeta"]),
-    (flat_top_spectrum, {"width_GHz": 1.0}, ["width_GHz"]),
-    (lorentzian_spectrum, {"fwhm_GHz": 0.1, "span_GHz": 2.0}, ["fwhm_GHz", "span_GHz"]),
-    (gaussian_spectrum, {"fwhm_GHz": 0.1, "span_GHz": 2.0}, ["fwhm_GHz", "span_GHz"]),
-    (simulate_coincidences,
-     {"model": SourceModel(0.55, 0.1, 0.1, bins=1000, seed=1), "delay_span_bins": 5,
-      "resolution_ns": 0.8},
-     ["resolution_ns"]),
-    (g2_from_histogram, {"histogram": HISTOGRAM, "window_ns": 0.8}, ["window_ns"]),
+    (nv_design_report, {"F": 45.0, "fsr_GHz": 5.0, "bpf_nm": 0.03, "center_nm": 1587.0}),
+    (fit_linear, {"data": NOISE_SCAN}),
+    (fit_saturating_noise, {"data": NOISE_SCAN, "gamma_r_ratio": 0.7}),
+    (extract_fwhm, {"data": ScanSeries(_LINE, 1.0 / (1.0 + (_LINE / 35.0) ** 2))}),
+    (periodogram, {"data": NOISE_SCAN}),
+    (extract_fsr, {"data": ScanSeries(_FRINGES, 2.0 + np.cos(2.0 * np.pi * _FRINGES / 5.2))}),
+    (enhancement_factor, {"alpha_tilde": 1.0 / 144.0, "B_ref": 0.01, "L_ref": 40.0, "L": 20.0}),
+    (g2_out, {"g2_in": 3.8, "zeta": 2.0}),
+    (zeta_from_g2, {"g2_in": 3.8, "g2_out_value": 2.5}),
+    (predict_nocavity_g2, {"g2_in": 3.8, "zeta": 2.0, "enhancement": 5.0}),
+    (thermal_source_g2,
+     {"mu": 0.55, "eta_herald": 0.1, "eta_signal": 0.1, "noise_rate_per_bin": 0.01}),
+    (noise_rate_for_intensity_ratio, {"mu": 0.55, "eta_signal": 0.1, "zeta": 2.1}),
+    (expected_histogram, {"model": _MODEL, "delay_span_bins": 5}),
+    (flat_top_spectrum, {"width_GHz": 1.0}),
+    (lorentzian_spectrum, {"fwhm_GHz": 0.1, "span_GHz": 2.0}),
+    (gaussian_spectrum, {"fwhm_GHz": 0.1, "span_GHz": 2.0}),
+    (broadband_conversion_efficiency,
+     {"photon_spectrum": flat_top_spectrum(1.0, 401),
+      "response": sample_response(CAV, DRIVE, np.linspace(-2500.0, 2500.0, 2001))}),
+    (simulate_coincidences, {"model": _MODEL, "delay_span_bins": 5, "resolution_ns": 0.8}),
+    (g2_from_histogram, {"histogram": HISTOGRAM, "window_ns": 0.8}),
 ]
 
 # the model field that a law's parameter fills, where the model's check names it
-_FIELD = {"mu": "mean_pairs_per_bin", "eta_signal": "signal_efficiency"}
+_FIELD = {"mu": "mean_pairs_per_bin", "eta_herald": "herald_efficiency",
+          "eta_signal": "signal_efficiency"}
 _NONFINITE = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
 
 
+def _parameters(kwargs: dict) -> list[str]:
+    """The arguments under the rule: numbers, arrays and dicts of them.  A bool is not a number."""
+    return [name for name, value in kwargs.items()
+            if isinstance(value, (int, float, np.ndarray, dict)) and not isinstance(value, bool)]
+
+
 def _cases():
-    for law, kwargs, floats in LAWS:
-        for name in floats:
+    for law, kwargs in LAWS:
+        for name in _parameters(kwargs):
             for label, bad in _NONFINITE.items():
                 if law in (g2_out, predict_nocavity_g2) and (name, label) == ("zeta", "+inf"):
                     continue  # the noise-free limit, tested below
                 yield pytest.param(law, kwargs, name, bad, id=f"{law.__name__}-{name}-{label}")
 
 
-@pytest.mark.parametrize("law, kwargs, floats", LAWS, ids=[law.__name__ for law, _, _ in LAWS])
-def test_valid_arguments_are_accepted(law, kwargs, floats):
+@pytest.mark.parametrize("law, kwargs", LAWS, ids=[law.__name__ for law, _ in LAWS])
+def test_valid_arguments_are_accepted(law, kwargs):
     # the float rule hands a numpy scalar or 0-d array result back as a Python number
     result = law(**kwargs)
     assert not isinstance(result, np.generic)
@@ -177,7 +209,7 @@ def test_valid_arguments_are_accepted(law, kwargs, floats):
 
 @pytest.mark.parametrize("law, kwargs, name, bad", _cases())
 def test_nonfinite_float_is_rejected_by_name(law, kwargs, name, bad):
-    with pytest.raises(ValueError, match=_FIELD.get(name, name)):
+    with pytest.raises(ValueError, match=f"^{_FIELD.get(name, name)} must "):
         law(**{**kwargs, name: bad})
 
 
@@ -362,8 +394,8 @@ def _numbers(result):
 
 
 def _extreme_cases():
-    for law, kwargs, floats in LAWS:
-        for name in floats:
+    for law, kwargs in LAWS:
+        for name in _parameters(kwargs):
             for value in (1.7e308, -1.7e308, 5e-324):
                 yield pytest.param(law, kwargs, name, value, id=f"{law.__name__}-{name}={value}")
 
@@ -390,10 +422,14 @@ def test_squared_half_width_keeps_the_density_in_the_float_range(power):
 LAW_MODULES = [conversion, noise, snr, photon_stats, fitting]
 
 
+def _public_laws(module) -> list:
+    laws = [getattr(module, name) for name in module.__all__]
+    return [law for law in laws if not isinstance(law, type)]
+
+
 @pytest.mark.parametrize("module", LAW_MODULES, ids=[m.__name__ for m in LAW_MODULES])
 def test_every_public_law_is_under_the_float_rule(module):
-    laws = [getattr(module, name) for name in module.__all__]
-    laws = [law for law in laws if not isinstance(law, type)]
+    laws = _public_laws(module)
     assert laws and all(hasattr(law, "__wrapped__") for law in laws)
 
 
@@ -409,7 +445,6 @@ def test_the_smallest_accepted_tolerance_converges():
 
 
 # each public dataclass, valid keyword arguments for it, and one out-of-range case
-_GRID = np.linspace(-2.0, 2.0, 5)
 CONSTRUCTORS = [
     (CavityParams, {"fsr_MHz": 5200.0, "gamma_all_MHz": 70.4, "gamma_r_ratio": 0.7,
                     "length_mm": 13.26, "group_index": 2.1739},
@@ -471,6 +506,11 @@ def test_the_constructor_table_covers_every_public_dataclass():
     assert {cls for cls, *_ in CONSTRUCTORS} == _public_dataclasses()
 
 
+def test_the_law_table_covers_every_public_law():
+    public = {law.__name__ for module in LAW_MODULES for law in _public_laws(module)}
+    assert {law.__name__ for law, _ in LAWS} == public
+
+
 # each result record's fields, and the inputs it must not echo: its caller holds them
 _RESULT_FIELDS = [
     (G2Record, ["g2", "stderr"], ["window_ns", "resolution_ns"]),
@@ -505,10 +545,9 @@ def _with_one_bad_entry(value, bad):
 
 def _field_cases():
     for cls, kwargs, _, _ in CONSTRUCTORS:
-        for name, value in kwargs.items():
-            if isinstance(value, (float, np.ndarray, dict)):  # the numeric fields
-                for label, bad in _NONFINITE.items():
-                    yield pytest.param(cls, kwargs, name, bad, id=f"{cls.__name__}-{name}-{label}")
+        for name in _parameters(kwargs):
+            for label, bad in _NONFINITE.items():
+                yield pytest.param(cls, kwargs, name, bad, id=f"{cls.__name__}-{name}-{label}")
 
 
 @pytest.mark.parametrize("cls, kwargs, bad_kwargs, message", CONSTRUCTORS, ids=_CONSTRUCTOR_IDS)
@@ -526,9 +565,6 @@ def test_nonfinite_field_is_rejected_by_name(cls, kwargs, name, bad):
 def test_out_of_range_field_is_rejected_by_name(cls, kwargs, bad_kwargs, message):
     with pytest.raises(ValueError, match=message):
         cls(**{**kwargs, **bad_kwargs})
-
-
-_EXTREMES = ["1.7e308", "-1.7e308", "5e-324"]
 
 
 @pytest.fixture(scope="module")
@@ -549,8 +585,8 @@ def _valid_text(parser) -> str:
     raise AssertionError(f"no valid text for {parser}")
 
 
-def _cli_cases():
-    """Every float ``--param`` key of every mode at each extreme, with the keys it needs."""
+def _float_keys():
+    """Every float ``--param`` key of every mode, with the arguments that reach it."""
     for command, modes in cli._MODES.items():
         pick = cli._SUBCOMMANDS[command][1]
         for mode, (_, schema) in modes.items():
@@ -563,24 +599,43 @@ def _cli_cases():
                 needed = cli._NEEDS.get(key)
                 needs = [] if needed is None else [
                     "--param", f"{needed}={_valid_text(schema[needed][0])}"]
-                for value in _EXTREMES:
-                    yield pytest.param([*base, *needs, "--param", f"{key}={value}"],
-                                       id=f"{command}-{mode}-{key}={value}")
+                yield [*base, *needs], key, f"{command}-{mode}-{key}"
 
 
-def test_float_extreme_sweep_covers_every_float_key():
-    # 42 float keys over all modes, three extremes each; a change to the shape of
-    # the mode table that hides the keys from the sweep fails here, not silently
-    assert len(list(_cli_cases())) == 126
+def _cli_cases(values):
+    for base, key, label in _float_keys():
+        for value in values:
+            yield pytest.param([*base, "--param", f"{key}={value}"], key, id=f"{label}={value}")
 
 
-@pytest.mark.parametrize("argv", _cli_cases())
-def test_float_extreme_exits_0_or_4_without_a_warning(argv, noise_scan, tmp_path):
-    argv = [*argv, "--output", str(tmp_path / "out")]
+def test_float_sweeps_cover_every_float_key():
+    # a change to the shape of the mode table that hides keys from the sweeps fails here,
+    # not silently
+    assert len(list(_float_keys())) == 42
+
+
+def _run(argv, noise_scan, output):
+    """``cli.main`` on ``argv`` writing to ``output``; its exit code, stdout and stderr."""
+    argv = [*argv, "--output", str(output)]
     if argv[0] == "fit":
         argv += ["--input", noise_scan]
-    stderr = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error")
         code = cli.main(argv)
-    assert code in (0, 4), stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("argv, key", _cli_cases(["1.7e308", "-1.7e308", "5e-324"]))
+def test_float_extreme_exits_0_or_4_without_a_warning(argv, key, noise_scan, tmp_path):
+    code, _, stderr = _run(argv, noise_scan, tmp_path / "out")
+    assert code in (0, 4), stderr
+
+
+@pytest.mark.parametrize("argv, key", _cli_cases(["nan", "inf", "-inf"]))
+def test_nonfinite_float_key_exits_4_by_name_and_writes_nothing(argv, key, noise_scan, tmp_path):
+    code, stdout, stderr = _run(argv, noise_scan, tmp_path / "out")
+    assert code == 4, stderr
+    assert f"--param {key} must be finite" in stderr
+    assert stdout == "" and not (tmp_path / "out").exists()
