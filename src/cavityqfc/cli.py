@@ -36,7 +36,7 @@ import numpy as np
 from . import conversion, fitting, noise, photon_stats, snr
 from .dataio import fmt, read_scan_csv, render_csv, render_json, write_text
 from .errors import NumericFailure, ParseError, WorkbenchError
-from .presets import DEFAULT_PRESET, PRESETS
+from .presets import BPF_NM, DEFAULT_PRESET, PRESETS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -314,7 +314,7 @@ def _generate_comb(params, preset, seed):
         raise ValueError(f"span_nm must lie in [0, {MAX_POINTS} * step_nm]")
     bpf_nm = params["bpf_nm"]
     power = params["power_mW"]
-    center_nm = preset.wavelengths.converted_nm if preset.wavelengths else 1540.0
+    center_nm = preset.wavelengths.converted_nm
     ghz_per_nm = conversion.bandwidth_nm_to_GHz(1.0, center_nm)
     wavelengths = center_nm + np.arange(
         -span_nm / 2.0, span_nm / 2.0 + step_nm / 2.0, step_nm
@@ -341,6 +341,11 @@ def _generate_comb(params, preset, seed):
 
 def _simulate_from(params, seed):
     """Source model and its coincidence histogram from the Monte Carlo parameters."""
+    # checked under the keys given, before the model checks its own fields
+    conversion._require("positive", mu=params["mu"])
+    conversion._require("[0, 1]", eta_herald=params["eta_herald"],
+                        eta_signal=params["eta_signal"])
+    conversion._require("non-negative", nu=params["nu"])
     nu = params["nu"]
     if params["zeta"] is not None:
         nu = photon_stats.noise_rate_for_intensity_ratio(
@@ -442,6 +447,7 @@ _MONTE_CARLO = {"mu": (float, 0.55), "eta_herald": (float, 0.1), "eta_signal": (
                 "nu": (float, 0.0), "zeta": (float, None), "bins": (int, 10_000_000),
                 "span_bins": (int, 30), "resolution_ns": (float, 0.8)}
 _GAMMA_R = {"gamma_r_ratio": (float, lambda preset, _: preset.cavity.gamma_r_ratio)}
+_NV = PRESETS["nv"]
 
 # a key that its handler reads only when another key is given
 _NEEDS = {"noise_frac": "noise", "target_mean": "noise", "enhancement": "zeta"}
@@ -473,7 +479,7 @@ _MODES: dict[str, dict] = {
                    "alpha_tilde_per_mW": (float, lambda preset, _: preset.alpha_tilde_per_mW),
                    **_GAMMA_R}),
         "comb": (partial(cmd_generate, _generate_comb),
-                 {"span_nm": (float, 2.0), "step_nm": (float, 0.01), "bpf_nm": (float, 0.03),
+                 {"span_nm": (float, 2.0), "step_nm": (float, 0.01), "bpf_nm": (float, BPF_NM),
                   "power_mW": (float, 100.0), "noise": (_noise("poisson"), None),
                   "target_mean": (float, 25.0)}),
         "coincidence": (partial(cmd_generate, _generate_coincidence), _MONTE_CARLO),
@@ -484,8 +490,11 @@ _MODES: dict[str, dict] = {
         "1": (cmd_g2_mc, {**_MONTE_CARLO,
                           "window_ns": (float, lambda _, params: params["resolution_ns"])}),
     },
-    "design": {None: (cmd_design, {"finesse": (float, 45.0), "fsr_GHz": (float, 5.0),
-                                   "bpf_nm": (float, 0.03), "center_nm": (float, 1587.0)})},
+    # design takes no --preset: its defaults are the nv preset's, as plain values
+    "design": {None: (cmd_design, {"finesse": (float, _NV.cavity.finesse),
+                                   "fsr_GHz": (float, _NV.cavity.fsr_MHz * 1e-3),
+                                   "bpf_nm": (float, BPF_NM),
+                                   "center_nm": (float, _NV.wavelengths.converted_nm)})},
 }
 
 

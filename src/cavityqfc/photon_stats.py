@@ -195,9 +195,12 @@ def thermal_source_g2(
     and :func:`expected_histogram` read too.  Approaches ``2 + 1/mu`` as the
     efficiencies vanish; at finite efficiency the value is lower, which is
     why quantitative Monte Carlo checks should compare against this
-    expression.  Raises ``ValueError`` for what :class:`SourceModel`
-    rejects, for an arm that never clicks and for a ``p11`` that underflows.
+    expression.  Raises ``ValueError``, naming the argument, for what
+    :class:`SourceModel` rejects, for an arm that never clicks and for a
+    ``p11`` that underflows.
     """
+    _require("positive", mu=mu)
+    _require("[0, 1]", eta_herald=eta_herald, eta_signal=eta_signal)
     model = SourceModel(mu, eta_herald, eta_signal, noise_rate_per_bin)
     _, p10, p01, p11 = _click_probabilities(model)
     # p11 > 0 wherever both arms click; below the normal range g2 loses its digits
@@ -215,7 +218,8 @@ def noise_rate_for_intensity_ratio(mu: float, eta_signal: float, zeta: float) ->
     where that rate is 0 (a blind signal arm, or ``mu*eta`` underflowing),
     since no noise rate then gives any ``zeta``.
     """
-    _require("positive", zeta=zeta)
+    _require("positive", mu=mu, zeta=zeta)
+    _require("[0, 1]", eta_signal=eta_signal)
     # with a blind herald every signal click is signal-only: p01 is the arm's rate
     _, _, signal_rate, _ = _click_probabilities(SourceModel(mu, 0.0, eta_signal))
     if signal_rate == 0.0:

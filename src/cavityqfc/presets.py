@@ -2,8 +2,11 @@
 
 ``1540`` is the default configuration (conversion of a 780 nm signal to
 1540 nm with a 1581 nm pump); ``1522`` is the higher-finesse variant with
-a 1600 nm pump; ``nv`` is the anti-resonant SPDC-noise design point with
-the detection band at 1587 nm.
+a 1600 nm pump; ``nv`` is the anti-resonant SPDC-noise design point that
+converts 637 nm to 1587 nm with a 1064 nm pump; the pump's spontaneous
+pairs that land in the 1587 nm band have their idler at 3229 nm,
+``1/(1/1064 - 1/1587)``.  Every preset detects at its converted
+wavelength behind the paper's ``BPF_NM`` filter.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from dataclasses import dataclass
 from .conversion import CavityParams, WavelengthConfig, _require, _require_finite
 from .noise import NoiseParams
 
-__all__ = ["Preset", "PRESETS", "DEFAULT_PRESET"]
+__all__ = ["Preset", "PRESETS", "DEFAULT_PRESET", "BPF_NM"]
+
+# the bandpass filter width, in nm, that the paper puts behind every configuration
+BPF_NM = 0.03
 
 
 @dataclass(frozen=True)
@@ -22,7 +28,7 @@ class Preset:
     cavity: CavityParams
     alpha_tilde_per_mW: float
     alpha_noise_cps_per_mW: float
-    wavelengths: WavelengthConfig | None = None
+    wavelengths: WavelengthConfig
     broadening_MHz_per_mW: float | None = None
 
     def __post_init__(self):
@@ -74,13 +80,15 @@ PRESETS: dict[str, Preset] = {
         wavelengths=WavelengthConfig(signal_nm=780.0, pump_nm=1600.0, converted_nm=1522.0),
         broadening_MHz_per_mW=0.56,
     ),
-    # anti-resonant SPDC design point: cavity on the 3229 nm idler, finesse 45,
-    # detection band 0.03 nm around 1587 nm
+    # anti-resonant SPDC design point: 637 nm converted to 1587 nm with a 1064 nm pump,
+    # whose SPDC pairs in the 1587 nm band have their idler at 1/(1/1064 - 1/1587) =
+    # 3229 nm; the cavity, finesse 45, is on that idler
     "nv": Preset(
         name="nv",
         cavity=CavityParams(fsr_MHz=5000.0, gamma_all_MHz=5000.0 / 45.0, gamma_r_ratio=1.0),
         alpha_tilde_per_mW=1.0 / 144.0,
         alpha_noise_cps_per_mW=230.0,
+        wavelengths=WavelengthConfig(signal_nm=637.0, pump_nm=1064.0, converted_nm=1587.0),
     ),
 }
 

@@ -23,8 +23,8 @@ import time
 import numpy as np
 import pytest
 
-from cavityqfc import PRESETS, ScanSeries, cli, conversion, extract_fwhm
-from cavityqfc.dataio import read_scan_csv
+from cavityqfc import BPF_NM, PRESETS, ScanSeries, cli, conversion, extract_fwhm
+from cavityqfc.dataio import fmt, read_scan_csv
 
 
 def _check_exit(result, expect):
@@ -404,8 +404,6 @@ class TestCoincidenceRoundTrip:
         assert series.unit == "ns"
         assert provenance["model"] == "coincidence"
         from cavityqfc import CoincidenceHistogram, g2_from_histogram, thermal_source_g2
-        from cavityqfc.dataio import fmt
-
         singles = [float(provenance[key]) for key in ("herald_clicks", "signal_clicks", "bins")]
         histogram = CoincidenceHistogram(series.values, *singles, resolution_ns=0.8)
         # the file's delay column is the derived axis, written at 12 digits
@@ -426,6 +424,14 @@ class TestDesignCommand:
         assert payload["finesse"] == 45.0
         assert payload["suppression_factor"] > 10.0
         assert payload["over_tenfold"] is True
+
+    def test_defaults_are_the_nv_preset_s(self):
+        nv = PRESETS["nv"]
+        defaults = {key: default for key, (_, default) in cli._MODES["design"][None][1].items()}
+        assert defaults == {"finesse": nv.cavity.finesse, "fsr_GHz": nv.cavity.fsr_MHz * 1e-3,
+                            "bpf_nm": BPF_NM, "center_nm": nv.wavelengths.converted_nm}
+        # the golden design digests and --help depend on these exact floats
+        assert list(defaults.values()) == [45.0, 5.0, 0.03, 1587.0]
 
     def test_huge_finesse_stays_finite(self):
         payload = json.loads(run_cli("design", "--param", "finesse=1e17").stdout)
@@ -728,6 +734,22 @@ class TestDomainLimits:
         result = run_cli("g2", "--param", "mc=1", "--param", "eta_signal=0",
                          "--param", "zeta=2.1", expect=4)
         assert "no noise rate gives zeta=2.1" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [("mu=-1", "mu must be positive and finite, got -1.0"),
+         ("eta_herald=1.5", "eta_herald must lie in [0, 1], got 1.5"),
+         ("eta_signal=2", "eta_signal must lie in [0, 1], got 2.0"),
+         ("nu=-1", "nu must be non-negative and finite, got -1.0")],
+    )
+    @pytest.mark.parametrize("mode", [["g2", "--param", "mc=1"],
+                                      ["generate", "--param", "model=coincidence"]],
+                             ids=["g2", "generate"])
+    def test_monte_carlo_domain_error_names_the_key_given(self, mode, pair, message):
+        # the source model's checks name its fields, not the --param keys
+        result = run_cli(*mode, "--param", "bins=20000", "--param", pair, expect=4)
+        assert result.stderr == f"domain error: {message}\n"
         assert result.stdout == ""
 
     def test_limits_are_inclusive(self):
@@ -1077,6 +1099,53 @@ class TestStatedDefaults:
                         for mode, (_, schema) in modes.items() if command != "fsr"}
 
 
+def _digits(text: str) -> tuple[float, float]:
+    """The first number in a README cell, and half a unit of its last stated digit."""
+    number = re.search(r"\d+(?:\.(\d+))?", text)
+    return float(number[0]), 0.5 * 10.0 ** -len(number[1] or "")
+
+
+class TestPresets:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_comb_centers_on_the_converted_wavelength(self, preset, tmp_path):
+        path = tmp_path / "comb.csv"
+        run_cli("generate", "--preset", preset, "--param", "model=comb", "--output", str(path))
+        series, provenance = read_scan_csv(str(path))
+        center = PRESETS[preset].wavelengths.converted_nm
+        assert provenance["center_nm"] == fmt(center)
+        assert series.abscissa[len(series.abscissa) // 2] == center
+
+    def test_readme_table_states_the_presets(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("\n## Presets\n")[1].strip().split("\n\n")[0].splitlines()
+        assert [cell.strip() for cell in table[0].strip("|").split("|")] == [
+            "preset", "signal → converted", "pump", "FSR", "cold FWHM", "extraction",
+            "alpha_tilde", "alpha_noise", "filter"]
+        rows = {}
+        for line in table[2:]:
+            name, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[re.findall(r"`([^`]+)`", name)[0]] = cells
+        assert sorted(rows) == sorted(PRESETS)
+        for name, (wavelengths, pump, fsr, fwhm, extraction, _, _, band) in rows.items():
+            preset = PRESETS[name]
+            signal, converted = wavelengths.split("→")
+            filter_nm, filter_GHz = band.split("(")
+            stated = [
+                (signal, preset.wavelengths.signal_nm),
+                (converted, preset.wavelengths.converted_nm),
+                (pump, preset.wavelengths.pump_nm),
+                (fsr, preset.cavity.fsr_MHz * 1e-3),
+                (fwhm, preset.cavity.gamma_all_MHz),
+                (extraction, preset.cavity.gamma_r_ratio),
+                (filter_nm, BPF_NM),
+                (filter_GHz,
+                 conversion.bandwidth_nm_to_GHz(BPF_NM, preset.wavelengths.converted_nm)),
+            ]
+            for text, value in stated:
+                number, half_unit = _digits(text)
+                assert abs(number - value) <= half_unit, (name, text, value)
+
+
 class TestGenerateProvenance:
     @pytest.mark.parametrize(
         "args",
@@ -1087,8 +1156,6 @@ class TestGenerateProvenance:
         ids=["fwhm", "noise", "comb", "coincidence"],
     )
     def test_json_numbers_match_csv_lines(self, args):
-        from cavityqfc.dataio import fmt
-
         provenance = json.loads(run_cli("generate", *args, "--format", "json").stdout)["provenance"]
         lines = [line[2:].split(" = ", 1)
                  for line in run_cli("generate", *args).stdout.splitlines()

@@ -178,9 +178,6 @@ LAWS = [
     (g2_from_histogram, {"histogram": HISTOGRAM, "window_ns": 0.8}),
 ]
 
-# the model field that a law's parameter fills, where the model's check names it
-_FIELD = {"mu": "mean_pairs_per_bin", "eta_herald": "herald_efficiency",
-          "eta_signal": "signal_efficiency"}
 _NONFINITE = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
 
 
@@ -209,7 +206,7 @@ def test_valid_arguments_are_accepted(law, kwargs):
 
 @pytest.mark.parametrize("law, kwargs, name, bad", _cases())
 def test_nonfinite_float_is_rejected_by_name(law, kwargs, name, bad):
-    with pytest.raises(ValueError, match=f"^{_FIELD.get(name, name)} must "):
+    with pytest.raises(ValueError, match=f"^{name} must "):
         law(**{**kwargs, name: bad})
 
 
@@ -482,7 +479,7 @@ CONSTRUCTORS = [
                             "signal_clicks": 1000.0, "bins": 100_000.0, "resolution_ns": 0.8},
      {"resolution_ns": 0.0}, "resolution_ns must be positive"),
     (Preset, {"name": "test", "cavity": CAV, "alpha_tilde_per_mW": 1.0 / 144.0,
-              "alpha_noise_cps_per_mW": 230.0, "wavelengths": None,
+              "alpha_noise_cps_per_mW": 230.0, "wavelengths": PRESET.wavelengths,
               "broadening_MHz_per_mW": 0.49},
      {"alpha_tilde_per_mW": -1.0}, "alpha_tilde_per_mW must be positive"),
 ]

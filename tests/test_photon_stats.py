@@ -124,8 +124,8 @@ class TestThermalSourceG2:
         "args, message",
         [
             ((0.55, 0.05, 0.0), "zeta"),
-            ((0.55, 1.5, 2.1), "signal_efficiency"),
-            ((-1.0, 0.05, 2.1), "mean_pairs_per_bin"),
+            ((0.55, 1.5, 2.1), r"^eta_signal must lie in \[0, 1\], got 1.5"),
+            ((-1.0, 0.05, 2.1), "^mu must be positive and finite, got -1.0"),
             # no noise rate gives a signal arm that never clicks any zeta
             ((0.55, 0.0, 2.1), "no noise rate gives zeta=2.1"),
             ((0.55, 0.0, 1e-9), "no noise rate gives zeta=1e-09"),
@@ -158,10 +158,10 @@ class TestThermalSourceG2:
     @pytest.mark.parametrize(
         "args, message",
         [
-            ((0.55, 1.5, 0.1), "herald_efficiency"),
-            ((0.55, np.nan, 0.1), "herald_efficiency must be finite"),
+            ((0.55, 1.5, 0.1), r"^eta_herald must lie in \[0, 1\], got 1.5"),
+            ((0.55, np.nan, 0.1), r"^eta_herald must lie in \[0, 1\], got nan"),
             ((0.55, 0.1, 0.1, np.inf), "noise_rate_per_bin must be finite"),
-            ((0.0, 0.1, 0.1), "mean_pairs_per_bin"),
+            ((0.0, 0.1, 0.1), "^mu must be positive and finite, got 0.0"),
             ((0.55, 0.0, 0.1), "g2 is undefined"),
             ((0.55, 0.1, 0.0), "g2 is undefined"),
             # both arms click, but too rarely for p11 to be a normal float
