@@ -335,7 +335,9 @@ def extract_fsr(data: ScanSeries) -> tuple[float, float]:
     before analysis (the comb is periodic in frequency, not wavelength);
     delay scans yield the FSR directly as the fringe frequency.  The
     dominant periodogram peak is refined by quadratic interpolation of the
-    three surrounding bins and quoted with a one-bin uncertainty.
+    three surrounding bins, which biases a peak between bins (-0.57 % on
+    0.0005 nm Poisson comb scans, spread 5.4e-4 GHz; ROADMAP.md item 3), and
+    quoted with one bin, a resolution bound rather than one sigma.
     """
     if data.unit == "mW":
         raise ValueError("a power scan has no spectral periodicity to extract")

@@ -76,7 +76,8 @@ class G2Record:
 
     @property
     def nonclassical(self) -> bool:
-        """True when the estimate exceeds the classical bound 2 by its stderr."""
+        """True when the estimate exceeds the classical bound 2 by its stderr: a one-sided test at
+        one stderr, which fires in 13-18 % of seeds at a true g2 of 2 (ROADMAP.md item 1)."""
         return self.g2 - self.stderr > 2.0
 
 
@@ -368,32 +369,27 @@ def _count_pairs(keys: np.ndarray, first: int, codes: np.ndarray) -> None:
 
     ``keys`` holds ``A = 16*bin + label`` and ``B = 16*bin - 4*label`` of
     bin-sorted clicks, so ``A[m] - B[m-j] = 16*delay + 4*label[m-j] + label[m]``.
-    Pass ``j`` subtracts, clips at ``16*(k+1)`` (the last index of ``codes``)
-    and tallies, until an offset pairs nothing; once fewer than ``_SHRINK``
-    of the later clicks pair, it follows the shrinking set of those that do.
-    The first offset is tested before it is tallied, so a piece whose clicks
-    mostly pair with nothing tallies only those that pair.  Each pass tallies
-    in time and memory that follow its codes, not the ``16*(k+1)+1`` slots
-    of ``codes`` (see ``_tally``), so the cost is the pairs counted.
+    Pass ``j`` subtracts, then tests once, before it tallies, how many codes
+    fall below ``16*(k+1)``, the last index of ``codes``.  While at least
+    ``_SHRINK`` of the later clicks pair, it clips there and tallies the whole
+    pass; the first pass where fewer do tallies only those that pair, and
+    later passes follow them until none is left.  Each pass tallies in time
+    and memory that follow its codes, not the ``16*(k+1)+1`` slots of
+    ``codes`` (see ``_tally``), so the cost is the pairs counted.
     """
     a, b = keys
     n, cap = a.size, codes.size - 1
     for j in range(1, n):
         lo = max(j, first)
         codes_j = np.subtract(a[lo:], b[lo - j : n - j])
-        if j == 1:
-            pairing = codes_j < cap
-            if np.count_nonzero(pairing) < _SHRINK * codes_j.size:
-                later = np.flatnonzero(pairing)
-                _tally(codes, codes_j[later])
-                later += lo
-                break
-        np.minimum(codes_j, cap, out=codes_j)
-        beyond = codes[cap]
-        _tally(codes, codes_j)
-        if codes_j.size - (codes[cap] - beyond) < _SHRINK * codes_j.size:
-            later = np.flatnonzero(codes_j < cap) + lo
+        pairing = codes_j < cap
+        if np.count_nonzero(pairing) < _SHRINK * codes_j.size:
+            later = np.flatnonzero(pairing)
+            _tally(codes, codes_j[later])
+            later += lo
             break
+        np.minimum(codes_j, cap, out=codes_j)
+        _tally(codes, codes_j)
     else:
         return
     while later.size:

@@ -19,11 +19,11 @@ the cavity advantage read off directly: the cavity curve sits at
 ``F*pi/2`` for vanishing efficiency and ``F*pi/8`` at full conversion, so
 a cold finesse of at least ``8/pi`` keeps it on top everywhere.
 
-Dividing by the saturating rate instead would give ``8*alpha_tilde /
-(alpha_noise * (1 + alpha_tilde*P))``, larger by ``1 + alpha_tilde*P``.
-Its curve sits at ``F*pi/4`` at full conversion, and the dominance
-threshold becomes ``pi/2``, set at vanishing efficiency, in place of
-``8/pi``.
+Dividing by the saturating rate instead gives ``snr_cav * (1 + alpha_tilde*P)``,
+which is ``k * peak_efficiency / noise.comb_rate_in_band`` for a band of ``k``
+whole FSRs, wherever its edges lie.  Its curve sits at ``F*pi/4`` at full
+conversion, and the dominance threshold becomes ``pi/2``, set at vanishing
+efficiency, in place of ``8/pi``.
 """
 
 from __future__ import annotations

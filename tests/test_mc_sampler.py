@@ -77,9 +77,10 @@ class TestDelayHistogram:
     @settings(max_examples=300, deadline=None)
     @given(stream=labelled_streams(), shrink=st.sampled_from([0.0, 0.5, 2.0]))
     def test_property_against_brute_force(self, stream, shrink):
-        # pieces carry tails of 0 to all earlier clicks; a shrink of 0 never
-        # switches to index passes, one of 2 tallies only the first offset's
-        # pairing clicks and then indexes them, and 0.5 reaches both switches
+        # pieces carry tails of 0 to all earlier clicks; each offset is tested
+        # once before it is tallied: a shrink of 0 never switches to index
+        # passes, one of 2 switches at the first offset, and 0.5 at the first
+        # offset where under half the later clicks pair, early or late
         clicks, labels, cuts, k = stream
         expected = brute_force_histogram(*split_arms(clicks, labels), k)
         assert np.array_equal(stream_histogram(clicks, labels, cuts, k, shrink), expected)
@@ -113,6 +114,36 @@ class TestDelayHistogram:
             cuts = rng.integers(0, clicks.size + 1, 2)
             expected = brute_force_histogram(herald, signal, k)
             assert np.array_equal(stream_histogram(clicks, labels, cuts, k), expected)
+
+    def test_first_pass_under_the_share_tallies_only_pairing_clicks(self, monkeypatch):
+        # dense clicks: offsets 1-3 pair 96, 83 and 61 % of the later clicks and
+        # offset 4 pairs 38 %, so full passes run before the share test fires
+        calls = []
+        count_pairs, tally = photon_stats._count_pairs, photon_stats._tally
+
+        def spy_count_pairs(keys, first, codes):
+            calls.append((keys.copy(), first, codes.size - 1, []))
+            count_pairs(keys, first, codes)
+
+        def spy_tally(codes, codes_j):
+            calls[-1][3].append(codes_j.copy())
+            tally(codes, codes_j)
+
+        monkeypatch.setattr(photon_stats, "_count_pairs", spy_count_pairs)
+        monkeypatch.setattr(photon_stats, "_tally", spy_tally)
+        simulate_coincidences(SourceModel(0.55, 0.1, 0.1, 0.01, bins=200_000), 30)
+        switches = []
+        for (a, b), first, cap, tallies in calls:
+            n = a.size
+            for j in range(1, n):  # the first offset where under _SHRINK of the later clicks pair
+                lo = max(j, first)
+                pairing = np.count_nonzero(a[lo:] - b[lo - j : n - j] < cap)
+                if pairing < photon_stats._SHRINK * (n - lo):
+                    break
+            switches.append(j)
+            assert [t.size for t in tallies[: j - 1]] == [n - max(i, first) for i in range(1, j)]
+            assert tallies[j - 1].max(initial=0) < cap, f"offset {j} tallied clicks past the span"
+        assert max(switches) == 4, switches
 
     def test_all_ones_edges(self):
         ones, both = np.arange(5, dtype=np.int64), np.full(5, 3, np.int8)

@@ -14,6 +14,7 @@ from cavityqfc import (
     PumpDrive,
     SnrCurve,
     cavity_dominates,
+    comb_rate_in_band,
     low_power_snr_gain,
     min_finesse_for_dominance,
     noise_cavity_per_fsr,
@@ -78,6 +79,21 @@ class TestPointwiseSnr:
                 snr(bad, *args)
             with pytest.raises(ValueError, match="power_mW must be"):
                 snr(np.array([1.0, bad]), *args)
+
+    @pytest.mark.parametrize("preset", ["1540", "1522"])
+    def test_in_band_comb_is_the_tangent_over_one_plus_alpha_tilde_p(self, preset):
+        # a band of k whole FSRs holds k teeth of the saturating law wherever its edges
+        # lie, so the efficiency over its comb is snr_cav * (1 + alpha_tilde*P) / k
+        cav, noise, alpha_tilde = (PRESETS[preset].cavity, PRESETS[preset].noise(),
+                                   PRESETS[preset].alpha_tilde_per_mW)
+        fsr_GHz = cav.fsr_MHz / 1e3
+        for k in (1, 3, 24):
+            for power in (1.0, 10.0, 144.0, 250.0):
+                eta = peak_efficiency(PumpDrive(power, alpha_tilde), cav.gamma_r_ratio)
+                rate = comb_rate_in_band(cav, noise, power, fsr_GHz / 4, fsr_GHz * (k + 0.25))
+                expected = snr_cav(power, alpha_tilde, noise.alpha_noise_cps_per_mW)
+                assert eta / rate == pytest.approx(
+                    expected * (1.0 + alpha_tilde * power) / k, rel=1e-14, abs=0.0)
 
     def test_band_ratio_domain(self):
         with pytest.raises(ValueError):
