@@ -225,7 +225,7 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class PumpDrive:
-    """Pump configuration: power, normalized coupling coefficient, phase.
+    """Pump configuration: power and normalized coupling coefficient.
 
     ``alpha_tilde_per_mW`` is the coefficient turning pump power into the
     dimensionless coupling ``C = alpha_tilde * P``; its inverse is the
@@ -234,7 +234,6 @@ class PumpDrive:
 
     power_mW: float
     alpha_tilde_per_mW: float
-    phase_rad: float = 0.0
 
     def __post_init__(self):
         _require_finite(self)
@@ -264,14 +263,11 @@ class WavelengthConfig:
         _require_finite(self)
         _require("positive", signal_nm=self.signal_nm, pump_nm=self.pump_nm,
                  converted_nm=self.converted_nm)
-        expected = 1.0 / self.signal_nm - 1.0 / self.pump_nm
-        if expected <= 0:
-            raise ValueError("pump_nm must exceed signal_nm for downconversion")
-        actual = 1.0 / self.converted_nm
-        if abs(actual - expected) > 1e-3 * expected:
+        expected_nm = dfg_wavelength(self.signal_nm, self.pump_nm)
+        if abs(expected_nm / self.converted_nm - 1.0) > 1e-3:
             raise ValueError(
                 "wavelengths violate energy conservation: expected converted "
-                f"wavelength {1.0 / expected:.4f} nm, got {self.converted_nm:.4f} nm"
+                f"wavelength {expected_nm:.4f} nm, got {self.converted_nm:.4f} nm"
             )
 
 
@@ -319,16 +315,15 @@ def transmission_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
 def conversion_amplitude(cav: CavityParams, drive: PumpDrive, detuning_MHz):
     """Complex amplitude for the signal to leave in the converted mode.
 
-    ``r = sqrt(gamma_r_ratio) * exp(-i*phase) * sqrt(C) /
-    (0.5*(1+C) - i*d)``.  The squared magnitude is bounded by the
-    extraction ratio and reaches it exactly at impedance matching on
-    resonance.
+    ``r = sqrt(gamma_r_ratio) * sqrt(C) / (0.5*(1+C) - i*d)``.  The squared
+    magnitude is bounded by the extraction ratio and reaches it exactly at
+    impedance matching on resonance.
     """
     _require("finite", detuning_MHz=detuning_MHz)
     detuning = np.asarray(detuning_MHz, dtype=float)
     coupling = drive.coupling
     d = detuning / cav.gamma_all_MHz
-    numerator = np.sqrt(cav.gamma_r_ratio) * np.exp(-1j * drive.phase_rad) * np.sqrt(coupling)
+    numerator = np.sqrt(cav.gamma_r_ratio) * np.sqrt(coupling)
     return numerator / (_half_width(coupling) - 1j * d)
 
 

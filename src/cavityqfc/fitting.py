@@ -31,6 +31,8 @@ __all__ = [
 
 _UNITS = ("mW", "nm", "GHz", "ns")
 _LM_MAX_TRIALS = 200  # accepted or rejected Levenberg-Marquardt trial steps
+_GOLDEN_STEPS = 58  # golden-section steps of the noise fit: they narrow [0, 1) below 1e-12
+_INV_PHI = (5.0**0.5 - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,15 @@ class ScanSeries:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimates with standard errors; ``iterations`` counts the accepted
-    Levenberg-Marquardt steps (0 for the closed-form line).  ``converged`` is a
-    constant, not a field: every fit returned has converged."""
+    """Estimates with standard errors; ``iterations`` counts the golden-section
+    steps of the noise fit (0 for the closed-form line).  ``converged`` is a
+    constant, not a field: neither fit can fail to converge."""
 
     parameters: dict[str, float]
     std_errors: dict[str, float]
     residual_norm: float
     iterations: int
-    converged = True  # fit_linear is closed form; a diverging fit raises NumericFailure
+    converged = True  # fit_linear is closed form; the noise fit takes a fixed step count
 
     def __post_init__(self):
         _require_finite(self)
@@ -111,15 +113,13 @@ def _covariance(jac: np.ndarray, residual_norm: float, data: ScanSeries) -> np.n
     return cov
 
 
-def _levenberg_marquardt(model, theta0, lower=-np.inf):
+def _levenberg_marquardt(model, theta0):
     """Minimize ``|r|^2``, where ``model(theta)`` returns the weighted residuals
     ``r`` and their Jacobian, by Levenberg-Marquardt with Marquardt's damping
-    ``lam * diag(J^T J)``.  ``theta`` is clipped at ``lower``, where an outward
-    gradient holds a coordinate out of the step.  Points are evaluated with float
-    warnings off: a trial is rejected unless its cost is finite and below the
-    current one and its Jacobian finite; a non-finite start is a ``NumericFailure``.
-    Stops when a step changes ``theta`` or the cost by under 1e-12 relative;
-    returns ``(theta, residuals, jacobian, accepted_steps)``.
+    ``lam * diag(J^T J)``.  Points are evaluated with float warnings off: a trial is
+    rejected unless its cost is finite and below the current one and its Jacobian
+    finite; a non-finite start is a ``NumericFailure``.  Stops when a step changes
+    ``theta`` or the cost by under 1e-12 relative; returns ``(theta, residuals, jacobian)``.
     """
     theta = np.asarray(theta0, dtype=float)
     with np.errstate(all="ignore"):
@@ -127,17 +127,14 @@ def _levenberg_marquardt(model, theta0, lower=-np.inf):
         cost = float(r @ r)
     if not (np.isfinite(cost) and np.isfinite(jac).all()):
         raise NumericFailure(f"non-finite residuals or Jacobian at the start point {theta}")
-    lam, accepted = 0.1, 0
+    lam = 0.1
     for _ in range(_LM_MAX_TRIALS):
         grad = jac.T @ r
-        free = ~((theta <= lower) & (grad > 0))
-        normal = (jac.T @ jac)[np.ix_(free, free)]
+        normal = jac.T @ jac
         scale = np.sqrt(np.diag(normal))
         scale[scale == 0] = 1.0
         damped = normal / np.outer(scale, scale) + lam * np.eye(scale.size)
-        step = np.zeros_like(theta)
-        step[free] = np.linalg.lstsq(damped, -grad[free] / scale, rcond=None)[0] / scale
-        trial = np.maximum(theta + step, lower)
+        trial = theta + np.linalg.lstsq(damped, -grad / scale, rcond=None)[0] / scale
         done = np.linalg.norm(trial - theta) <= 1e-12 * (1e-12 + np.linalg.norm(theta))
         with np.errstate(all="ignore"):
             r_trial, jac_trial = model(trial)
@@ -145,11 +142,11 @@ def _levenberg_marquardt(model, theta0, lower=-np.inf):
         if cost_trial < cost and np.isfinite(jac_trial).all():  # false for a NaN cost
             done |= cost - cost_trial <= 1e-12 * cost
             theta, r, jac, cost = trial, r_trial, jac_trial, cost_trial
-            lam, accepted = lam / 10.0, accepted + 1
+            lam /= 10.0
         else:
             lam *= 10.0
         if done:
-            return theta, r, jac, accepted
+            return theta, r, jac
     raise NumericFailure(f"Levenberg-Marquardt did not converge in {_LM_MAX_TRIALS} "
                          f"trial steps: residual={cost:.3e}, theta={theta}")
 
@@ -182,12 +179,11 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     """Fit the saturating cavity-noise law, estimating both coefficients.
 
     Model: the law of :func:`~cavityqfc.noise.noise_cavity_per_fsr` with
-    ``gamma_r_ratio`` held fixed.  Levenberg-Marquardt on log-parameters
-    (which keeps both coefficients positive, ``alpha_tilde`` clipped at
-    ``1e-12 / P_max``) with an analytic Jacobian, started from a
-    deterministic initializer: the low-power slope fixes ``alpha_noise``,
-    the droop of the highest-power point relative to that slope fixes
-    ``alpha_tilde``, and a start estimate out of the float range is a ``ValueError``.
+    ``gamma_r_ratio`` held fixed, as ``Y*r / ((1-t) + t*r)`` with ``r = P/P_max``
+    and ``t = alpha_tilde*P_max / (1 + alpha_tilde*P_max)`` in ``[0, 1)``, from the
+    linear law to the plateau.  Each ``t`` has a closed-form best ``Y``, and ``t``
+    comes from a fixed count of golden-section steps.  The errors come from the
+    ``(alpha_noise, alpha_tilde)`` Jacobian; a best ``Y`` not above 0 is a ``ValueError``.
     """
     _require("(0, 1]", gamma_r_ratio=gamma_r_ratio)
     if len(data) < 5:
@@ -197,36 +193,43 @@ def fit_saturating_noise(data: ScanSeries, gamma_r_ratio: float) -> FitResult:
     if np.count_nonzero(positive) < 3 or x[positive].max() < 5.0 * x[positive].min():
         raise ValueError("powers must span at least a factor of 5")
 
-    # deterministic initializer
-    xp, yp = x[positive], y[positive]
-    n_low = max(2, int(np.ceil(0.2 * len(xp))))
-    slope0 = float(np.mean(yp[:n_low] / xp[:n_low]))
-    if slope0 <= 0:
+    p_max = x[-1]
+    ratio, wy = x / p_max, w * y
+    wratio = w * ratio
+
+    def profile(t):
+        """Weighted cost and best ``Y`` at saturation share ``t``."""
+        shape = wratio / ((1.0 - t) + t * ratio)
+        top = (shape @ wy) / (shape @ shape)
+        r = top * shape - wy
+        return r @ r, top
+
+    # golden-section search: t is the best point yet, tried against the split of its larger side
+    lo, hi, t = 0.0, 1.0, _INV_PHI
+    cost = profile(t)[0]
+    for _ in range(_GOLDEN_STEPS):
+        u = hi - _INV_PHI * (hi - lo) if 2.0 * t > lo + hi else lo + _INV_PHI * (hi - lo)
+        cost_u = profile(u)[0]
+        if cost_u < cost:
+            lo, hi = (lo, t) if u < t else (t, hi)
+            t, cost = u, cost_u
+        else:
+            lo, hi = (u, hi) if u < t else (lo, u)
+    top = profile(t)[1]
+    if top <= 0:
         raise ValueError("noise values must rise with power")
-    alpha_noise0 = 2.0 * slope0 / gamma_r_ratio
-    p_max, y_max = xp[-1], yp[-1]
-    droop = slope0 * p_max / y_max if y_max > 0 else 1.0
-    alpha_tilde0 = max((droop - 1.0) / p_max, 1e-3 / p_max)
-    theta0 = np.log([alpha_noise0, alpha_tilde0])
-    if not np.isfinite(theta0).all():
-        raise ValueError(f"the start estimate alpha_noise={alpha_noise0:g}, "
-                         f"alpha_tilde={alpha_tilde0:g} leaves the float range")
 
-    def model(theta):
-        a, b = np.exp(theta)
-        f, bx = _per_fsr(a, gamma_r_ratio, b, x), b * x
-        return (f - y) * w, np.column_stack([f * w, -f * bx / (1.0 + bx) * w])
-
-    lower = np.array([-np.inf, np.log(1e-12 / p_max)])
-    theta, r, jac, steps = _levenberg_marquardt(model, theta0, lower)
-    a, b = np.exp(theta)
+    a, b = 2.0 * top / ((1.0 - t) * p_max * gamma_r_ratio), t / ((1.0 - t) * p_max)
+    f = _per_fsr(a, gamma_r_ratio, b, x)
+    r = (f - y) * w
+    jac = np.column_stack([f / a, -f * x / (1.0 + b * x)]) * w[:, None]
     residual_norm = float(r @ r)
-    err_log = np.sqrt(np.maximum(np.diag(_covariance(jac, residual_norm, data)), 0.0))
+    err = np.sqrt(np.maximum(np.diag(_covariance(jac, residual_norm, data)), 0.0))
     return FitResult(
         parameters={"alpha_noise": float(a), "alpha_tilde": float(b)},
-        std_errors={"alpha_noise": float(a * err_log[0]), "alpha_tilde": float(b * err_log[1])},
+        std_errors={"alpha_noise": float(err[0]), "alpha_tilde": float(err[1])},
         residual_norm=residual_norm,
-        iterations=steps,
+        iterations=_GOLDEN_STEPS,
     )
 
 
@@ -299,7 +302,7 @@ def extract_fwhm(data: ScanSeries) -> tuple[float, float]:
         return (offset + amp / (1.0 + u * u) - y) * w, jac
 
     try:
-        theta, r, jac, _ = _levenberg_marquardt(model, [center0, width0 / 2.0, amp0, offset0])
+        theta, r, jac = _levenberg_marquardt(model, [center0, width0 / 2.0, amp0, offset0])
         width = 2.0 * abs(float(theta[1]))
         # a width beyond the scan is not constrained by the data
         if 0 < width <= np.ptp(x):

@@ -136,8 +136,8 @@ class TestSaturatingFit:
         assert hits >= 0.9 * trials
 
 
-# a valid linear scan up to 10^4 mW on which a trial step overflowed the model
-# (b = e^700 in the noise law) and `fit model=noise` exited 4
+# a valid linear scan up to 10^4 mW on which a Levenberg-Marquardt trial step once
+# overflowed the model (b = e^700 in the noise law) and `fit model=noise` exited 4
 OVERFLOW_SCAN = ScanSeries(
     np.linspace(10000.0 / 7, 10000.0, 7),
     np.array([34888.0, 62933.0, 149697.0, 143068.0, 137039.0, 193268.0, 287341.0]),
@@ -147,13 +147,15 @@ OVERFLOW_SCAN = ScanSeries(
 
 
 class TestSaturatingFitSolverRule:
-    def test_a_trial_out_of_the_float_range_is_rejected_without_a_warning(self):
+    def test_the_scan_fits_to_its_least_squares_minimum_without_a_warning(self):
+        # the least-squares minimum that scipy's least squares finds from 15 starts
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = fit_saturating_noise(OVERFLOW_SCAN, 0.5)
-        assert result.parameters["alpha_noise"] == pytest.approx(101.0, abs=0.1)
-        assert result.std_errors["alpha_noise"] == pytest.approx(16.9, abs=0.1)
-        assert result.iterations == 4
+        assert result.parameters["alpha_noise"] == pytest.approx(102.0988, abs=1e-4)
+        assert result.std_errors["alpha_noise"] == pytest.approx(17.11, abs=0.01)
+        assert result.parameters["alpha_tilde"] == pytest.approx(1.777e-6, rel=1e-3)
+        assert result.residual_norm == pytest.approx(6.436473, abs=1e-6)
 
     def test_the_cli_fits_the_scan(self, tmp_path):
         path = tmp_path / "scan.csv"
@@ -172,8 +174,9 @@ class TestSaturatingFitSolverRule:
         result = fit_saturating_noise(noise_scan(230.0, 1.0 / 144.0, 0.7), 0.7)
         assert result.parameters["alpha_noise"] == pytest.approx(230.0, rel=1e-3)
 
-    def test_a_start_estimate_out_of_the_float_range_is_a_value_error(self):
-        with pytest.raises(ValueError, match="start estimate alpha_noise=inf"):
+    def test_coefficients_out_of_the_float_range_are_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^fit_saturating_noise\(.*gamma_r_ratio=5e-324\) "
+                           "leaves the float range$"):
             fit_saturating_noise(noise_scan(230.0, 1.0 / 144.0, 0.7), 5e-324)
 
     def test_a_start_point_without_finite_residuals_is_a_numeric_failure(self):
@@ -182,6 +185,20 @@ class TestSaturatingFitSolverRule:
 
         with pytest.raises(NumericFailure, match="start point"):
             fitting._levenberg_marquardt(model, [1.0])
+
+    def test_a_trial_whose_cost_leaves_the_float_range_is_rejected_without_a_warning(self):
+        # |r|^2 is least at e^theta = 2; from theta = -5.5 the first damped step lands
+        # near theta = 438, where the residuals (1e190) and Jacobian are finite but
+        # their squared sum overflows
+        def model(theta):
+            e = np.exp(theta)
+            return np.concatenate([e - 1.0, e - 3.0]), np.vstack([e, e])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, r, _ = fitting._levenberg_marquardt(model, [-5.5])
+        assert theta[0] == pytest.approx(np.log(2.0), rel=1e-9)
+        assert r @ r == pytest.approx(2.0, rel=1e-12)
 
     def test_a_cost_that_falls_forever_stops_after_200_trials(self):
         def model(theta):
