@@ -83,6 +83,17 @@ class TestAmplitudes:
         assert abs(conversion_amplitude(CAV, drive_for(1.0), 0.0)) ** 2 == pytest.approx(0.7)
         assert abs(conversion_amplitude(CAV, drive_for(0.9), 0.0)) ** 2 < 0.7
 
+    def test_argument_is_set_by_detuning_alone(self):
+        # r = sqrt(g*C) / (0.5*(1+C) - i*d): real and positive on resonance,
+        # turned by atan(d / (0.5*(1+C))) off it
+        for c in (0.2, 0.8, 3.0):
+            assert conversion_amplitude(CAV, drive_for(c), 0.0).imag == 0.0
+            assert conversion_amplitude(CAV, drive_for(c), 0.0).real > 0.0
+            detuning = np.linspace(-500.0, 500.0, 41)
+            r = conversion_amplitude(CAV, drive_for(c), detuning)
+            expected = np.arctan2(detuning / CAV.gamma_all_MHz, 0.5 * (1.0 + c))
+            assert np.angle(r) == pytest.approx(expected, abs=1e-12)
+
     def test_conversion_fwhm_matches_broadened_width(self):
         drv = drive_for(0.9722222)
         grid = np.linspace(-600, 600, 120001)

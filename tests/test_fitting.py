@@ -103,6 +103,19 @@ class TestSaturatingFit:
         alpha_tilde = result.parameters["alpha_tilde"]
         assert alpha_tilde <= max(result.std_errors["alpha_tilde"], 1e-9)
 
+    @pytest.mark.parametrize("alpha_tilde", [1.0, 10.0])
+    def test_deep_saturation_recovery(self, alpha_tilde):
+        # alpha_tilde*P_max of 250 and 2500 put the saturation share within 4e-3 of 1
+        result = fit_saturating_noise(noise_scan(230.0, alpha_tilde, 0.7), 0.7)
+        assert result.parameters["alpha_noise"] == pytest.approx(230.0, rel=1e-6)
+        assert result.parameters["alpha_tilde"] == pytest.approx(alpha_tilde, rel=1e-6)
+
+    def test_iterations_count_the_search_steps(self):
+        # the golden-section bracket on [0, 1) shrinks by 1/phi a step, below 1e-12 in all
+        assert fitting._INV_PHI ** fitting._GOLDEN_STEPS < 1e-12
+        result = fit_saturating_noise(noise_scan(230.0, 1.0 / 144.0, 0.7), 0.7)
+        assert result.iterations == fitting._GOLDEN_STEPS == 58
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             fit_saturating_noise(noise_scan(230.0, 1 / 144, 0.7, points=4), 0.7)
